@@ -24,7 +24,7 @@ from .cochains import (
 )
 from .diffcocycle import (
     DiffClass, class_equal, delta1, delta2, i1 as dc_i1, i2 as dc_i2,
-    lift_through_i2, make_class, pullback, sample_classes, zero_class,
+    lift_through_i2, make_class, pullback, sample_classes,
 )
 from .geometry import GoodNeighborhood, good_neighborhood_of_cycle, normalize_cycle
 from .report import CheckResult, check

@@ -3,18 +3,15 @@
 Subcommands: inspect (groups and integral forms), diagram (exactness and
 commutativity at one degree), phi (the model equivalence), ring (product
 axioms), pseudo (cycle surgery and bounding). Reports are deterministic:
-the canonical hash covers everything except timings, and independent
-checks may be evaluated by a thread pool (CHARRIG_JOBS) without changing
-a byte of output.
+the canonical hash covers everything except timings, and checks run one
+after another in a fixed order.
 """
 from __future__ import annotations
 
 import argparse
-import os
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__, corpus
 from .cochains import (
@@ -28,7 +25,7 @@ from .geometry import (
     normalize_cycle, verify_normalization,
 )
 from .product import verify_ring_axioms
-from .report import CheckResult, PASS, Report, check
+from .report import CheckResult, Report, check
 from .simplicial import (
     Complex, DegreeError, DuplicateError, FaceClosureError, ParseError,
     barycentric_subdivide, closed_star_neighborhood, subcomplex_from_simplices,
@@ -47,30 +44,22 @@ def _naturality_maps(cx: Complex):
     return maps
 
 
-def _run_tasks(tasks, jobs: int) -> list[CheckResult]:
-    """Evaluate (name, callable) tasks, possibly concurrently; results are
-    concatenated in task order so scheduling never changes the report."""
-    def timed(fn):
+def _run_tasks(tasks) -> list[CheckResult]:
+    """Evaluate (name, callable) tasks in order and concatenate their results."""
+    flat = []
+    for _, fn in tasks:
         t0 = time.monotonic()
         out = fn()
         dt = int((time.monotonic() - t0) * 1000)
         results = out if isinstance(out, list) else [out]
         for r in results:
             r.time_ms = dt if len(results) == 1 else None
-        return results
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(timed, fn) for _, fn in tasks]
-            chunks = [f.result() for f in futures]
-    else:
-        chunks = [timed(fn) for _, fn in tasks]
-    flat = []
-    for chunk in chunks:
-        flat.extend(chunk)
+        flat.extend(results)
     return flat
 
 
+# Every cmd_* handler keeps a third positional `jobs` argument, unused:
+# perfbench/run.py calls cmd_*(cx, args, 1).
 def cmd_inspect(cx: Complex, args, jobs: int) -> Report:
     rep = Report(__version__, "inspect", cx.name,
                  list(range(cx.dim + 2)), args.seed)
@@ -90,7 +79,7 @@ def cmd_inspect(cx: Complex, args, jobs: int) -> Report:
                          f"{len(gens)} generators (free classes + "
                          f"integral coboundaries)")
         tasks.append((f"L{j}", forms))
-    rep.extend(_run_tasks(tasks, jobs))
+    rep.extend(_run_tasks(tasks))
     return rep
 
 
@@ -105,7 +94,7 @@ def cmd_diagram(cx: Complex, args, jobs: int) -> Report:
         ("diagram", lambda: verify_diagram(cx, k, random.Random(args.seed),
                                            maps=maps)),
     ]
-    rep.extend(_run_tasks(tasks, jobs))
+    rep.extend(_run_tasks(tasks))
     return rep
 
 
@@ -118,7 +107,7 @@ def cmd_phi(cx: Complex, args, jobs: int) -> Report:
         ("good", lambda: verify_phi_good(
             cx, k, random.Random(args.seed + 1), max_subdiv=args.max_subdiv)),
     ]
-    rep.extend(_run_tasks(tasks, jobs))
+    rep.extend(_run_tasks(tasks))
     return rep
 
 
@@ -127,12 +116,15 @@ def cmd_ring(cx: Complex, args, jobs: int) -> Report:
     rep = Report(__version__, "ring", cx.name, list(degs), args.seed)
     rep.notes.append("graded commutativity is contingent in this cochain "
                      "model: the curvature cup product does not commute; "
-                     "failures carry witnesses and the defect-exactness "
-                     "diagnosis (a cup-1 correction term would be needed)")
+                     "failures carry witnesses, and the defect is exact. No "
+                     "cochain-level correction can restore 1.17, since class "
+                     "equality needs omega to match exactly and 1.18 fixes "
+                     "delta1(x*y) = delta1(x) u delta1(y); a fix needs "
+                     "graded-commutative forms")
     maps = _naturality_maps(cx)
     tasks = [("ring", lambda: verify_ring_axioms(
         cx, degs, random.Random(args.seed), maps=maps))]
-    rep.extend(_run_tasks(tasks, jobs))
+    rep.extend(_run_tasks(tasks))
     return rep
 
 
@@ -167,7 +159,7 @@ def cmd_pseudo(cx: Complex, args, jobs: int) -> Report:
                            [nb.complex.n_simplices(j)
                             for j in range(nb.complex.dim + 1)]})]
 
-    rep.extend(_run_tasks([("surgery", surgery), ("bounding", bounding)], jobs))
+    rep.extend(_run_tasks([("surgery", surgery), ("bounding", bounding)]))
     rep.notes.append("the emitted neighborhood is of the bounding chain's "
                      "support, which contains the cycle's support")
     return rep
@@ -216,7 +208,6 @@ def _degree_pair(text: str):
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    jobs = max(1, int(os.environ.get("CHARRIG_JOBS", "1")))
     try:
         cx = corpus.load(args.complex)
     except (FileNotFoundError, ParseError, FaceClosureError, DuplicateError) as e:
@@ -225,7 +216,7 @@ def main(argv=None) -> int:
     handler = {"inspect": cmd_inspect, "diagram": cmd_diagram,
                "phi": cmd_phi, "ring": cmd_ring, "pseudo": cmd_pseudo}
     try:
-        rep = handler[args.command](cx, args, jobs)
+        rep = handler[args.command](cx, args, 1)
     except (FileNotFoundError, ParseError, DegreeError, ValueError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return INPUT_ERROR

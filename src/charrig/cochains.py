@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor
+from math import floor, gcd, lcm
 
 from . import zlin
 from .report import CheckResult, check
@@ -337,12 +337,9 @@ class ZCohomology:
         self.degree = j
         W = cocycle_basis(cx, j)
         q = len(W)
-        n_prev = cx.n_simplices(j - 1) if j >= 1 else 0
-        cols = []
-        for t in range(n_prev):
-            img = coboundary(basis_cochain(cx, RING_Z, j - 1, t)).values
-            cols.append(cocycle_coords(cx, j, img))
-        Y = [[cols[c][t] for c in range(n_prev)] for t in range(q)]
+        # the coboundary of the t-th basis (j-1)-cochain is row t of d_j
+        cols = [cocycle_coords(cx, j, row) for row in cx._boundary_any(j)]
+        Y = [[col[t] for col in cols] for t in range(q)]
         self.fg = zlin.cokernel(Y, ambient=q)
         self.rank = self.fg.rank
         self.torsion = self.fg.torsion
@@ -578,11 +575,9 @@ def integral_form_generators(cx: Complex, k: int):
     basis cochains."""
     hz = _coho_z(cx, k)
     gens = [g.to_q() for g in hz.gen_cochains[:hz.rank]]
-    n_prev = cx.n_simplices(k - 1) if k >= 1 else 0
-    for t in range(n_prev):
-        g = coboundary(basis_cochain(cx, RING_Q, k - 1, t))
-        if not g.is_zero():
-            gens.append(g)
+    # the coboundary of the t-th basis (k-1)-cochain is row t of d_k
+    gens.extend(Cochain(cx, RING_Q, k, tuple(row))
+                for row in cx._boundary_any(k) if any(row))
     return gens
 
 
@@ -741,9 +736,8 @@ def check_exactness(cx: Complex, k: int, rng=None) -> list[CheckResult]:
             continue
         c = tors.cocycle()
         dc = c.scale(d)
-        b = zlin.solve_integer(
-            zlin.transpose(cx._boundary_any(k)), list(dc.values),
-            fact=_transpose_snf(cx, k))
+        b = zlin.solve_integer([], list(dc.values),
+                               fact=_snf_coboundary(cx, k - 1))
         if b is None:
             probs.append(("d*c is not an integral coboundary", t))
             continue
@@ -811,7 +805,6 @@ def check_exactness(cx: Complex, k: int, rng=None) -> list[CheckResult]:
     # --- de Rham: ker s = im d at integral forms (degree k)
     probs, wit = [], []
     n_prev = cx.n_simplices(k - 1) if k >= 1 else 0
-    d_mat = zlin.transpose(cx._boundary_any(k))
     exact_samples = []
     for t in range(min(n_prev, 4)):
         exact_samples.append(coboundary(basis_cochain(cx, RING_Q, k - 1, t)))
@@ -824,7 +817,8 @@ def check_exactness(cx: Complex, k: int, rng=None) -> list[CheckResult]:
         if not s_class_of_form(omega).is_zero():
             probs.append(("exact form has nonzero rational class", idx))
             continue
-        rho = zlin.solve_rational(d_mat, list(omega.values), ncols=n_prev)
+        rho = zlin.solve_rational_with_fact(_snf_coboundary(cx, k - 1),
+                                            list(omega.values))
         if rho is None:
             probs.append(("exact form not solvable as a coboundary", idx))
             continue
@@ -859,11 +853,6 @@ def _int_pairing(hq: QCohomology):
     return out
 
 
-def _transpose_snf(cx: Complex, j: int) -> zlin.SNFResult:
-    """SNF of delta^{j-1} = transpose(boundary_j), cached."""
-    return _snf_coboundary(cx, j - 1)
-
-
 def _class_order(c: CohomologyClass):
     """Order of an integral cohomology class, None when infinite."""
     if any(c.coords[:c.group.rank]):
@@ -872,16 +861,5 @@ def _class_order(c: CohomologyClass):
     for t, d in enumerate(c.group.torsion):
         v = c.coords[c.group.rank + t] % d
         if v:
-            g = _gcd(v, d)
-            order = _lcm(order, d // g)
+            order = lcm(order, d // gcd(v, d))
     return order
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def _lcm(a, b):
-    return a * b // _gcd(a, b)

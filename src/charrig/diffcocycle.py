@@ -18,8 +18,8 @@ from .cochains import (
     RING_Q, RING_QMODZ, RING_Z,
     Cochain, CohomologyClass, QuotientForm,
     basis_cochain, coboundary, cohomology, cycle_basis, cocycle_basis,
-    homology, is_integral_form, integral_form_generators, zero_cochain,
-    _int_pairing, _snf_coboundary,
+    is_integral_form, integral_form_generators, zero_cochain,
+    _int_pairing, _snf_coboundary, _units,
 )
 from .report import CheckResult, check
 from .simplicial import Complex, MismatchError, SimplicialMap
@@ -286,7 +286,7 @@ def sample_classes(cx: Complex, k: int, rng, count: int = 6) -> list[DiffClass]:
     hz = cohomology(cx, k, RING_Z)
     hqz = cohomology(cx, k - 1, RING_QMODZ)
     out = [zero_class(cx, k)]
-    for e in _unit_tuples(hz.fg.n_coords):
+    for e in _units(hz.fg.n_coords):
         out.append(preimage_of_class(cx, hz.make(e)))
     for i in range(hqz.n_coords):
         coords = [Fraction(0)] * hqz.n_coords
@@ -310,13 +310,6 @@ def sample_classes(cx: Complex, k: int, rng, count: int = 6) -> list[DiffClass]:
                                  zero_cochain(cx, RING_Q, k - 2))
         out.append(z)
     return out[:count + 1]
-
-
-def _unit_tuples(n):
-    for t in range(n):
-        e = [0] * n
-        e[t] = 1
-        yield tuple(e)
 
 
 def sample_quotient_forms(cx: Complex, k: int, rng, count: int = 3):
@@ -385,7 +378,7 @@ def verify_diagram(cx: Complex, k: int, rng, maps=None) -> list[CheckResult]:
                 probs.append(("lift succeeded despite delta2 obstruction",))
             except NotInImage:
                 wit.append({"obstructed": list(delta2(x).coords)})
-    for e in _unit_tuples(hz.fg.n_coords):
+    for e in _units(hz.fg.n_coords):
         pre = preimage_of_class(cx, hz.make(e))
         if delta2(pre) != hz.make(e):
             probs.append(("delta2 surjectivity preimage failed", e))
@@ -501,10 +494,3 @@ def pullback_integral(phi: SimplicialMap, c: CohomologyClass) -> CohomologyClass
     pulled = Cochain(phi.source, RING_Z, rep.degree,
                      tuple(phi.pull_values(rep.degree, rep.values)))
     return cohomology(phi.source, rep.degree, RING_Z).class_from_cocycle(pulled)
-
-
-def pullback_rational(phi: SimplicialMap, x: CohomologyClass) -> CohomologyClass:
-    rep = x.group.cochain_for(x.coords)
-    pulled = Cochain(phi.source, RING_Q, rep.degree,
-                     tuple(phi.pull_values(rep.degree, rep.values)))
-    return cohomology(phi.source, rep.degree, RING_Q).class_from_cocycle(pulled)

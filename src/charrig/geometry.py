@@ -16,7 +16,7 @@ from itertools import combinations
 from . import zlin
 from .report import CheckResult, check
 from .simplicial import (
-    Complex, SimplicialMap, Subcomplex, chain_support,
+    Complex, SimplicialMap, Subcomplex, _sort_sign, chain_support,
     closed_star_neighborhood, complex_from_maximal,
     subcomplex_from_simplices, subdivision_tower,
 )
@@ -59,8 +59,25 @@ def cohomology_vanishes_above(cx: Complex, k: int) -> bool:
 # ---------------------------------------------------------------------------
 # good neighborhoods
 
+class _TowerTransport:
+    """Chain transport along `self.tower`, a list of Subdivision objects
+    from the base complex to the top subdivision."""
+
+    def transport_chain(self, j: int, vec):
+        """Chain on the base -> chain on the top subdivision."""
+        for sd in self.tower:
+            vec = sd.subdivide_chain(j, vec)
+        return vec
+
+    def push_down_chain(self, j: int, vec):
+        """Chain on the top subdivision -> chain on the base."""
+        for sd in reversed(self.tower):
+            vec = sd.last_vertex.push_chain(j, vec)
+        return vec
+
+
 @dataclass
-class GoodNeighborhood:
+class GoodNeighborhood(_TowerTransport):
     base: Complex
     level: int
     tower: list          # Subdivision objects, base -> ambient
@@ -70,23 +87,11 @@ class GoodNeighborhood:
     inclusion: SimplicialMap
     k: int               # cohomology vanishes above this degree
 
-    def transport_chain(self, j: int, vec):
-        """Chain on the base -> chain on the ambient subdivision."""
-        for sd in self.tower:
-            vec = sd.subdivide_chain(j, vec)
-        return vec
-
     def transport_cochain_values(self, j: int, values):
         """Cochain values on the base -> values on the ambient subdivision."""
         for sd in self.tower:
             values = sd.transport_values(j, values)
         return values
-
-    def push_down_chain(self, j: int, vec):
-        """Chain on the ambient subdivision -> chain on the base."""
-        for sd in reversed(self.tower):
-            vec = sd.last_vertex.push_chain(j, vec)
-        return vec
 
     def chain_to_neighborhood(self, j: int, vec):
         """Reindex an ambient chain supported inside the neighborhood."""
@@ -288,7 +293,7 @@ def resolve_cycle(ambient: Complex, d: int, vec):
     for pos, (i, coef) in enumerate(cells):
         labs = [label[uf.find((pos, slot))] for slot in range(d + 1)]
         assert len(set(labs)) == d + 1, "cell collapsed during regluing"
-        sign = _sort_parity(labs)
+        sign = _sort_sign(labs)[1]
         tops.append(tuple(sorted(labs)))
         coefs.append(coef * sign)
     abstract = complex_from_maximal(f"{ambient.name}|pm", sorted(set(tops)),
@@ -303,20 +308,11 @@ def resolve_cycle(ambient: Complex, d: int, vec):
     return pm, b2
 
 
-def _sort_parity(seq) -> int:
-    inv = 0
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                inv += 1
-    return (-1) ** inv
-
-
 # ---------------------------------------------------------------------------
 # splitting multi-coefficient cells into parallel copies
 
 @dataclass
-class SplitResult:
+class SplitResult(_TowerTransport):
     base: Complex
     level: int
     tower: list
@@ -325,16 +321,6 @@ class SplitResult:
     transported: list     # the input cycle transported to `complex`
     cycle: list           # coefficients in {-1, 0, +1}
     witness: list         # (d+1)-chain with transported = boundary(witness) + cycle
-
-    def transport_chain(self, j, vec):
-        for sd in self.tower:
-            vec = sd.subdivide_chain(j, vec)
-        return vec
-
-    def push_down_chain(self, j, vec):
-        for sd in reversed(self.tower):
-            vec = sd.last_vertex.push_chain(j, vec)
-        return vec
 
 
 def split_cycle(base: Complex, d: int, vec) -> SplitResult:

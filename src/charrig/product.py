@@ -5,9 +5,11 @@ The representative formula is
 whose differential-cocycle closure is an algebraic identity. Because the
 simplicial cup product is not graded-commutative at cochain level, the
 curvatures w1 u w2 and (-1)^{kl} w2 u w1 differ by an exact (but nonzero)
-cochain, so graded commutativity of classes fails in this model; the suite
-records the witness and verifies the failure is exactly that defect (the
-correction would be a cup-1 term) instead of patching the product.
+cochain, so graded commutativity (1.17) fails at class level in this
+model. The suite records the witness and checks that the defect is exact.
+No cochain-level correction can restore 1.17 here: class equality needs
+omega to match exactly, and 1.18 fixes delta1(x * y) = delta1 x u delta1 y.
+A real fix needs graded-commutative forms, which this model does not have.
 """
 from __future__ import annotations
 
@@ -15,8 +17,7 @@ from fractions import Fraction
 
 from . import zlin
 from .cochains import (
-    RING_Q, RING_Z, Cochain, QuotientForm, coboundary, cup,
-    cup_class_qmodz, cup_integral_classes,
+    QuotientForm, cup, cup_class_qmodz, cup_integral_classes, _snf_coboundary,
 )
 from .diffcocycle import (
     DiffClass, class_equal, delta1, delta2, i1, i2, make_class, pullback,
@@ -114,16 +115,17 @@ def verify_ring_axioms(cx: Complex, degrees, rng, maps=None) -> list[CheckResult
                                 (delta1(lhs) - delta1(rhs)).serialize()})
         defect = delta1(lhs) - delta1(rhs)
         if not defect.is_zero():
-            mat = zlin.transpose(cx._boundary_any(k + l))
-            sol = zlin.solve_rational(mat, list(defect.values),
-                                      ncols=cx.n_simplices(k + l - 1))
+            sol = zlin.solve_rational_with_fact(
+                _snf_coboundary(cx, k + l - 1), list(defect.values))
             if sol is None:
                 defect_probs.append(("curvature defect is not exact", idx))
     results.append(check("ring.axiom_1_17_graded_commutativity", not probs,
                          f"{len(probs)} of {len(pairs)} pairs fail",
                          {"failing_pairs": probs, "witnesses": wit}))
     results.append(check("ring.commutativity_defect_exact", not defect_probs,
-                         "defect is a coboundary (cup-1 correction exists)",
+                         "the defect is exact; no cochain-level correction "
+                         "restores 1.17, since omega must match exactly and "
+                         "1.18 fixes the curvature",
                          {"problems": defect_probs}))
 
     # 1.18: curvature is multiplicative at cochain level

@@ -2,8 +2,7 @@
 
 A report is a list of named checks with status and witnesses. The canonical
 byte form (and its hash) excludes timings, so repeated runs of the same
-inputs produce identical hashes no matter how long they took or how many
-workers evaluated them.
+inputs produce identical hashes no matter how long they took.
 """
 from __future__ import annotations
 

@@ -509,16 +509,6 @@ class Subdivision:
         """Cochain values old -> new (pullback along last_vertex)."""
         return self.last_vertex.pull_values(j, values)
 
-    def restrict_values(self, j: int, values):
-        """Cochain values new -> old (transpose of the subdivision map)."""
-        out = [0] * self.base.n_simplices(j)
-        for i in range(self.base.n_simplices(j)):
-            acc = 0
-            for ni, sign in self._sd_simplex(j, i):
-                acc += sign * values[ni]
-            out[i] = acc
-        return out
-
 
 def barycentric_subdivide(base: Complex) -> Subdivision:
     key = "subdivision"

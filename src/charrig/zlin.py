@@ -52,10 +52,6 @@ def vec_dot(u, v):
     return sum(x * y for x, y in zip(u, v))
 
 
-def mat_eq(a, b):
-    return a == b
-
-
 # ---------------------------------------------------------------------------
 # Smith normal form
 
@@ -102,6 +98,8 @@ def smith_normal_form(a, ncols: int | None = None) -> SNFResult:
     n = len(a[0]) if m else (ncols or 0)
     # sparse working copy: per-row dict col -> value, plus per-column row sets
     rows = [{j: int(x) for j, x in enumerate(r) if x} for r in a]
+    if any(v != r[j] for row, r in zip(rows, a) for j, v in row.items()):
+        raise ValueError("Smith normal form needs an integer matrix")
     col_rows = [set() for _ in range(n)]
     for i, r in enumerate(rows):
         for j in r:
@@ -378,7 +376,7 @@ def cokernel(a, ambient: int | None = None, fact: SNFResult | None = None) -> Fg
 
 
 # ---------------------------------------------------------------------------
-# rational elimination
+# rational solves
 
 def solve_rational_with_fact(fact: SNFResult, b):
     """Rational solution of A x = b through an existing Smith factorization
@@ -407,37 +405,6 @@ def solve_rational_with_fact(fact: SNFResult, b):
 
 
 def solve_rational(a, b, ncols: int | None = None):
-    """One rational solution x of a @ x == b, or None when inconsistent.
-
-    Free variables are set to zero; pivoting takes the first nonzero entry,
-    so the answer is deterministic.
-    """
-    m = len(a)
-    n = len(a[0]) if m else (ncols or 0)
-    if len(b) != m:
-        raise ShapeError(f"rhs length {len(b)} does not match {m} rows")
-    aug = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(a)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, m) if aug[i][c]), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if aug[i][n]:
-            return None
-    x = [Fraction(0)] * n
-    for i, c in enumerate(pivots):
-        x[c] = aug[i][n]
-    return x
+    """One rational solution x of a @ x == b for an integer matrix a and a
+    rational right side b, or None when inconsistent."""
+    return solve_rational_with_fact(smith_normal_form(a, ncols=ncols), b)

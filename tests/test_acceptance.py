@@ -180,7 +180,7 @@ def test_criterion_5_ring_suite():
                 findings.append((name, degs, r.name))
                 if r.name == "ring.axiom_1_17_graded_commutativity":
                     # the reportable finding must carry witnesses and the
-                    # diagnosis (defect exact = cup-1 correction shape)
+                    # diagnosis that the curvature defect is exact
                     if not r.witness["witnesses"]:
                         hard_failures.append((name, degs, "missing witness"))
                     if by_name["ring.commutativity_defect_exact"].status != "pass":

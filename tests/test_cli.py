@@ -4,11 +4,10 @@ import os
 import shutil
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-REPO = Path(__file__).resolve().parent.parent
+from charrig import corpus
 
 
 def run_cli(*args, env=None, check=False):
@@ -148,7 +147,7 @@ def test_exit_code_on_malformed_document(tmp_path):
 
 def test_corpus_env_override(tmp_path):
     alt = tmp_path / "alt_corpus"
-    shutil.copytree(REPO / "corpus", alt)
+    shutil.copytree(corpus.corpus_dir(), alt)
     code, out, _ = run_cli("inspect", "rp2", env={"CHARRIG_CORPUS": str(alt)})
     assert code == 0
 

@@ -231,8 +231,14 @@ def test_qmodz_roundtrip_through_perturbed_cocycles(cx):
 def test_integral_form_generators_are_integral(corpus_complex):
     X = corpus_complex
     for k in range(X.dim + 2):
-        for om in integral_form_generators(X, k):
+        gens = integral_form_generators(X, k)
+        for om in gens:
             assert is_integral_form(om)
+        # b_k free classes plus one coboundary per (k-1)-simplex that is a
+        # face of some k-simplex
+        faces = {s[:i] + s[i + 1:] for s in X.simplices[k]
+                 for i in range(k + 1)} if 1 <= k <= X.dim else set()
+        assert len(gens) == oracle_cohomology(X, k)[0] + len(faces)
 
 
 def test_exactness_all_corpus_degrees(corpus_complex):

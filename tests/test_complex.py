@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from charrig import corpus, zlin
+from charrig import zlin
 from charrig.simplicial import (
     Complex, DegreeError, DuplicateError, FaceClosureError, ParseError,
     SimplicialMap, barycentric_subdivide, closed_star_neighborhood,
@@ -213,15 +213,3 @@ def test_subcomplex_as_complex_preserves_orientation(cx):
         for i in range(sub.n_simplices(j)):
             entry = incl.chain_columns(j)[i]
             assert entry is not None and entry[1] == 1
-
-
-def test_corpus_and_packaged_files_agree():
-    import pathlib
-    repo = pathlib.Path(__file__).resolve().parent.parent / "corpus"
-    packaged = corpus.corpus_dir()
-    for name in corpus.CORPUS_NAMES:
-        a = (repo / f"{name}.json").read_bytes()
-        b = (packaged / f"{name}.json").read_bytes()
-        assert a == b, name
-    for cyc in sorted((repo / "cycles").glob("*.json")):
-        assert cyc.read_bytes() == (packaged / "cycles" / cyc.name).read_bytes()

@@ -70,7 +70,8 @@ def test_graded_commutativity_finding_is_recorded(cx):
     assert r.witness["failing_pairs"], "failure must carry witnesses"
     assert r.witness["witnesses"][0]["curvature_defect"]["values"], \
         "witness must include the nonzero curvature defect"
-    # and the defect is exactly a coboundary: the anticipated cup-1 shape
+    # and the defect is exactly a coboundary; no cochain-level correction
+    # can remove it, since 1.18 fixes the curvature of the product
     assert results["ring.commutativity_defect_exact"].status == "pass"
 
 

@@ -67,6 +67,19 @@ def test_solve_integer_roundtrip(a, seed):
     x = zlin.solve_integer(a, b)
     assert x is not None
     assert zlin.mat_vec(a, x) == b
+    # the rational solver on a rational right side a @ x0 / q
+    q = rng.randrange(1, 6)
+    bq = [Fraction(v, q) for v in b]
+    y = zlin.solve_rational(a, bq)
+    assert y is not None
+    assert zlin.mat_vec(a, y) == bq
+    # and on an arbitrary right side: None exactly when rank(a) < rank([a | b])
+    c = [rng.randrange(-3, 4) for _ in range(len(a))]
+    inconsistent = Matrix(a).rank() < Matrix(a).row_join(Matrix(c)).rank()
+    y = zlin.solve_rational(a, c)
+    assert (y is None) == inconsistent
+    if y is not None:
+        assert zlin.mat_vec(a, y) == c
 
 
 def test_solve_integer_examples():
@@ -155,6 +168,9 @@ def test_solve_rational():
     assert x is not None and 2 * x[0] + x[1] == 3
     assert zlin.solve_rational([[1], [1]], [1, 2]) is None
     assert zlin.solve_rational([], [], ncols=2) == [Fraction(0), Fraction(0)]
+    # the matrix must be integral; a rational one is refused, not truncated
+    with pytest.raises(ValueError):
+        zlin.solve_rational([[Fraction(1, 2)]], [1])
 
 
 def test_shape_errors():
