@@ -22,7 +22,7 @@ from .zlin import (  # noqa: F401
 )
 from .cochains import (  # noqa: F401
     RING_Q, RING_QMODZ, RING_Z,
-    Cochain, CohomologyClass, QuotientForm,
+    Cochain, CohomologyClass, NotACycle, QuotientForm,
     alpha, basis_cochain, beta, bockstein, check_exactness, coboundary,
     cohomology, cup, cup_int_qmodz, cycle_basis, d_of_quotient, homology,
     integral_form_generators, is_integral_form, r_to_rational,
@@ -35,7 +35,7 @@ from .diffcocycle import (  # noqa: F401
     zero_class,
 )
 from .characters import (  # noqa: F401
-    Character, NotACycle,
+    Character,
     char_i1, char_i2, char_pullback, character_from_holonomies,
     delta2_via_lift, evaluate_via_normalization, is_character, lift_T,
     make_character, phi_direct, phi_good, phi_inverse, verify_equivalence,

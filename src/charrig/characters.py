@@ -15,12 +15,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
 
-from . import zlin
 from .cochains import (
     RING_Q, RING_QMODZ, RING_Z,
-    Cochain, CohomologyClass, QuotientForm,
-    coboundary, cohomology, cycle_basis, homology, is_integral_form,
-    zero_cochain, _snf_boundary,
+    Cochain, CohomologyClass, NotACycle, QuotientForm,
+    coboundary, cochain_on_cycle_basis, cohomology, cycle_basis,
+    cycle_coords, homology, is_integral_form, zero_cochain,
 )
 from .diffcocycle import (
     DiffClass, class_equal, delta1, delta2, i1 as dc_i1, i2 as dc_i2,
@@ -29,10 +28,6 @@ from .diffcocycle import (
 from .geometry import GoodNeighborhood, good_neighborhood_of_cycle, normalize_cycle
 from .report import CheckResult, check
 from .simplicial import Complex, MismatchError, SimplicialMap
-
-
-class NotACycle(Exception):
-    pass
 
 
 def _mod1(x) -> Fraction:
@@ -59,12 +54,7 @@ class Character:
 
     def evaluate(self, z) -> Fraction:
         """Value on an integer (k-1)-cycle, by linearity over the basis."""
-        k = self.degree
-        if not self.cx.is_cycle(k - 1, z):
-            raise NotACycle("chain has nonzero boundary")
-        fact = _snf_boundary(self.cx, k - 1)
-        coords = [zlin.vec_dot(fact.Vinv[t], z)
-                  for t in range(fact.rank, fact.shape[1])]
+        coords = cycle_coords(self.cx, self.degree - 1, z)
         return _mod1(sum(c * f for c, f in zip(coords, self.f_values)))
 
     def __eq__(self, other):
@@ -132,24 +122,13 @@ def lift_T(ch: Character, strategy: str = "floor") -> Cochain:
     Built on the Smith-adapted basis of the chain group: zero on the
     complement of the cycles, a lift of f on the cycle basis.
     """
-    cx = ch.cx
-    k = ch.degree
-    fact = _snf_boundary(cx, k - 1)
-    n = cx.n_simplices(k - 1)
     if strategy == "floor":
         lifts = list(ch.f_values)
     elif strategy == "centered":
         lifts = [v if v <= Fraction(1, 2) else v - 1 for v in ch.f_values]
     else:
         raise ValueError(f"unknown lift strategy {strategy!r}")
-    vals = [Fraction(0)] * n
-    for t in range(fact.rank, fact.shape[1]):
-        g = lifts[t - fact.rank]
-        if g:
-            row = fact.Vinv[t]
-            for i in range(n):
-                vals[i] += g * row[i]
-    return Cochain(cx, RING_Q, k - 1, tuple(vals))
+    return cochain_on_cycle_basis(ch.cx, ch.degree - 1, lifts, RING_Q)
 
 
 def delta2_via_lift(ch: Character, strategy: str = "floor") -> CohomologyClass:

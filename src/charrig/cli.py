@@ -15,13 +15,13 @@ import time
 
 from . import __version__, corpus
 from .cochains import (
-    RING_Q, RING_QMODZ, RING_Z, check_exactness, cohomology,
-    integral_form_generators,
+    RING_Q, RING_QMODZ, RING_Z, Cochain, check_exactness, coboundary,
+    cohomology, integral_form_generators,
 )
 from .characters import verify_equivalence, verify_phi_good
 from .diffcocycle import verify_diagram
 from .geometry import (
-    BoundResult, NotNullHomologous, bound_in_good_neighborhood,
+    BoundResult, DimensionError, NotNullHomologous, bound_in_good_neighborhood,
     normalize_cycle, verify_normalization,
 )
 from .product import verify_ring_axioms
@@ -58,6 +58,31 @@ def _run_tasks(tasks) -> list[CheckResult]:
     return flat
 
 
+# (ring, degree offset, attribute) of the groups whose free rank or torsion
+# must equal those of H^j in each ring, by the universal coefficient theorem:
+# rank H^j(Z) = rank H^j(Q) = free rank of H^j(Q/Z), and torsion H^j(Q/Z) =
+# torsion H^{j+1}(Z). Q/Z groups keep their free rank in `rank`.
+_UCT_PARTNERS = {
+    RING_Z: ((RING_Q, 0, "rank"), (RING_QMODZ, -1, "torsion")),
+    RING_Q: ((RING_Z, 0, "rank"), (RING_QMODZ, 0, "rank")),
+    RING_QMODZ: ((RING_Z, 0, "rank"), (RING_Z, 1, "torsion")),
+}
+
+
+def _uct_disagreement(cx: Complex, j: int, ring: str):
+    """None when H^j in `ring` agrees with its universal-coefficient
+    partners, else a witness naming the two groups that disagree."""
+    g = cohomology(cx, j, ring)
+    for other_ring, shift, attr in _UCT_PARTNERS[ring]:
+        if j + shift < 0:
+            continue
+        h = cohomology(cx, j + shift, other_ring)
+        if getattr(g, attr) != getattr(h, attr):
+            return {"groups": [f"H{j}({ring})", f"H{j + shift}({other_ring})"],
+                    attr: [getattr(g, attr), getattr(h, attr)]}
+    return None
+
+
 # Every cmd_* handler keeps a third positional `jobs` argument, unused:
 # perfbench/run.py calls cmd_*(cx, args, 1).
 def cmd_inspect(cx: Complex, args, jobs: int) -> Report:
@@ -70,14 +95,20 @@ def cmd_inspect(cx: Complex, args, jobs: int) -> Report:
     for j in range(cx.dim + 2):
         for ring in (RING_Z, RING_Q, RING_QMODZ):
             def fn(j=j, ring=ring):
-                g = cohomology(cx, j, ring)
-                return check(f"inspect.H{j}({ring})", True, g.describe())
+                wit = _uct_disagreement(cx, j, ring)
+                return check(f"inspect.H{j}({ring})", wit is None,
+                             cohomology(cx, j, ring).describe(), wit)
             tasks.append((f"H{j}{ring}", fn))
         def forms(j=j):
             gens = integral_form_generators(cx, j)
-            return check(f"inspect.integral_forms_{j}", True,
+            # closedness is tested over Z, where the sums are int sums
+            bad = [t for t, g in enumerate(gens)
+                   if any(v.denominator != 1 for v in g.values)
+                   or not coboundary(Cochain(cx, RING_Z, j, g.values)).is_zero()]
+            return check(f"inspect.integral_forms_{j}", not bad,
                          f"{len(gens)} generators (free classes + "
-                         f"integral coboundaries)")
+                         f"integral coboundaries)",
+                         {"not_closed_or_not_integral": bad} if bad else None)
         tasks.append((f"L{j}", forms))
     rep.extend(_run_tasks(tasks))
     return rep
@@ -217,7 +248,8 @@ def main(argv=None) -> int:
                "phi": cmd_phi, "ring": cmd_ring, "pseudo": cmd_pseudo}
     try:
         rep = handler[args.command](cx, args, 1)
-    except (FileNotFoundError, ParseError, DegreeError, ValueError) as e:
+    except (FileNotFoundError, ParseError, DegreeError, DimensionError,
+            ValueError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return INPUT_ERROR
     print(rep.render(args.format))

@@ -10,6 +10,7 @@ factor), and a representative cocycle is synthesized on demand.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import floor, gcd, lcm
 
@@ -23,6 +24,10 @@ RING_QMODZ = "QmodZ"
 
 
 class RingError(Exception):
+    pass
+
+
+class NotACycle(ValueError):
     pass
 
 
@@ -188,20 +193,21 @@ def cup_class_qmodz(a: "CohomologyClass", u: "CohomologyClass") -> "CohomologyCl
 
 # ---------------------------------------------------------------------------
 # cached chain-level data
+#
+# One Smith factorization U d_j V = S per boundary operator d_j: C_j ->
+# C_{j-1}, cached per complex, serves both sides. Chain side in degree j,
+# from the factorization of d_j: the j-cycles are the columns of V past the
+# rank, and the rows of Vinv past the rank give a cycle's coordinates.
+# Cochain side in degree j, from the factorization of d_{j+1}, since
+# delta^j = d_{j+1}^T = Vinv^T S^T Uinv^T: the j-cocycles are the rows of U
+# past the rank, the columns of Uinv past the rank give a cocycle's
+# coordinates, and delta x = b is solved as S^T y = V^T b, x = U^T y.
+
 
 def _snf_boundary(cx: Complex, j: int) -> zlin.SNFResult:
     key = ("snf_boundary", j)
     if key not in cx._cache:
         mat = cx._boundary_any(j) if j >= 0 else []
-        cx._cache[key] = zlin.smith_normal_form(mat, ncols=cx.n_simplices(j))
-    return cx._cache[key]
-
-
-def _snf_coboundary(cx: Complex, j: int) -> zlin.SNFResult:
-    """SNF of delta^j: C^j -> C^{j+1}, the transpose of boundary_{j+1}."""
-    key = ("snf_coboundary", j)
-    if key not in cx._cache:
-        mat = zlin.transpose(cx._boundary_any(j + 1))
         cx._cache[key] = zlin.smith_normal_form(mat, ncols=cx.n_simplices(j))
     return cx._cache[key]
 
@@ -219,29 +225,52 @@ def cycle_basis(cx: Complex, j: int):
 
 
 def cycle_coords(cx: Complex, j: int, vec):
-    """Coordinates of a j-cycle in the cycle basis (error if not a cycle)."""
+    """Coordinates of a j-cycle in the cycle basis (NotACycle otherwise)."""
     if not cx.is_cycle(j, vec):
-        raise ValueError("chain is not a cycle")
+        raise NotACycle("chain has nonzero boundary")
     fact = _snf_boundary(cx, j)
-    r = fact.rank
-    return [zlin.vec_dot(fact.Vinv[t], vec) for t in range(r, fact.shape[1])]
+    return [zlin.vec_dot(row, vec) for row in fact.Vinv[fact.rank:]]
+
+
+def cochain_on_cycle_basis(cx: Complex, j: int, values, ring: str) -> Cochain:
+    """The j-cochain with the given values on the cycle basis that vanishes
+    on the rest of the Smith-adapted basis of C_j: the sum of values[t]
+    times row rank + t of Vinv."""
+    fact = _snf_boundary(cx, j)
+    n = cx.n_simplices(j)
+    vals = [Fraction(0)] * n
+    for v, row in zip(values, fact.Vinv[fact.rank:]):
+        if v:
+            for i in range(n):
+                vals[i] += v * row[i]
+    return Cochain(cx, ring, j, tuple(vals))
 
 
 def cocycle_basis(cx: Complex, j: int):
+    """Rows forming a Z-basis of the j-cocycles ker delta^j; the basis is
+    saturated because U is unimodular."""
     key = ("cocycle_basis", j)
     if key not in cx._cache:
         if 0 <= j <= cx.dim:
-            cx._cache[key] = tuple(tuple(col) for col in
-                                   zlin.kernel_basis([], fact=_snf_coboundary(cx, j)))
+            fact = _snf_boundary(cx, j + 1)
+            cx._cache[key] = tuple(tuple(row) for row in fact.U[fact.rank:])
         else:
             cx._cache[key] = ()
     return cx._cache[key]
 
 
 def cocycle_coords(cx: Complex, j: int, values):
-    fact = _snf_coboundary(cx, j)
-    r = fact.rank
-    return [zlin.vec_dot(fact.Vinv[t], values) for t in range(r, fact.shape[1])]
+    """Coordinates of a j-cocycle in the cocycle basis."""
+    fact = _snf_boundary(cx, j + 1)
+    nz = [(i, v) for i, v in enumerate(values) if v]
+    return [sum(v * fact.Uinv[i][t] for i, v in nz)
+            for t in range(fact.rank, fact.shape[0])]
+
+
+def solve_coboundary(cx: Complex, j: int, b, integral: bool):
+    """A j-cochain x (values) with delta x = b, integer when `integral`
+    and rational otherwise, or None when there is none."""
+    return zlin.solve_transposed(_snf_boundary(cx, j + 1), b, integral)
 
 
 @dataclass(frozen=True)
@@ -385,15 +414,20 @@ class QCohomology:
     def __init__(self, cx: Complex, j: int):
         self.cx = cx
         self.degree = j
-        hz = _coho_z(cx, j)
+        hz = cohomology(cx, j, RING_Z)
         hom = homology(cx, j)
         self.rank = hom.free_count
         self.torsion = ()
         self.free_cycles = hom.gen_cycles[:hom.free_count]
-        # pairing of the integral free generators against the cycle basis
+        # periods of the integral free generators on the free homology
+        # generators: a unimodular integer matrix
         self._free_gens = hz.gen_cochains[:hz.rank]
-        self.pairing = [[Fraction(g.pair(z)) for g in self._free_gens]
+        self.pairing = [[g.pair(z) for g in self._free_gens]
                         for z in self.free_cycles]
+
+    @cached_property
+    def pairing_snf(self) -> zlin.SNFResult:
+        return zlin.smith_normal_form(self.pairing, ncols=self.rank)
 
     def make(self, coords) -> CohomologyClass:
         return CohomologyClass(self, tuple(Fraction(c) for c in coords))
@@ -413,7 +447,7 @@ class QCohomology:
         coords = [Fraction(c) for c in coords]
         if self.rank == 0:
             return zero_cochain(self.cx, RING_Q, self.degree)
-        a = zlin.solve_rational(self.pairing, coords)
+        a = zlin.solve_rational_with_fact(self.pairing_snf, coords)
         out = zero_cochain(self.cx, RING_Q, self.degree)
         for c, g in zip(a, self._free_gens):
             if c:
@@ -470,21 +504,13 @@ class QmodZCohomology:
 
     def cochain_for(self, coords) -> Cochain:
         coords = self.make(coords).coords
-        fact = _snf_boundary(self.cx, self.degree)
-        p = fact.shape[1] - fact.rank
-        psi = [Fraction(0)] * p
+        # values on the cycle basis: sum of coordinate times projection row
+        psi = [Fraction(0)] * self.hom.fg.ambient
         for c, row in zip(coords, self.hom.fg._proj_rows):
             if c:
-                for i in range(p):
-                    psi[i] += c * row[i]
-        n = self.cx.n_simplices(self.degree)
-        vals = [Fraction(0)] * n
-        for t in range(p):
-            if psi[t]:
-                row = fact.Vinv[fact.rank + t]
-                for i in range(n):
-                    vals[i] += psi[t] * row[i]
-        return Cochain(self.cx, RING_QMODZ, self.degree, tuple(vals))
+                for i, x in enumerate(row):
+                    psi[i] += c * x
+        return cochain_on_cycle_basis(self.cx, self.degree, psi, RING_QMODZ)
 
     def describe(self) -> str:
         parts = ["Q/Z"] * self.free_count + [f"Z/{d}" for d in self.torsion]
@@ -496,13 +522,6 @@ def _units(n):
         e = [0] * n
         e[t] = 1
         yield tuple(e)
-
-
-def _coho_z(cx, j) -> ZCohomology:
-    key = ("cohomology", RING_Z, j)
-    if key not in cx._cache:
-        cx._cache[key] = ZCohomology(cx, j)
-    return cx._cache[key]
 
 
 def cohomology(cx: Complex, j: int, ring: str):
@@ -573,7 +592,7 @@ def integral_form_generators(cx: Complex, k: int):
     """A finite generating family of the integral forms in degree k:
     free integral cohomology generators plus coboundaries of the integer
     basis cochains."""
-    hz = _coho_z(cx, k)
+    hz = cohomology(cx, k, RING_Z)
     gens = [g.to_q() for g in hz.gen_cochains[:hz.rank]]
     # the coboundary of the t-th basis (k-1)-cochain is row t of d_k
     gens.extend(Cochain(cx, RING_Q, k, tuple(row))
@@ -608,7 +627,7 @@ def bockstein_of_cocycle(rep: Cochain, strategy: str = "floor") -> CohomologyCla
     if any(v.denominator != 1 for v in c.values):
         raise ValueError("input was not a cocycle mod 1")
     c_int = Cochain(rep.cx, RING_Z, c.degree, tuple(int(v) for v in c.values))
-    return _coho_z(rep.cx, c.degree).class_from_cocycle(c_int)
+    return cohomology(rep.cx, c.degree, RING_Z).class_from_cocycle(c_int)
 
 
 def alpha(x: CohomologyClass) -> CohomologyClass:
@@ -679,8 +698,8 @@ def check_exactness(cx: Complex, k: int, rng=None) -> list[CheckResult]:
         # basis vectors; each needs an integral preimage under r
         target = [Fraction(0)] * hq_prev.rank
         target[i] = Fraction(1)
-        a = zlin.solve_integer(_int_pairing(hq_prev),
-                               [0] * i + [1] + [0] * (hq_prev.rank - 1 - i))
+        a = zlin.solve_integer([], [0] * i + [1] + [0] * (hq_prev.rank - 1 - i),
+                               fact=hq_prev.pairing_snf)
         if a is None:
             probs.append(("integral-evaluation class has no integral preimage", i))
             continue
@@ -736,8 +755,7 @@ def check_exactness(cx: Complex, k: int, rng=None) -> list[CheckResult]:
             continue
         c = tors.cocycle()
         dc = c.scale(d)
-        b = zlin.solve_integer([], list(dc.values),
-                               fact=_snf_coboundary(cx, k - 1))
+        b = solve_coboundary(cx, k - 1, dc.values, integral=True)
         if b is None:
             probs.append(("d*c is not an integral coboundary", t))
             continue
@@ -763,8 +781,8 @@ def check_exactness(cx: Complex, k: int, rng=None) -> list[CheckResult]:
         if not beta(x).is_zero():
             probs.append(("beta(r(gen)) != 0", e))
     for i in range(hq_prev.rank):
-        a = zlin.solve_integer(_int_pairing(hq_prev),
-                               [0] * i + [1] + [0] * (hq_prev.rank - 1 - i))
+        a = zlin.solve_integer([], [0] * i + [1] + [0] * (hq_prev.rank - 1 - i),
+                               fact=hq_prev.pairing_snf)
         if a is None:
             probs.append(("no integral preimage for dual vector", i))
         else:
@@ -817,8 +835,7 @@ def check_exactness(cx: Complex, k: int, rng=None) -> list[CheckResult]:
         if not s_class_of_form(omega).is_zero():
             probs.append(("exact form has nonzero rational class", idx))
             continue
-        rho = zlin.solve_rational_with_fact(_snf_coboundary(cx, k - 1),
-                                            list(omega.values))
+        rho = solve_coboundary(cx, k - 1, omega.values, integral=False)
         if rho is None:
             probs.append(("exact form not solvable as a coboundary", idx))
             continue
@@ -837,20 +854,6 @@ def check_exactness(cx: Complex, k: int, rng=None) -> list[CheckResult]:
                          f"{len(exact_samples)} exact samples",
                          {"witnesses": wit[:4], "problems": probs}))
     return results
-
-
-def _int_pairing(hq: QCohomology):
-    """The (unimodular) pairing matrix as integers, for integral solves."""
-    out = []
-    for row in hq.pairing:
-        irow = []
-        for v in row:
-            f = Fraction(v)
-            if f.denominator != 1:
-                raise ValueError("integral generator has non-integer period")
-            irow.append(f.numerator)
-        out.append(irow)
-    return out
 
 
 def _class_order(c: CohomologyClass):

@@ -57,5 +57,8 @@ def load_cycle(name: str, cx: Complex):
     d = doc["degree"]
     vec = [0] * cx.n_simplices(d)
     for simplex, coef in doc["chain"]:
-        vec[cx.simplex_index(tuple(simplex))] += int(coef)
+        try:
+            vec[cx.simplex_index(tuple(simplex))] += int(coef)
+        except KeyError as e:
+            raise ParseError(f"cycle file {path}: {e.args[0]}") from None
     return d, vec

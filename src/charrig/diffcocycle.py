@@ -18,8 +18,8 @@ from .cochains import (
     RING_Q, RING_QMODZ, RING_Z,
     Cochain, CohomologyClass, QuotientForm,
     basis_cochain, coboundary, cohomology, cycle_basis, cocycle_basis,
-    is_integral_form, integral_form_generators, zero_cochain,
-    _int_pairing, _snf_coboundary, _units,
+    is_integral_form, integral_form_generators, solve_coboundary,
+    zero_cochain, _units,
 )
 from .report import CheckResult, check
 from .simplicial import Complex, MismatchError, SimplicialMap
@@ -129,8 +129,7 @@ def _decide_equivalence(x: DiffClass, y: DiffClass, want_witness: bool):
     if not (x.rep.omega - y.rep.omega).is_zero():
         return None
     dc = x.rep.c - y.rep.c
-    delta_prev = _snf_coboundary(cx, k - 1)
-    b0 = zlin.solve_integer([], list(dc.values), fact=delta_prev)
+    b0 = solve_coboundary(cx, k - 1, dc.values, integral=True)
     if b0 is None:
         return None
     v = (x.rep.h - y.rep.h) + Cochain(cx, RING_Q, k - 1, tuple(b0))
@@ -139,32 +138,25 @@ def _decide_equivalence(x: DiffClass, y: DiffClass, want_witness: bool):
     if any(f.denominator != 1 for f in t):
         return None
     W = cocycle_basis(cx, k - 1)
-    key = ("cycle_cocycle_pairing", k - 1)
+    key = ("cycle_cocycle_pairing_snf", k - 1)
     if key not in cx._cache:
-        cx._cache[key] = [[zlin.vec_dot(w, z) for w in W] for z in K]
-    M = cx._cache[key]
-    a = zlin.solve_integer(M, [-f.numerator for f in t], ncols=len(W))
+        cx._cache[key] = zlin.smith_normal_form(
+            [[zlin.vec_dot(w, z) for w in W] for z in K], ncols=len(W))
+    a = zlin.solve_integer([], [-f.numerator for f in t], fact=cx._cache[key])
     if a is None:
         return None
     if not want_witness:
         return True
-    n_prev = cx.n_simplices(k - 1) if k >= 1 else 0
-    bvals = list(b0) if b0 else [0] * n_prev
+    bvals = list(b0)
     for coeff, w in zip(a, W):
         if coeff:
-            for i in range(n_prev):
+            for i in range(len(bvals)):
                 bvals[i] += coeff * w[i]
     b = Cochain(cx, RING_Z, k - 1, tuple(bvals))
     target = (x.rep.h - y.rep.h) + b.to_q()
-    if k >= 2:
-        s_vals = zlin.solve_rational_with_fact(
-            _snf_coboundary(cx, k - 2), list(target.values))
-        if s_vals is None:
-            raise AssertionError("witness reconstruction failed on an exact cochain")
-    else:
-        if not target.is_zero():
-            raise AssertionError("degree-0 witness must vanish exactly")
-        s_vals = []
+    s_vals = solve_coboundary(cx, k - 2, target.values, integral=False)
+    if s_vals is None:
+        raise AssertionError("witness reconstruction failed on an exact cochain")
     s = Cochain(cx, RING_Q, k - 2, tuple(s_vals))
     return b, s
 
@@ -232,7 +224,7 @@ def lift_through_i2(x: DiffClass) -> QuotientForm:
     """The unique quotient form with i2(theta) = x; needs delta2(x) = 0."""
     cx = x.cx
     k = x.degree
-    b = zlin.solve_integer([], list(x.rep.c.values), fact=_snf_coboundary(cx, k - 1))
+    b = solve_coboundary(cx, k - 1, x.rep.c.values, integral=True)
     if b is None:
         raise NotInImage("delta2 obstruction: c is not an integral coboundary")
     theta = x.rep.h + Cochain(cx, RING_Q, k - 1, tuple(b))
@@ -256,8 +248,7 @@ def preimage_of_form(cx: Complex, omega: Cochain) -> DiffClass:
     hq = cohomology(cx, k, RING_Q)
     hz = cohomology(cx, k, RING_Z)
     evals = [Fraction(omega.pair(z)) for z in hq.free_cycles]
-    a = zlin.solve_integer(_int_pairing(hq), [e.numerator for e in evals]) \
-        if hq.rank else []
+    a = zlin.solve_integer([], [e.numerator for e in evals], fact=hq.pairing_snf)
     if a is None:
         raise AssertionError("integral periods admit no integral class")
     c = zero_cochain(cx, RING_Z, k)
@@ -265,13 +256,9 @@ def preimage_of_form(cx: Complex, omega: Cochain) -> DiffClass:
         if coeff:
             c = c + g.scale(coeff)
     diff = omega - c.to_q()
-    if k >= 1:
-        h_vals = zlin.solve_rational_with_fact(_snf_coboundary(cx, k - 1),
-                                               list(diff.values))
-        if h_vals is None:
-            raise AssertionError("omega - c should be exact over Q")
-    else:
-        h_vals = []
+    h_vals = solve_coboundary(cx, k - 1, diff.values, integral=False)
+    if h_vals is None:
+        raise AssertionError("omega - c should be exact over Q")
     h = Cochain(cx, RING_Q, k - 1, tuple(h_vals))
     return make_class(c, h, omega)
 
@@ -460,7 +447,7 @@ def verify_diagram(cx: Complex, k: int, rng, maps=None) -> list[CheckResult]:
             src = phi.source
             for u in sample_qmodz_classes(cx, k - 1, rng, count=2):
                 lhs = pullback(phi, i1(u))
-                rhs = i1(pullback_qmodz(phi, u))
+                rhs = i1(pullback_class(phi, u))
                 if not class_equal(lhs, rhs):
                     probs.append(("i1 naturality", mi))
             for th in sample_quotient_forms(cx, k, rng, count=2):
@@ -474,23 +461,16 @@ def verify_diagram(cx: Complex, k: int, rng, maps=None) -> list[CheckResult]:
                 y = pullback(phi, x)
                 if delta1(y).values != tuple(phi.pull_values(k, delta1(x).values)):
                     probs.append(("delta1 naturality", mi))
-                if delta2(y) != pullback_integral(phi, delta2(x)):
+                if delta2(y) != pullback_class(phi, delta2(x)):
                     probs.append(("delta2 naturality", mi))
         results.append(check("naturality.transformations_commute", not probs,
                              f"{len(maps)} maps", {"problems": probs}))
     return results
 
 
-def pullback_qmodz(phi: SimplicialMap, u: CohomologyClass) -> CohomologyClass:
-    """phi^* on H^j(Q/Z) through a representative cocycle."""
+def pullback_class(phi: SimplicialMap, u: CohomologyClass) -> CohomologyClass:
+    """phi^* on cohomology in any ring, through a representative cocycle."""
     rep = u.group.cochain_for(u.coords)
-    pulled = Cochain(phi.source, RING_QMODZ, rep.degree,
+    pulled = Cochain(phi.source, rep.ring, rep.degree,
                      tuple(phi.pull_values(rep.degree, rep.values)))
-    return cohomology(phi.source, rep.degree, RING_QMODZ).class_from_cocycle(pulled)
-
-
-def pullback_integral(phi: SimplicialMap, c: CohomologyClass) -> CohomologyClass:
-    rep = c.group.cochain_for(c.coords)
-    pulled = Cochain(phi.source, RING_Z, rep.degree,
-                     tuple(phi.pull_values(rep.degree, rep.values)))
-    return cohomology(phi.source, rep.degree, RING_Z).class_from_cocycle(pulled)
+    return cohomology(phi.source, rep.degree, rep.ring).class_from_cocycle(pulled)

@@ -87,12 +87,6 @@ class GoodNeighborhood(_TowerTransport):
     inclusion: SimplicialMap
     k: int               # cohomology vanishes above this degree
 
-    def transport_cochain_values(self, j: int, values):
-        """Cochain values on the base -> values on the ambient subdivision."""
-        for sd in self.tower:
-            values = sd.transport_values(j, values)
-        return values
-
     def chain_to_neighborhood(self, j: int, vec):
         """Reindex an ambient chain supported inside the neighborhood."""
         cols = self.inclusion.chain_columns(j)
@@ -250,8 +244,8 @@ class _UnionFind:
 def resolve_cycle(ambient: Complex, d: int, vec):
     """Reglue the +-1 cells of a d-cycle so every (d-1)-face has exactly
     two sheets with cancelling orientations; sheets are paired off in
-    sorted order. Returns (Pseudomanifold, b2) with b2 = 0 because the
-    ambient images are untouched."""
+    sorted order. The ambient images of the cells are untouched, so the
+    pseudomanifold's fundamental cycle maps onto the input cycle."""
     if not ambient.is_cycle(d, vec):
         raise ValueError("input chain is not a cycle")
     cells = [(i, c) for i, c in enumerate(vec) if c]
@@ -301,11 +295,8 @@ def resolve_cycle(ambient: Complex, d: int, vec):
     fund = [0] * abstract.n_simplices(d)
     for t, c in zip(tops, coefs):
         fund[abstract.simplex_index(t)] = c
-    pm = Pseudomanifold(abstract,
-                        SimplicialMap(abstract, ambient, vertex_map),
-                        tuple(fund))
-    b2 = [0] * ambient.n_simplices(d + 1)
-    return pm, b2
+    return Pseudomanifold(abstract, SimplicialMap(abstract, ambient, vertex_map),
+                          tuple(fund))
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +459,7 @@ def normalize_cycle(base: Complex, d: int, vec):
                          [0] * base.n_simplices(d + 1))
     else:
         sr = split_cycle(base, d, vec)
-    pm, _ = resolve_cycle(sr.complex, d, sr.cycle)
+    pm = resolve_cycle(sr.complex, d, sr.cycle)
     return sr, pm
 
 

@@ -15,9 +15,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import zlin
 from .cochains import (
-    QuotientForm, cup, cup_class_qmodz, cup_integral_classes, _snf_coboundary,
+    QuotientForm, cup, cup_class_qmodz, cup_integral_classes, solve_coboundary,
 )
 from .diffcocycle import (
     DiffClass, class_equal, delta1, delta2, i1, i2, make_class, pullback,
@@ -115,8 +114,7 @@ def verify_ring_axioms(cx: Complex, degrees, rng, maps=None) -> list[CheckResult
                                 (delta1(lhs) - delta1(rhs)).serialize()})
         defect = delta1(lhs) - delta1(rhs)
         if not defect.is_zero():
-            sol = zlin.solve_rational_with_fact(
-                _snf_coboundary(cx, k + l - 1), list(defect.values))
+            sol = solve_coboundary(cx, k + l - 1, defect.values, integral=False)
             if sol is None:
                 defect_probs.append(("curvature defect is not exact", idx))
     results.append(check("ring.axiom_1_17_graded_commutativity", not probs,

@@ -263,29 +263,6 @@ def kernel_basis(a, fact: SNFResult | None = None, ncols: int | None = None):
     return [[fact.V[i][j] for i in range(n)] for j in range(r, n)]
 
 
-def solve_integer(a, b, fact: SNFResult | None = None, ncols: int | None = None):
-    """One integer solution x of a @ x == b, or None if unsolvable over Z.
-
-    When `fact` is supplied, `a` is ignored (pass [])."""
-    if fact is None:
-        fact = smith_normal_form(a, ncols=ncols)
-    m, n = fact.shape
-    if len(b) != m:
-        raise ShapeError(f"rhs length {len(b)} does not match {m} rows")
-    c = mat_vec(fact.U, b)
-    y = [0] * n
-    r = fact.rank
-    for i in range(m):
-        if i < r:
-            d = fact.diag[i]
-            if c[i] % d:
-                return None
-            y[i] = c[i] // d
-        elif c[i]:
-            return None
-    return mat_vec(fact.V, y)
-
-
 @dataclass(frozen=True)
 class FgAbelianGroup:
     """Finitely generated abelian group Z^rank + sum of Z/d_i.
@@ -303,10 +280,6 @@ class FgAbelianGroup:
     @property
     def n_coords(self) -> int:
         return self.rank + len(self.torsion)
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.n_coords == 0
 
     def order(self):
         """Group order, or None when infinite."""
@@ -376,32 +349,63 @@ def cokernel(a, ambient: int | None = None, fact: SNFResult | None = None) -> Fg
 
 
 # ---------------------------------------------------------------------------
-# rational solves
+# solves through a Smith factorization
 
-def solve_rational_with_fact(fact: SNFResult, b):
-    """Rational solution of A x = b through an existing Smith factorization
-    of the integer matrix A, or None when inconsistent. Much cheaper than
-    fresh elimination when the factorization is already cached."""
+def _divide_by_diag(fact: SNFResult, c, integral: bool):
+    """y with d_t y_t = c_t for t below the rank, or None when c is nonzero
+    past the rank or, for an integral solve, some d_t does not divide c_t."""
+    r = fact.rank
+    if any(c[r:]):
+        return None
+    pairs = list(zip(c, fact.diag[:r]))
+    if not integral:
+        return [Fraction(ct, d) for ct, d in pairs]
+    if any(ct % d for ct, d in pairs):
+        return None
+    return [ct // d for ct, d in pairs]
+
+
+def _solve(fact: SNFResult, b, integral: bool):
+    """x with A x = b through U A V = S: S y = U b, x = V y."""
     m, n = fact.shape
     if len(b) != m:
         raise ShapeError(f"rhs length {len(b)} does not match {m} rows")
-    c = [sum(u * v for u, v in zip(row, b) if v) for row in fact.U]
-    r = fact.rank
-    y = [Fraction(0)] * n
-    for i in range(m):
-        if i < r:
-            y[i] = Fraction(c[i], fact.diag[i])
-        elif c[i]:
-            return None
-    out = [Fraction(0)] * n
-    for i in range(n):
-        row = fact.V[i]
-        acc = Fraction(0)
-        for t in range(r):
-            if row[t] and y[t]:
-                acc += row[t] * y[t]
-        out[i] = acc
-    return out
+    y = _divide_by_diag(fact, [sum(u * v for u, v in zip(row, b) if v)
+                               for row in fact.U], integral)
+    if y is None:
+        return None
+    return [sum(row[t] * yt for t, yt in enumerate(y) if yt) for row in fact.V]
+
+
+def solve_transposed(fact: SNFResult, b, integral: bool):
+    """x with A^T x = b from the factorization U A V = S of A itself, so
+    A^T = Vinv^T S^T Uinv^T: S^T y = V^T b and x = U^T y. An integer
+    solution when `integral`, else a rational one; None when unsolvable."""
+    m, n = fact.shape
+    if len(b) != n:
+        raise ShapeError(f"rhs length {len(b)} does not match {n} columns")
+    nz = [(i, v) for i, v in enumerate(b) if v]
+    y = _divide_by_diag(fact, [sum(v * fact.V[i][t] for i, v in nz)
+                               for t in range(n)], integral)
+    if y is None:
+        return None
+    ys = [(t, yt) for t, yt in enumerate(y) if yt]
+    return [sum(yt * fact.U[t][i] for t, yt in ys) for i in range(m)]
+
+
+def solve_integer(a, b, fact: SNFResult | None = None, ncols: int | None = None):
+    """One integer solution x of a @ x == b, or None if unsolvable over Z.
+
+    When `fact` is supplied, `a` is ignored (pass [])."""
+    if fact is None:
+        fact = smith_normal_form(a, ncols=ncols)
+    return _solve(fact, b, integral=True)
+
+
+def solve_rational_with_fact(fact: SNFResult, b):
+    """Rational solution of A x = b through an existing Smith factorization
+    of the integer matrix A, or None when inconsistent."""
+    return _solve(fact, b, integral=False)
 
 
 def solve_rational(a, b, ncols: int | None = None):

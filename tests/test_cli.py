@@ -1,13 +1,17 @@
 """The command-line driver: reports, exit codes, determinism."""
+import argparse
 import json
 import os
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from charrig import corpus
+from charrig import cli, corpus
+from charrig.cochains import basis_cochain, cohomology
+from charrig.simplicial import load_complex
 
 
 def run_cli(*args, env=None, check=False):
@@ -145,6 +149,56 @@ def test_exit_code_on_malformed_document(tmp_path):
     assert code == 2
 
 
+def test_exit_code_on_cycle_naming_missing_simplex(tmp_path):
+    bad = tmp_path / "bad_cycle.json"
+    bad.write_text(json.dumps({"complex": "s2", "degree": 1,
+                               "chain": [[[0, 9], 1]]}))
+    code, out, err = run_cli("pseudo", "s2", "--cycle", str(bad))
+    assert code == 2
+    assert err.startswith("input error:") and "(0, 9)" in err
+    assert "Traceback" not in err and out == ""
+
+
+def test_exit_code_on_doubled_top_dimensional_cycle(tmp_path):
+    """The doubled fundamental class of s2 would need splitting in the top
+    dimension, which the surgery cannot do."""
+    doubled = tmp_path / "s2_double.json"
+    doubled.write_text(json.dumps({"complex": "s2", "degree": 2, "chain": [
+        [[1, 2, 3], 2], [[0, 2, 3], -2], [[0, 1, 3], 2], [[0, 1, 2], -2]]}))
+    code, out, err = run_cli("pseudo", "s2", "--cycle", str(doubled))
+    assert code == 2
+    assert err.startswith("input error:")
+    assert "Traceback" not in err and out == ""
+
+
+def test_inspect_flags_a_group_that_breaks_universal_coefficients(monkeypatch):
+    """H^2(rp2; Z) with its Z/2 dropped disagrees with H^1(rp2; Q/Z)."""
+    cx = load_complex(corpus.resolve("rp2"))
+    monkeypatch.setattr(cohomology(cx, 2, "Z"), "torsion", ())
+    args = argparse.Namespace(seed=0, max_subdiv=2)
+    by_name = {c.name: c for c in cli.cmd_inspect(cx, args, 1).checks}
+    bad = by_name["inspect.H2(Z)"]
+    assert bad.status == "fail"
+    assert bad.witness == {"groups": ["H2(Z)", "H1(QmodZ)"],
+                           "torsion": [(), (2,)]}
+    assert by_name["inspect.H1(QmodZ)"].status == "fail"
+    assert by_name["inspect.H2(Q)"].status == "pass"
+
+
+def test_inspect_flags_integral_form_generators_that_are_not(monkeypatch):
+    """Half a basis 1-cochain is neither integer-valued nor closed."""
+    cx = load_complex(corpus.resolve("s2"))
+    half = basis_cochain(cx, "Q", 1, 0).scale(Fraction(1, 2))
+    monkeypatch.setattr(cli, "integral_form_generators",
+                        lambda cx, j: [half] if j == 1 else [])
+    args = argparse.Namespace(seed=0, max_subdiv=2)
+    by_name = {c.name: c for c in cli.cmd_inspect(cx, args, 1).checks}
+    assert by_name["inspect.integral_forms_1"].status == "fail"
+    assert by_name["inspect.integral_forms_1"].witness == {
+        "not_closed_or_not_integral": [0]}
+    assert by_name["inspect.integral_forms_2"].status == "pass"
+
+
 def test_corpus_env_override(tmp_path):
     alt = tmp_path / "alt_corpus"
     shutil.copytree(corpus.corpus_dir(), alt)
@@ -174,9 +228,9 @@ def test_canonical_hash_deterministic_across_runs_and_hashseed():
     assert d1["canonical_sha256"] == d2["canonical_sha256"]
 
 
-def test_canonical_hash_independent_of_thread_count():
-    _, out1, _ = run_cli("inspect", "t2", env={"CHARRIG_JOBS": "1"})
-    _, out2, _ = run_cli("inspect", "t2", env={"CHARRIG_JOBS": "4"})
+def test_inspect_report_identical_across_runs():
+    _, out1, _ = run_cli("inspect", "t2")
+    _, out2, _ = run_cli("inspect", "t2")
     d1, d2 = parse_report(out1), parse_report(out2)
     assert d1["canonical_sha256"] == d2["canonical_sha256"]
     # timings may differ; everything hashed must be byte-identical

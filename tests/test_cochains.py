@@ -1,18 +1,21 @@
 """Cochains, cohomology in three rings, cup product, Bockstein, exactness."""
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from sympy import Matrix
 from sympy.matrices.normalforms import invariant_factors
 
-from charrig import zlin
+from charrig import corpus, zlin
 from charrig.cochains import (
     Cochain, QuotientForm, RingError, alpha, basis_cochain, beta, bockstein,
-    check_exactness, coboundary, cohomology, cup, cup_int_qmodz, cycle_basis,
-    d_of_quotient, homology, integral_form_generators, is_integral_form,
-    r_to_rational, s_class_of_form, unit_cochain, zero_cochain,
+    check_exactness, coboundary, cocycle_basis, cocycle_coords, cohomology,
+    cup, cup_int_qmodz, cycle_basis, d_of_quotient, homology,
+    integral_form_generators, is_integral_form, r_to_rational,
+    s_class_of_form, solve_coboundary, unit_cochain, zero_cochain,
 )
+from charrig.simplicial import barycentric_subdivide
 
 
 def oracle_cohomology(X, j):
@@ -268,3 +271,112 @@ def test_cup_int_qmodz_well_defined(cx):
     prod = cup_int_qmodz(c, u)
     assert prod.ring == "QmodZ" and prod.degree == 2
     assert coboundary(prod).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# cochain-side reads of the boundary factorization, against sympy
+
+@pytest.fixture(scope="module", params=list(corpus.CORPUS_NAMES) + ["sd1(t2)"])
+def read_complex(request):
+    if request.param == "sd1(t2)":
+        return barycentric_subdivide(corpus.load("t2")).complex
+    return corpus.load(request.param)
+
+
+def _sympy_matrix(rows, ncols):
+    return Matrix(len(rows), ncols, lambda r, c: rows[r][c])
+
+
+def _rank_and_divisor(m):
+    """Rank and product of the nonzero invariant factors (the gcd of the
+    maximal nonzero minors) of a sympy integer matrix."""
+    if m.rows == 0 or m.cols == 0:
+        return 0, 1
+    factors = [int(d) for d in invariant_factors(m) if d != 0]
+    out = 1
+    for d in factors:
+        out *= d
+    return len(factors), out
+
+
+def _coboundary_matrix(X, j):
+    """delta^j: C^j -> C^{j+1} as a sympy matrix, built from the faces."""
+    rows = X.n_simplices(j + 1)
+    cols = X.n_simplices(j) if j >= 0 else 0
+    m = Matrix.zeros(rows, cols)
+    if 0 <= j < X.dim:
+        for c, col in enumerate(X.faces_with_signs(j + 1)):
+            for r, sign in col:
+                m[c, r] = sign
+    return m
+
+
+def test_cocycle_basis_is_saturated_kernel(read_complex):
+    X = read_complex
+    for j in range(X.dim + 1):
+        W = cocycle_basis(X, j)
+        delta = _coboundary_matrix(X, j)
+        rank, _ = _rank_and_divisor(delta)
+        assert len(W) == X.n_simplices(j) - rank, (X.name, j)
+        if not W:
+            continue
+        Wm = _sympy_matrix(W, X.n_simplices(j))
+        if delta.rows:
+            assert (delta * Wm.T).is_zero_matrix, (X.name, j)
+        # a saturated lattice: every invariant factor is 1
+        assert [int(d) for d in invariant_factors(Wm)] == [1] * len(W)
+        # coordinates read back from Uinv invert the basis
+        for t, w in enumerate(W[:5]):
+            assert cocycle_coords(X, j, w) == [int(i == t) for i in range(len(W))]
+
+
+def _solvable(delta, b):
+    """Solvability of delta x = b over Z and over Q from invariant factors:
+    over Q the rank must not grow when b is joined, over Z neither may the
+    gcd of the maximal minors change."""
+    if delta.rows == 0:
+        return True, True
+    den = lcm(*(Fraction(v).denominator for v in b))
+    col = Matrix([int(Fraction(v) * den) for v in b])
+    rank, divisor = _rank_and_divisor(delta)
+    aug_rank, aug_divisor = _rank_and_divisor(delta.row_join(col))
+    over_q = aug_rank == rank
+    return over_q and den == 1 and aug_divisor == divisor, over_q
+
+
+def _apply(delta, x):
+    if delta.cols == 0:
+        return [Fraction(0)] * delta.rows
+    return [Fraction(int(v.p), int(v.q)) for v in delta * Matrix(x)]
+
+
+def test_solve_coboundary_matches_sympy_solvability(read_complex):
+    """delta x = b over Z and over Q, including j = -1 and j = dim: x is
+    returned exactly when sympy's invariant factors say a solution exists,
+    and then delta x = b."""
+    X = read_complex
+    rng = random.Random(5)
+    for j in range(-1, X.dim + 1):
+        delta = _coboundary_matrix(X, j)
+        x0 = [rng.randrange(-3, 4) for _ in range(delta.cols)]
+        exact = _apply(delta, x0)
+        hz = cohomology(X, j + 1, "Z")
+        rhs = [[0] * delta.rows,
+               [rng.randrange(-2, 3) for _ in range(delta.rows)],
+               [int(v) for v in exact],
+               [v / 2 for v in exact]]
+        # torsion generators of H^{j+1}(Z): exact over Q, not over Z
+        rhs.extend(list(g.values) for g in hz.gen_cochains[hz.rank:])
+        for b in rhs:
+            over_z, over_q = _solvable(delta, b)
+            xq = solve_coboundary(X, j, b, integral=False)
+            assert (xq is not None) == over_q, (X.name, j, b)
+            if xq is not None:
+                assert _apply(delta, xq) == [Fraction(v) for v in b]
+            if any(Fraction(v).denominator != 1 for v in b):
+                continue
+            xz = solve_coboundary(X, j, b, integral=True)
+            assert (xz is not None) == over_z, (X.name, j, b)
+            if xz is not None:
+                assert all(isinstance(v, int) for v in xz)
+                assert _apply(delta, xz) == list(b)

@@ -185,3 +185,27 @@ def test_verify_diagram_naturality(cx):
         names = {r.name for r in results}
         assert "naturality.transformations_commute" in names
         assert all(r.status == "pass" for r in results)
+
+
+def test_warm_rerun_factors_nothing(monkeypatch):
+    """Every Smith factorization is cached: one per boundary operator of a
+    complex, one per period pairing and cycle-cocycle pairing of a
+    (complex, degree). A second pass over the same suites factors nothing."""
+    from charrig import cli, corpus, zlin
+    from charrig.cochains import check_exactness
+    from charrig.simplicial import load_complex
+    t2 = load_complex(corpus.resolve("t2"))
+    maps = cli._naturality_maps(t2)
+
+    def suites():
+        for k in (1, 2):
+            check_exactness(t2, k, random.Random(0))
+            verify_diagram(t2, k, random.Random(0), maps=maps)
+
+    suites()
+    calls = []
+    real = zlin.smith_normal_form
+    monkeypatch.setattr(zlin, "smith_normal_form",
+                        lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    suites()
+    assert calls == []

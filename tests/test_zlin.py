@@ -82,6 +82,31 @@ def test_solve_integer_roundtrip(a, seed):
         assert zlin.mat_vec(a, y) == c
 
 
+@settings(max_examples=50, deadline=None)
+@given(small_matrices(max_dim=6), st.integers(0, 10**6))
+def test_solve_transposed_agrees_with_solving_the_transpose(a, seed):
+    """A^T x = b read from the factorization of A has a solution exactly
+    when the factorization of A^T finds one, over Z and over Q."""
+    rng = random.Random(seed)
+    fact = zlin.smith_normal_form(a)
+    at = zlin.transpose(a)
+    x0 = [rng.randrange(-3, 4) for _ in range(len(a))]
+    b0 = zlin.mat_vec(at, x0)
+    for b in (b0, [Fraction(v, 2) for v in b0],
+              [rng.randrange(-3, 4) for _ in range(len(at))]):
+        for integral in (True, False):
+            x = zlin.solve_transposed(fact, b, integral)
+            if integral and any(Fraction(v).denominator != 1 for v in b):
+                assert x is None
+                continue
+            expected = zlin.solve_integer(at, b) if integral \
+                else zlin.solve_rational(at, b)
+            assert (x is None) == (expected is None)
+            if x is not None:
+                assert zlin.mat_vec(at, x) == b
+                assert not integral or all(isinstance(v, int) for v in x)
+
+
 def test_solve_integer_examples():
     assert zlin.solve_integer([[2]], [4]) == [2]
     assert zlin.solve_integer([[2]], [3]) is None
