@@ -13,11 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor
 
+from . import zlin
 from .cochains import (
     RING_Q, RING_QMODZ, RING_Z,
-    Cochain, CohomologyClass, NotACycle, QuotientForm,
+    Cochain, CohomologyClass, NotACycle, QuotientForm, _mod1,
     coboundary, cochain_on_cycle_basis, cohomology, cycle_basis,
     cycle_coords, homology, is_integral_form, zero_cochain,
 )
@@ -28,11 +28,6 @@ from .diffcocycle import (
 from .geometry import GoodNeighborhood, good_neighborhood_of_cycle, normalize_cycle
 from .report import CheckResult, check
 from .simplicial import Complex, MismatchError, SimplicialMap
-
-
-def _mod1(x) -> Fraction:
-    x = Fraction(x)
-    return x - floor(x)
 
 
 @dataclass(frozen=True)
@@ -55,7 +50,7 @@ class Character:
     def evaluate(self, z) -> Fraction:
         """Value on an integer (k-1)-cycle, by linearity over the basis."""
         coords = cycle_coords(self.cx, self.degree - 1, z)
-        return _mod1(sum(c * f for c, f in zip(coords, self.f_values)))
+        return _mod1(zlin.vec_dot(self.f_values, coords))
 
     def __eq__(self, other):
         if not isinstance(other, Character):
@@ -131,13 +126,17 @@ def lift_T(ch: Character, strategy: str = "floor") -> Cochain:
     return cochain_on_cycle_basis(ch.cx, ch.degree - 1, lifts, RING_Q)
 
 
-def delta2_via_lift(ch: Character, strategy: str = "floor") -> CohomologyClass:
-    """Characteristic class [omega - delta T] in H^k(Z)."""
+def _lift_and_cocycle(ch: Character, strategy: str):
+    """The lift T and the integral cocycle c = omega - delta T; c is
+    integer-valued for a character (a RingError otherwise)."""
     T = lift_T(ch, strategy)
     diff = ch.omega - coboundary(T)
-    if any(v.denominator != 1 for v in diff.values):
-        raise AssertionError("omega - delta T must be integral for a character")
-    c = Cochain(ch.cx, RING_Z, ch.degree, tuple(v.numerator for v in diff.values))
+    return T, Cochain(ch.cx, RING_Z, ch.degree, diff.values)
+
+
+def delta2_via_lift(ch: Character, strategy: str = "floor") -> CohomologyClass:
+    """Characteristic class [omega - delta T] in H^k(Z)."""
+    _, c = _lift_and_cocycle(ch, strategy)
     return cohomology(ch.cx, ch.degree, RING_Z).class_from_cocycle(c)
 
 
@@ -154,9 +153,7 @@ def phi_direct(x: DiffClass) -> Character:
 
 def phi_inverse(ch: Character, strategy: str = "floor") -> DiffClass:
     """Differential class with phi_direct equal to the given character."""
-    T = lift_T(ch, strategy)
-    diff = ch.omega - coboundary(T)
-    c = Cochain(ch.cx, RING_Z, ch.degree, tuple(v.numerator for v in diff.values))
+    T, c = _lift_and_cocycle(ch, strategy)
     return make_class(c, T, ch.omega)
 
 
@@ -170,20 +167,19 @@ def phi_good(x: DiffClass, z, max_subdiv: int = 2) -> Fraction:
     if all(c == 0 for c in z):
         return Fraction(0)
     nb = good_neighborhood_of_cycle(cx, k - 1, z, k - 1, max_subdiv)
-    theta = _theta_on_neighborhood(x, nb)
-    z_amb = nb.transport_chain(k - 1, z)
-    z_local = nb.chain_to_neighborhood(k - 1, z_amb)
-    return _mod1(theta.rep.pair(z_local))
+    return _value_on_neighborhood(x, nb, z)
 
 
-def _theta_on_neighborhood(x: DiffClass, nb: GoodNeighborhood) -> QuotientForm:
-    """Restrict a class to a good neighborhood and lift it through i2
-    (possible because H^k vanishes there)."""
+def _value_on_neighborhood(x: DiffClass, nb: GoodNeighborhood, z) -> Fraction:
+    """Restrict a class to a good neighborhood, lift it through i2 there
+    (possible because H^k vanishes) and integrate over the carried cycle."""
     y = x
     for sd in nb.tower:
         y = pullback(sd.last_vertex, y)
-    y = pullback(nb.inclusion, y)
-    return lift_through_i2(y)
+    theta = lift_through_i2(pullback(nb.inclusion, y))
+    j = x.degree - 1
+    z_local = nb.chain_to_neighborhood(j, nb.transport_chain(j, z))
+    return _mod1(theta.rep.pair(z_local))
 
 
 def evaluate_via_normalization(x: DiffClass, z) -> Fraction:
@@ -467,10 +463,7 @@ def _phi_good_alternative(x: DiffClass, z, max_subdiv: int):
         if nb.level == base_nb.level and nb.subcomplex.included == \
                 base_nb.subcomplex.included:
             continue
-        theta = _theta_on_neighborhood(x, nb)
-        z_amb = nb.transport_chain(k - 1, z)
-        z_local = nb.chain_to_neighborhood(k - 1, z_amb)
-        return _mod1(theta.rep.pair(z_local))
+        return _value_on_neighborhood(x, nb, z)
     return None
 
 

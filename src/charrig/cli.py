@@ -21,11 +21,12 @@ from .cochains import (
 from .characters import verify_equivalence, verify_phi_good
 from .diffcocycle import verify_diagram
 from .geometry import (
-    BoundResult, DimensionError, NotNullHomologous, bound_in_good_neighborhood,
-    normalize_cycle, verify_normalization,
+    BoundResult, DimensionError, GeometryBudgetExceeded, NotNullHomologous,
+    bound_in_good_neighborhood, cohomology_vanishes_above, normalize_cycle,
+    verify_normalization,
 )
 from .product import verify_ring_axioms
-from .report import CheckResult, Report, check
+from .report import Report, check
 from .simplicial import (
     Complex, DegreeError, DuplicateError, FaceClosureError, ParseError,
     barycentric_subdivide, closed_star_neighborhood, subcomplex_from_simplices,
@@ -44,18 +45,14 @@ def _naturality_maps(cx: Complex):
     return maps
 
 
-def _run_tasks(tasks) -> list[CheckResult]:
-    """Evaluate (name, callable) tasks in order and concatenate their results."""
-    flat = []
-    for _, fn in tasks:
+def _run_tasks(rep: Report, tasks):
+    """Evaluate (name, callable) tasks in order, add their results to the
+    report and record each task's wall time under its name."""
+    for name, fn in tasks:
         t0 = time.monotonic()
         out = fn()
-        dt = int((time.monotonic() - t0) * 1000)
-        results = out if isinstance(out, list) else [out]
-        for r in results:
-            r.time_ms = dt if len(results) == 1 else None
-        flat.extend(results)
-    return flat
+        rep.timings_ms[name] = int((time.monotonic() - t0) * 1000)
+        rep.extend(out if isinstance(out, list) else [out])
 
 
 # (ring, degree offset, attribute) of the groups whose free rank or torsion
@@ -110,7 +107,7 @@ def cmd_inspect(cx: Complex, args, jobs: int) -> Report:
                          f"integral coboundaries)",
                          {"not_closed_or_not_integral": bad} if bad else None)
         tasks.append((f"L{j}", forms))
-    rep.extend(_run_tasks(tasks))
+    _run_tasks(rep, tasks)
     return rep
 
 
@@ -125,7 +122,7 @@ def cmd_diagram(cx: Complex, args, jobs: int) -> Report:
         ("diagram", lambda: verify_diagram(cx, k, random.Random(args.seed),
                                            maps=maps)),
     ]
-    rep.extend(_run_tasks(tasks))
+    _run_tasks(rep, tasks)
     return rep
 
 
@@ -138,7 +135,7 @@ def cmd_phi(cx: Complex, args, jobs: int) -> Report:
         ("good", lambda: verify_phi_good(
             cx, k, random.Random(args.seed + 1), max_subdiv=args.max_subdiv)),
     ]
-    rep.extend(_run_tasks(tasks))
+    _run_tasks(rep, tasks)
     return rep
 
 
@@ -153,9 +150,8 @@ def cmd_ring(cx: Complex, args, jobs: int) -> Report:
                      "delta1(x*y) = delta1(x) u delta1(y); a fix needs "
                      "graded-commutative forms")
     maps = _naturality_maps(cx)
-    tasks = [("ring", lambda: verify_ring_axioms(
-        cx, degs, random.Random(args.seed), maps=maps))]
-    rep.extend(_run_tasks(tasks))
+    _run_tasks(rep, [("ring", lambda: verify_ring_axioms(
+        cx, degs, random.Random(args.seed), maps=maps))])
     return rep
 
 
@@ -180,6 +176,18 @@ def cmd_pseudo(cx: Complex, args, jobs: int) -> Report:
                            "pseudomanifold": pm.serialize()})]
         assert isinstance(out, BoundResult)
         nb = out.neighborhood
+        # the chain must bound the carried cycle, and H^j must vanish
+        # above nb.k in the neighborhood
+        db = nb.complex.boundary_of_chain(nb.k + 1, out.chain)
+        wrong = [list(s) for s, a, b in zip(nb.complex.simplices[nb.k], db,
+                                            out.cycle) if a != b]
+        vanishes = cohomology_vanishes_above(nb.complex, nb.k)
+        if wrong or not vanishes:
+            return [check("pseudo.bounding", False,
+                          f"no bounding chain inside a {nb.k}-good "
+                          f"neighborhood at subdivision level {nb.level}",
+                          {"boundary_differs_on": wrong,
+                           "cohomology_vanishes_above": vanishes})]
         return [check("pseudo.bounding", True,
                       f"bounds inside a {nb.k}-good neighborhood at "
                       f"subdivision level {nb.level}; collapse certificate "
@@ -190,7 +198,7 @@ def cmd_pseudo(cx: Complex, args, jobs: int) -> Report:
                            [nb.complex.n_simplices(j)
                             for j in range(nb.complex.dim + 1)]})]
 
-    rep.extend(_run_tasks([("surgery", surgery), ("bounding", bounding)]))
+    _run_tasks(rep, [("surgery", surgery), ("bounding", bounding)])
     rep.notes.append("the emitted neighborhood is of the bounding chain's "
                      "support, which contains the cycle's support")
     return rep
@@ -249,7 +257,7 @@ def main(argv=None) -> int:
     try:
         rep = handler[args.command](cx, args, 1)
     except (FileNotFoundError, ParseError, DegreeError, DimensionError,
-            ValueError) as e:
+            GeometryBudgetExceeded, ValueError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return INPUT_ERROR
     print(rep.render(args.format))

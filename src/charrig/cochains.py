@@ -31,7 +31,9 @@ class NotACycle(ValueError):
     pass
 
 
-def _mod1(x: Fraction) -> Fraction:
+def _mod1(x) -> Fraction:
+    """The representative of x mod 1 in [0, 1), as a Fraction."""
+    x = Fraction(x)
     return x - floor(x)
 
 
@@ -58,7 +60,7 @@ class Cochain:
         elif self.ring == RING_Q:
             vals = tuple(Fraction(v) for v in self.values)
         elif self.ring == RING_QMODZ:
-            vals = tuple(_mod1(Fraction(v)) for v in self.values)
+            vals = tuple(_mod1(v) for v in self.values)
         else:
             raise RingError(f"unknown ring {self.ring!r}")
         object.__setattr__(self, "values", vals)
@@ -94,8 +96,8 @@ class Cochain:
 
     def pair(self, chain_vec):
         """Evaluate on a chain coefficient vector (Q/Z values come back mod 1)."""
-        total = sum(v * c for v, c in zip(self.values, chain_vec))
-        return _mod1(Fraction(total)) if self.ring == RING_QMODZ else total
+        total = zlin.vec_dot(self.values, chain_vec)
+        return _mod1(total) if self.ring == RING_QMODZ else total
 
     def to_q(self) -> "Cochain":
         """View over Q (Z inclusion, or the canonical [0,1) lift of Q/Z)."""
@@ -237,12 +239,7 @@ def cochain_on_cycle_basis(cx: Complex, j: int, values, ring: str) -> Cochain:
     on the rest of the Smith-adapted basis of C_j: the sum of values[t]
     times row rank + t of Vinv."""
     fact = _snf_boundary(cx, j)
-    n = cx.n_simplices(j)
-    vals = [Fraction(0)] * n
-    for v, row in zip(values, fact.Vinv[fact.rank:]):
-        if v:
-            for i in range(n):
-                vals[i] += v * row[i]
+    vals = zlin.combine(values, fact.Vinv[fact.rank:], cx.n_simplices(j))
     return Cochain(cx, ring, j, tuple(vals))
 
 
@@ -262,9 +259,7 @@ def cocycle_basis(cx: Complex, j: int):
 def cocycle_coords(cx: Complex, j: int, values):
     """Coordinates of a j-cocycle in the cocycle basis."""
     fact = _snf_boundary(cx, j + 1)
-    nz = [(i, v) for i, v in enumerate(values) if v]
-    return [sum(v * fact.Uinv[i][t] for i, v in nz)
-            for t in range(fact.rank, fact.shape[0])]
+    return zlin.combine(values, fact.Uinv, fact.shape[0])[fact.rank:]
 
 
 def solve_coboundary(cx: Complex, j: int, b, integral: bool):
@@ -297,29 +292,16 @@ def homology(cx: Complex, j: int) -> HomologyData:
     key = ("homology", j)
     if key not in cx._cache:
         K = cycle_basis(cx, j)
-        p = len(K)
         fact = _snf_boundary(cx, j)
-        r = fact.rank
-        coord_rows = [fact.Vinv[t] for t in range(r, fact.shape[1])]
-        cols = []
-        for c in range(cx.n_simplices(j + 1)):
-            col = [row[c] for row in cx._boundary_any(j + 1)]
-            cols.append([zlin.vec_dot(row, col) for row in coord_rows])
-        Y = [[cols[c][t] for c in range(len(cols))] for t in range(p)]
-        fg = zlin.cokernel(Y, ambient=p)
-        gens = []
+        # relations: the cycle coordinates of each (j+1)-simplex's boundary
+        faces = cx.faces_with_signs(j + 1)
+        Y = [[sum(s * row[i] for i, s in col) for col in faces]
+             for row in fact.Vinv[fact.rank:]]
+        fg = zlin.cokernel(Y, ambient=len(K))
         n = cx.n_simplices(j)
-        for t in range(fg.n_coords):
-            e = [0] * fg.n_coords
-            e[t] = 1
-            coords = fg.lift(e)
-            vec = [0] * n
-            for s, c in enumerate(coords):
-                if c:
-                    for i in range(n):
-                        vec[i] += c * K[s][i]
-            gens.append(tuple(vec))
-        cx._cache[key] = HomologyData(cx, j, fg, tuple(gens))
+        gens = tuple(tuple(zlin.combine(fg.lift(e), K, n))
+                     for e in _units(fg.n_coords))
+        cx._cache[key] = HomologyData(cx, j, fg, gens)
     return cx._cache[key]
 
 
@@ -377,12 +359,7 @@ class ZCohomology:
                                   for e in _units(self.fg.n_coords))
 
     def _materialize(self, wcoords) -> Cochain:
-        n = self.cx.n_simplices(self.degree)
-        vals = [0] * n
-        for s, c in enumerate(wcoords):
-            if c:
-                for i in range(n):
-                    vals[i] += c * self._W[s][i]
+        vals = zlin.combine(wcoords, self._W, self.cx.n_simplices(self.degree))
         return Cochain(self.cx, RING_Z, self.degree, tuple(vals))
 
     def make(self, coords) -> CohomologyClass:
@@ -444,15 +421,13 @@ class QCohomology:
         return self.make(tuple(Fraction(coch.pair(z)) for z in self.free_cycles))
 
     def cochain_for(self, coords) -> Cochain:
-        coords = [Fraction(c) for c in coords]
         if self.rank == 0:
             return zero_cochain(self.cx, RING_Q, self.degree)
-        a = zlin.solve_rational_with_fact(self.pairing_snf, coords)
-        out = zero_cochain(self.cx, RING_Q, self.degree)
-        for c, g in zip(a, self._free_gens):
-            if c:
-                out = out + g.to_q().scale(c)
-        return out
+        a = zlin.solve_rational_with_fact(self.pairing_snf,
+                                          [Fraction(c) for c in coords])
+        vals = zlin.combine(a, [g.values for g in self._free_gens],
+                            self.cx.n_simplices(self.degree))
+        return Cochain(self.cx, RING_Q, self.degree, tuple(vals))
 
     def describe(self) -> str:
         return " + ".join(["Q"] * self.rank) if self.rank else "0"
@@ -481,7 +456,7 @@ class QmodZCohomology:
         return self.free_count + len(self.torsion)
 
     def make(self, coords) -> CohomologyClass:
-        coords = [_mod1(Fraction(c)) for c in coords]
+        coords = [_mod1(c) for c in coords]
         if len(coords) != self.n_coords:
             raise ValueError("coordinate length mismatch")
         for t, d in enumerate(self.torsion):
@@ -504,12 +479,9 @@ class QmodZCohomology:
 
     def cochain_for(self, coords) -> Cochain:
         coords = self.make(coords).coords
-        # values on the cycle basis: sum of coordinate times projection row
-        psi = [Fraction(0)] * self.hom.fg.ambient
-        for c, row in zip(coords, self.hom.fg._proj_rows):
-            if c:
-                for i, x in enumerate(row):
-                    psi[i] += c * x
+        # psi: the values on the cycle basis
+        fg = self.hom.fg
+        psi = zlin.combine(coords, fg._proj_rows, fg.ambient)
         return cochain_on_cycle_basis(self.cx, self.degree, psi, RING_QMODZ)
 
     def describe(self) -> str:

@@ -147,12 +147,9 @@ def _decide_equivalence(x: DiffClass, y: DiffClass, want_witness: bool):
         return None
     if not want_witness:
         return True
-    bvals = list(b0)
-    for coeff, w in zip(a, W):
-        if coeff:
-            for i in range(len(bvals)):
-                bvals[i] += coeff * w[i]
-    b = Cochain(cx, RING_Z, k - 1, tuple(bvals))
+    # b = b0 + sum of a[t] * W[t]
+    b = Cochain(cx, RING_Z, k - 1,
+                tuple(zlin.combine([1, *a], [b0, *W], len(b0))))
     target = (x.rep.h - y.rep.h) + b.to_q()
     s_vals = solve_coboundary(cx, k - 2, target.values, integral=False)
     if s_vals is None:
@@ -251,10 +248,8 @@ def preimage_of_form(cx: Complex, omega: Cochain) -> DiffClass:
     a = zlin.solve_integer([], [e.numerator for e in evals], fact=hq.pairing_snf)
     if a is None:
         raise AssertionError("integral periods admit no integral class")
-    c = zero_cochain(cx, RING_Z, k)
-    for coeff, g in zip(a, hz.gen_cochains[:hz.rank]):
-        if coeff:
-            c = c + g.scale(coeff)
+    c = Cochain(cx, RING_Z, k, tuple(zlin.combine(
+        a, [g.values for g in hz.gen_cochains[:hz.rank]], cx.n_simplices(k))))
     diff = omega - c.to_q()
     h_vals = solve_coboundary(cx, k - 1, diff.values, integral=False)
     if h_vals is None:

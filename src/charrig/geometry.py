@@ -89,18 +89,16 @@ class GoodNeighborhood(_TowerTransport):
 
     def chain_to_neighborhood(self, j: int, vec):
         """Reindex an ambient chain supported inside the neighborhood."""
-        cols = self.inclusion.chain_columns(j)
-        back = {}
-        for src, entry in enumerate(cols):
-            back[entry[0]] = (src, entry[1])
-        out = [0] * self.complex.n_simplices(j)
-        for i, coef in enumerate(vec):
-            if coef:
-                if i not in back:
-                    raise ValueError("chain leaves the neighborhood")
-                src, sign = back[i]
-                out[src] = sign * coef
-        return out
+        return _chain_to_subcomplex(self.inclusion, j, vec)
+
+
+def _chain_to_subcomplex(incl: SimplicialMap, j: int, vec):
+    """Reindex an ambient j-chain onto the source of the inclusion `incl`
+    of a subcomplex; a ValueError when the chain leaves the subcomplex."""
+    local = incl.pull_values(j, vec)
+    if incl.push_chain(j, local) != list(vec):
+        raise ValueError("chain leaves the subcomplex")
+    return local
 
 
 def _transport_subcomplex(K: Subcomplex, sd) -> Subcomplex:
@@ -417,26 +415,14 @@ def _parallel_copy(base: Complex, tower, d: int, cell: int, rho: int):
 def _local_homology_witness(base: Complex, tower, d: int, rho: int,
                             route, s2):
     """Solve boundary(h) = route - s2 inside the subdivided closed coface."""
-    Y = tower[1].complex
-    rhs = [route[c] - s2[c] for c in range(Y.n_simplices(d))]
+    rhs = [r - s for r, s in zip(route, s2)]
     local = _carrier_subcomplex(base, tower, d + 1, rho)
     sub, incl = local.as_complex()
-    rhs_local = [0] * sub.n_simplices(d)
-    back = {}
-    for src, entry in enumerate(incl.chain_columns(d)):
-        back[entry[0]] = (src, entry[1])
-    for i, v in enumerate(rhs):
-        if v:
-            src, sign = back[i]
-            rhs_local[src] = sign * v
-    sol = zlin.solve_integer(sub.boundary_matrix(d + 1), rhs_local,
+    sol = zlin.solve_integer(sub.boundary_matrix(d + 1),
+                             _chain_to_subcomplex(incl, d, rhs),
                              ncols=sub.n_simplices(d + 1))
     assert sol is not None, "local witness must exist inside a disk"
-    out = [0] * Y.n_simplices(d + 1)
-    for src, entry in enumerate(incl.chain_columns(d + 1)):
-        if sol[src]:
-            out[entry[0]] = entry[1] * sol[src]
-    return out
+    return incl.push_chain(d + 1, sol)
 
 
 def _carrier_subcomplex(base: Complex, tower, d: int, idx: int) -> Subcomplex:
@@ -469,7 +455,8 @@ def normalize_cycle(base: Complex, d: int, vec):
 @dataclass
 class BoundResult:
     neighborhood: GoodNeighborhood
-    chain: list                 # y with boundary(y) = fundamental cycle
+    chain: list                 # y with boundary(y) = cycle, in the neighborhood
+    cycle: list                 # the fundamental cycle carried into it
     collapse_pairs: int
     collapsed_dim: int
 
@@ -515,18 +502,10 @@ def bound_in_good_neighborhood(P: Pseudomanifold, base: Complex, tower,
     support += [ambient.simplices[d][i] for i, c in enumerate(zP) if c]
     K = subcomplex_from_simplices(ambient, support)
     nb = good_neighborhood(ambient, K, d, max_subdiv)
-    y = w
-    for sd in nb.tower:
-        y = sd.subdivide_chain(k, y)
-    zP_nb = zP
-    for sd in nb.tower:
-        zP_nb = sd.subdivide_chain(d, zP_nb)
-    y_local = nb.chain_to_neighborhood(k, y)
-    db = nb.complex.boundary_of_chain(k, y_local)
-    z_local = nb.chain_to_neighborhood(d, zP_nb)
-    assert db == z_local, "bounding chain boundary mismatch inside U'"
+    y_local = nb.chain_to_neighborhood(k, nb.transport_chain(k, w))
+    z_local = nb.chain_to_neighborhood(d, nb.transport_chain(d, zP))
     pairs, dim_left = _greedy_collapse(nb.complex)
-    return BoundResult(nb, y_local, pairs, dim_left)
+    return BoundResult(nb, y_local, z_local, pairs, dim_left)
 
 
 def _normalize_top_chain(cx: Complex, k: int, w):

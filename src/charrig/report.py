@@ -39,7 +39,6 @@ class CheckResult:
     status: str
     detail: str = ""
     witness: dict | list | None = None
-    time_ms: int | None = None
 
     def canonical(self):
         return {
@@ -63,6 +62,7 @@ class Report:
     seed: int
     checks: list = field(default_factory=list)
     notes: list = field(default_factory=list)
+    timings_ms: dict = field(default_factory=dict)  # task name -> wall ms
 
     def extend(self, results):
         self.checks.extend(results)
@@ -96,8 +96,7 @@ class Report:
         if fmt == "canonical":
             doc = self.canonical_dict()
             doc["canonical_sha256"] = self.canonical_hash()
-            doc["timings_ms"] = {c.name: c.time_ms for c in self.checks
-                                 if c.time_ms is not None}
+            doc["timings_ms"] = dict(self.timings_ms)
             return json.dumps(doc, sort_keys=True, indent=1)
         lines = [f"{self.command} {self.complex_name} degrees={self.degrees} "
                  f"seed={self.seed} [charrig {self.tool_version}]"]

@@ -5,6 +5,11 @@ no floating point is used anywhere. The central routine is a Smith normal
 form with unimodular transforms (and their inverses), from which integer
 solvability, kernels, cokernels and finitely generated abelian group
 presentations are derived.
+
+This module also owns exact vector pairing and combination: every pairing
+of a cochain with a chain goes through `vec_dot`, and every linear
+combination of rows through `combine`. Both skip zero terms, since chain
+vectors and coefficient lists are mostly zero.
 """
 from __future__ import annotations
 
@@ -27,29 +32,27 @@ def zeros(m, n):
     return [[0] * n for _ in range(m)]
 
 
-def transpose(a):
-    return [list(col) for col in zip(*a)] if a else []
-
-
-def mat_mul(a, b):
-    if a and b and len(a[0]) != len(b):
-        raise ShapeError(f"cannot multiply {len(a)}x{len(a[0])} by {len(b)}x{len(b[0])}")
-    if not b:
-        return [[] for _ in a] if a and not a[0] else [[0] * 0 for _ in a]
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
-def mat_vec(a, v):
-    if a and len(a[0]) != len(v):
-        raise ShapeError(f"cannot apply {len(a)}x{len(a[0])} to vector of length {len(v)}")
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
-
+# ---------------------------------------------------------------------------
+# exact vectors: pairing and linear combination
 
 def vec_dot(u, v):
+    """sum of u[i] * v[i] over the nonzero entries of v."""
     if len(u) != len(v):
         raise ShapeError("dot product length mismatch")
-    return sum(x * y for x, y in zip(u, v))
+    return sum(u[i] * x for i, x in enumerate(v) if x)
+
+
+def combine(coeffs, rows, n: int) -> list:
+    """sum of coeffs[t] * rows[t] as a length-n list, over the nonzero
+    coefficients and the nonzero row entries; coefficients or rows past
+    the shorter of the two lists are ignored."""
+    out = [0] * n
+    for c, row in zip(coeffs, rows):
+        if c:
+            for i, x in enumerate(row):
+                if x:
+                    out[i] += c * x
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -304,13 +307,7 @@ class FgAbelianGroup:
 
     def lift(self, coords):
         """An ambient representative of the class with the given coordinates."""
-        coords = self.reduce(coords)
-        out = [0] * self.ambient
-        for c, col in zip(coords, self.gen_lift):
-            if c:
-                for i in range(self.ambient):
-                    out[i] += c * col[i]
-        return out
+        return combine(self.reduce(coords), self.gen_lift, self.ambient)
 
     def zero(self) -> tuple:
         return (0,) * self.n_coords
@@ -370,11 +367,11 @@ def _solve(fact: SNFResult, b, integral: bool):
     m, n = fact.shape
     if len(b) != m:
         raise ShapeError(f"rhs length {len(b)} does not match {m} rows")
-    y = _divide_by_diag(fact, [sum(u * v for u, v in zip(row, b) if v)
-                               for row in fact.U], integral)
+    y = _divide_by_diag(fact, [vec_dot(row, b) for row in fact.U], integral)
     if y is None:
         return None
-    return [sum(row[t] * yt for t, yt in enumerate(y) if yt) for row in fact.V]
+    y += [0] * (n - len(y))
+    return [vec_dot(row, y) for row in fact.V]
 
 
 def solve_transposed(fact: SNFResult, b, integral: bool):
@@ -384,13 +381,10 @@ def solve_transposed(fact: SNFResult, b, integral: bool):
     m, n = fact.shape
     if len(b) != n:
         raise ShapeError(f"rhs length {len(b)} does not match {n} columns")
-    nz = [(i, v) for i, v in enumerate(b) if v]
-    y = _divide_by_diag(fact, [sum(v * fact.V[i][t] for i, v in nz)
-                               for t in range(n)], integral)
+    y = _divide_by_diag(fact, combine(b, fact.V, n), integral)
     if y is None:
         return None
-    ys = [(t, yt) for t, yt in enumerate(y) if yt]
-    return [sum(yt * fact.U[t][i] for t, yt in ys) for i in range(m)]
+    return combine(y, fact.U, m)
 
 
 def solve_integer(a, b, fact: SNFResult | None = None, ncols: int | None = None):

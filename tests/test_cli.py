@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -134,6 +135,58 @@ def test_pseudo_rp2_torsion_not_null():
 def test_pseudo_identity_normalization():
     code, out, _ = run_cli("pseudo", "s1", "--cycle", "s1_fundamental")
     assert code == 0
+
+
+@pytest.mark.parametrize("corrupt", ["chain", "vanishing"])
+def test_pseudo_bounding_fails_with_a_witness(monkeypatch, capsys, corrupt):
+    """A bounding chain whose boundary misses the cycle, or a neighborhood
+    whose cohomology does not vanish, fails pseudo.bounding (exit 1)."""
+    real = cli.bound_in_good_neighborhood
+
+    def corrupted(*args, **kwargs):
+        out = real(*args, **kwargs)
+        i = next(i for i, c in enumerate(out.chain) if c)
+        out.chain = list(out.chain)
+        out.chain[i] = -out.chain[i]
+        return out
+
+    if corrupt == "chain":
+        monkeypatch.setattr(cli, "bound_in_good_neighborhood", corrupted)
+    else:
+        monkeypatch.setattr(cli, "cohomology_vanishes_above", lambda cx, k: False)
+    code = cli.main(["pseudo", "s2", "--cycle", "s2_equator"])
+    assert code == 1
+    doc = parse_report(capsys.readouterr().out)
+    by_name = {c["name"]: c for c in doc["checks"]}
+    bad = by_name["pseudo.bounding"]
+    assert bad["status"] == "fail"
+    assert not bad["detail"].startswith("bounds inside")
+    wit = bad["witness"]
+    assert bool(wit["boundary_differs_on"]) == (corrupt == "chain")
+    assert wit["cohomology_vanishes_above"] == (corrupt == "chain")
+
+
+@pytest.mark.parametrize("argv", [
+    ["phi", "s2", "--degree", "2", "--max-subdiv", "0"],
+    ["pseudo", "s2", "--cycle", "s2_equator", "--max-subdiv", "0"],
+])
+def test_exit_code_when_no_good_neighborhood_fits_the_budget(argv):
+    code, out, err = run_cli(*argv)
+    assert code == 2
+    assert err.startswith("input error:") and "within 0 subdivisions" in err
+    assert "Traceback" not in err and out == ""
+
+
+def test_timings_per_task_outside_the_hash():
+    """Every task's wall time is reported under its name; the canonical
+    hash is the pinned one."""
+    _, out, _ = run_cli("phi", "s1", "--degree", "1")
+    doc = parse_report(out)
+    assert sorted(doc["timings_ms"]) == ["equivalence", "good"]
+    assert all(isinstance(v, int) and v >= 0 for v in doc["timings_ms"].values())
+    pinned = json.loads((Path(__file__).resolve().parent / "data"
+                         / "report_hashes.json").read_text())
+    assert doc["canonical_sha256"] == pinned["phi s1 1"]
 
 
 def test_exit_code_on_missing_input():

@@ -4,6 +4,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from sympy import Matrix
 from sympy.matrices.normalforms import invariant_factors
 
@@ -15,7 +16,7 @@ from charrig.cochains import (
     integral_form_generators, is_integral_form, r_to_rational,
     s_class_of_form, solve_coboundary, unit_cochain, zero_cochain,
 )
-from charrig.simplicial import barycentric_subdivide
+from charrig.simplicial import barycentric_subdivide, complex_from_maximal
 
 
 def oracle_cohomology(X, j):
@@ -251,6 +252,36 @@ def test_exactness_all_corpus_degrees(corpus_complex):
         assert len(results) == 6
         bad = [(r.name, r.witness) for r in results if r.status != "pass"]
         assert not bad, (X.name, k, bad)
+
+
+@st.composite
+def random_complexes(draw):
+    """The closure of up to 8 random simplices on at most 7 vertices."""
+    n = draw(st.integers(1, 7))
+    simplex = st.lists(st.integers(0, n - 1), min_size=1, max_size=4,
+                       unique=True).map(lambda s: tuple(sorted(s)))
+    tops = draw(st.lists(simplex, min_size=1, max_size=8, unique=True))
+    return complex_from_maximal("random", sorted(tops), n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_complexes())
+def test_random_complexes_match_oracle_and_are_exact(X):
+    """H^j in Z, Q and Q/Z agree with sympy (Q/Z by universal coefficients:
+    b_j divisible factors and the torsion of H^{j+1}(Z)), and both long
+    sequences are exact in every degree."""
+    for j in range(X.dim + 2):
+        betti, tors = oracle_cohomology(X, j)
+        g = cohomology(X, j, "Z")
+        assert (g.rank, list(g.torsion)) == (betti, tors), j
+        assert cohomology(X, j, "Q").rank == betti, j
+        gz = cohomology(X, j, "QmodZ")
+        assert (gz.free_count, list(gz.torsion)) == \
+            (betti, oracle_cohomology(X, j + 1)[1]), j
+    for k in range(1, X.dim + 2):
+        bad = [(r.name, r.witness) for r in check_exactness(X, k, random.Random(0))
+               if r.status != "pass"]
+        assert not bad, (k, bad)
 
 
 def test_exactness_rp2_torsion_node(cx):

@@ -2,6 +2,7 @@
 import json
 
 import pytest
+from sympy import Matrix
 
 from charrig import zlin
 from charrig.simplicial import (
@@ -63,8 +64,9 @@ def test_boundary_matrix_shapes_and_degrees(cx):
 def test_boundary_squares_to_zero(corpus_complex):
     X = corpus_complex
     for j in range(1, X.dim + 1):
-        prod = zlin.mat_mul(X.boundary_matrix(j), X.boundary_matrix(j + 1))
-        assert all(all(v == 0 for v in row) for row in prod)
+        if X.n_simplices(j + 1):
+            prod = Matrix(X.boundary_matrix(j)) * Matrix(X.boundary_matrix(j + 1))
+            assert prod.is_zero_matrix
 
 
 def test_subdivision_edge():
@@ -180,9 +182,9 @@ def test_induced_chain_map_commutes_with_boundary(cx):
     sd = barycentric_subdivide(s1)
     phi = SimplicialMap(sd.complex, s1, [0, 2, 1, 1, 2, 0])
     for j in range(1, 2):
-        lhs = zlin.mat_mul(s1.boundary_matrix(j), phi.induced_chain_map(j))
-        rhs = zlin.mat_mul(phi.induced_chain_map(j - 1),
-                           sd.complex.boundary_matrix(j))
+        lhs = Matrix(s1.boundary_matrix(j)) * Matrix(phi.induced_chain_map(j))
+        rhs = Matrix(phi.induced_chain_map(j - 1)) * \
+            Matrix(sd.complex.boundary_matrix(j))
         assert lhs == rhs
 
 

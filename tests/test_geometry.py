@@ -188,7 +188,7 @@ def test_equator_bounds_in_good_neighborhood(cx):
     zP = pm.ambient_cycle()
     for sd in nb.tower:
         zP = sd.subdivide_chain(1, zP)
-    assert db == nb.chain_to_neighborhood(1, zP)
+    assert db == nb.chain_to_neighborhood(1, zP) == out.cycle
     # the collapse certificate deflates the band to a graph
     assert out.collapsed_dim <= 1
 

@@ -92,8 +92,8 @@ def test_commutativity_defect_is_the_curvature(cx):
     from charrig.cochains import coboundary, zero_cochain
     from charrig import zlin
     sol = zlin.solve_rational(
-        zlin.transpose(t2.boundary_matrix(2)), list(defect.values),
-        ncols=t2.n_simplices(1))
+        [list(col) for col in zip(*t2.boundary_matrix(2))],
+        list(defect.values), ncols=t2.n_simplices(1))
     assert sol is not None
     from charrig.cochains import Cochain
     eta = Cochain(t2, "Q", 1, tuple(sol))

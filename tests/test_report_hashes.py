@@ -3,7 +3,9 @@
 Refactors of the linear algebra must not move any report. The table in
 data/report_hashes.json covers `inspect` on every corpus complex,
 `diagram` and `phi` at degrees 1 and 2 on s1, s2, t2 and rp2, `ring 1,1`
-on t2 and `pseudo` on every shipped cycle, all at seed 0. A change that is
+on t2, `pseudo` on every shipped cycle, and on first barycentric
+subdivisions (sd1) `inspect` of t2, rp2, klein and moore_z3, `diagram 1`
+and `phi 1`, `phi 2` of s2, all at seed 0. A change that is
 meant to alter reports regenerates the table from the repository root:
 
     PYTHONPATH=src python -c "import json,sys; sys.path.insert(0,'tests'); import test_report_hashes as t; open(t.TABLE,'w').write(json.dumps(t.current_hashes(),indent=1,sort_keys=True)+'\\n')"
@@ -13,30 +15,40 @@ import json
 from pathlib import Path
 
 from charrig import cli, corpus
-from charrig.simplicial import load_complex
+from charrig.simplicial import barycentric_subdivide, load_complex
 
 TABLE = Path(__file__).resolve().parent / "data" / "report_hashes.json"
 SUITE_SPACES = ("s1", "s2", "t2", "rp2")
+SD1_INSPECT = ("t2", "rp2", "klein", "moore_z3")
 
 
 def _operations():
+    """(label, complex name, subdivision level, handler, arguments)."""
     for name in corpus.CORPUS_NAMES:
-        yield f"inspect {name}", name, cli.cmd_inspect, {}
+        yield f"inspect {name}", name, 0, cli.cmd_inspect, {}
     for name in SUITE_SPACES:
         for k in (1, 2):
-            yield f"diagram {name} {k}", name, cli.cmd_diagram, {"degree": k}
-            yield f"phi {name} {k}", name, cli.cmd_phi, {"degree": k}
-    yield "ring t2 1,1", "t2", cli.cmd_ring, {"degrees": (1, 1)}
+            yield f"diagram {name} {k}", name, 0, cli.cmd_diagram, {"degree": k}
+            yield f"phi {name} {k}", name, 0, cli.cmd_phi, {"degree": k}
+    yield "ring t2 1,1", "t2", 0, cli.cmd_ring, {"degrees": (1, 1)}
     for path in sorted((corpus.corpus_dir() / "cycles").glob("*.json")):
         name = json.loads(path.read_text())["complex"]
-        yield f"pseudo {path.stem}", name, cli.cmd_pseudo, {"cycle": path.stem}
+        yield (f"pseudo {path.stem}", name, 0, cli.cmd_pseudo,
+               {"cycle": path.stem})
+    for name in SD1_INSPECT:
+        yield f"inspect sd1({name})", name, 1, cli.cmd_inspect, {}
+    yield "diagram sd1(s2) 1", "s2", 1, cli.cmd_diagram, {"degree": 1}
+    for k in (1, 2):
+        yield f"phi sd1(s2) {k}", "s2", 1, cli.cmd_phi, {"degree": k}
 
 
 def current_hashes() -> dict:
     """Canonical hash of every pinned operation, each on a fresh complex."""
     out = {}
-    for label, name, handler, params in _operations():
+    for label, name, level, handler, params in _operations():
         cx = load_complex(corpus.resolve(name))
+        for _ in range(level):
+            cx = barycentric_subdivide(cx).complex
         args = argparse.Namespace(seed=0, max_subdiv=2, **params)
         out[label] = handler(cx, args, 1).canonical_hash()
     return out

@@ -4,10 +4,17 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from sympy import Matrix
+from sympy import Matrix, eye
 from sympy.matrices.normalforms import invariant_factors
 
 from charrig import zlin
+
+
+def matvec(a, x):
+    """a @ x computed by sympy, an oracle made apart from zlin."""
+    if not x:
+        return [Fraction(0)] * len(a)
+    return [Fraction(int(v.p), int(v.q)) for v in Matrix(a) * Matrix(x)]
 
 
 def small_matrices(max_dim=8, lo=-5, hi=5):
@@ -22,10 +29,10 @@ def small_matrices(max_dim=8, lo=-5, hi=5):
 @given(small_matrices())
 def test_snf_transforms_and_divisibility(a):
     f = zlin.smith_normal_form(a)
-    assert zlin.mat_mul(zlin.mat_mul(f.U, a), f.V) == f.S
+    assert Matrix(f.U) * Matrix(a) * Matrix(f.V) == Matrix(f.S)
     m, n = f.shape
-    assert zlin.mat_mul(f.U, f.Uinv) == zlin.identity(m)
-    assert zlin.mat_mul(f.Vinv, f.V) == zlin.identity(n)
+    assert Matrix(f.U) * Matrix(f.Uinv) == eye(m)
+    assert Matrix(f.Vinv) * Matrix(f.V) == eye(n)
     assert abs(Matrix(f.U).det()) == 1
     assert abs(Matrix(f.V).det()) == 1
     nz = [d for d in f.diag if d]
@@ -63,23 +70,23 @@ def test_solve_integer_roundtrip(a, seed):
     rng = random.Random(seed)
     n = len(a[0])
     x0 = [rng.randrange(-3, 4) for _ in range(n)]
-    b = zlin.mat_vec(a, x0)
+    b = [int(v) for v in matvec(a, x0)]
     x = zlin.solve_integer(a, b)
     assert x is not None
-    assert zlin.mat_vec(a, x) == b
+    assert matvec(a, x) == b
     # the rational solver on a rational right side a @ x0 / q
     q = rng.randrange(1, 6)
     bq = [Fraction(v, q) for v in b]
     y = zlin.solve_rational(a, bq)
     assert y is not None
-    assert zlin.mat_vec(a, y) == bq
+    assert matvec(a, y) == bq
     # and on an arbitrary right side: None exactly when rank(a) < rank([a | b])
     c = [rng.randrange(-3, 4) for _ in range(len(a))]
     inconsistent = Matrix(a).rank() < Matrix(a).row_join(Matrix(c)).rank()
     y = zlin.solve_rational(a, c)
     assert (y is None) == inconsistent
     if y is not None:
-        assert zlin.mat_vec(a, y) == c
+        assert matvec(a, y) == c
 
 
 @settings(max_examples=50, deadline=None)
@@ -89,9 +96,9 @@ def test_solve_transposed_agrees_with_solving_the_transpose(a, seed):
     when the factorization of A^T finds one, over Z and over Q."""
     rng = random.Random(seed)
     fact = zlin.smith_normal_form(a)
-    at = zlin.transpose(a)
+    at = [list(col) for col in zip(*a)]
     x0 = [rng.randrange(-3, 4) for _ in range(len(a))]
-    b0 = zlin.mat_vec(at, x0)
+    b0 = [int(v) for v in matvec(at, x0)]
     for b in (b0, [Fraction(v, 2) for v in b0],
               [rng.randrange(-3, 4) for _ in range(len(at))]):
         for integral in (True, False):
@@ -103,7 +110,7 @@ def test_solve_transposed_agrees_with_solving_the_transpose(a, seed):
                 else zlin.solve_rational(at, b)
             assert (x is None) == (expected is None)
             if x is not None:
-                assert zlin.mat_vec(at, x) == b
+                assert matvec(at, x) == b
                 assert not integral or all(isinstance(v, int) for v in x)
 
 
@@ -120,12 +127,12 @@ def test_solve_integer_unsolvable_confirmed_by_enumeration(a, braw):
     b = braw[:m]
     x = zlin.solve_integer(a, b)
     if x is not None:
-        assert zlin.mat_vec(a, x) == b
+        assert matvec(a, x) == b
         return
     # brute-force over the SNF-reduced system: solvability would demand
     # each diagonal d_i to divide (U b)_i and zero rows to match exactly
     f = zlin.smith_normal_form(a)
-    c = zlin.mat_vec(f.U, b)
+    c = matvec(f.U, b)
     solvable = True
     for i in range(m):
         if i < len(f.diag) and f.diag[i]:
@@ -147,7 +154,7 @@ def test_kernel_basis_spans_and_is_exact():
         a = [[rng.randrange(-4, 5) for _ in range(n)] for _ in range(m)]
         K = zlin.kernel_basis(a)
         for col in K:
-            assert all(v == 0 for v in zlin.mat_vec(a, col))
+            assert all(v == 0 for v in matvec(a, col))
         # rank-nullity over Q
         assert len(K) == n - Matrix(a).rank()
 
@@ -185,7 +192,7 @@ def test_fg_group_projection_left_inverse():
         # the image itself projects to zero
         for _ in range(3):
             x = [rng.randrange(-2, 3) for _ in range(n)]
-            assert g.project(zlin.mat_vec(a, x)) == g.zero()
+            assert g.project(matvec(a, x)) == g.zero()
 
 
 def test_solve_rational():
@@ -202,4 +209,32 @@ def test_shape_errors():
     with pytest.raises(zlin.ShapeError):
         zlin.solve_integer([[1, 2]], [1, 2])
     with pytest.raises(zlin.ShapeError):
-        zlin.mat_vec([[1, 2]], [1])
+        zlin.vec_dot([1, 2], [1])
+
+
+def _sparse_vectors(length):
+    """Vectors of ints and Fractions, mostly zero, with a drawn length."""
+    entry = st.one_of(st.just(0), st.just(0), st.integers(-3, 3),
+                      st.fractions(-3, 3, max_denominator=5))
+    return length.flatmap(lambda n: st.lists(entry, min_size=n, max_size=n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda n: st.tuples(
+    _sparse_vectors(st.just(n)), _sparse_vectors(st.just(n)))))
+def test_vec_dot_is_the_dense_dot(uv):
+    u, v = uv
+    assert zlin.vec_dot(u, v) == sum(x * y for x, y in zip(u, v))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda n: st.tuples(
+    st.just(n), _sparse_vectors(st.integers(0, 4)),
+    st.lists(_sparse_vectors(st.just(n)), max_size=4))))
+def test_combine_is_the_dense_linear_combination(case):
+    """sum_t coeffs[t] * rows[t]; coefficients or rows past the shorter
+    of the two lists are ignored, as the solves through a factorization
+    rely on."""
+    n, coeffs, rows = case
+    dense = [sum(c * row[i] for c, row in zip(coeffs, rows)) for i in range(n)]
+    assert zlin.combine(coeffs, rows, n) == dense
