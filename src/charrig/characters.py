@@ -13,13 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from . import zlin
 from .cochains import (
     RING_Q, RING_QMODZ, RING_Z,
     Cochain, CohomologyClass, NotACycle, QuotientForm, _mod1,
     coboundary, cochain_on_cycle_basis, cohomology, cycle_basis,
-    cycle_coords, homology, is_integral_form, zero_cochain,
+    homology, is_integral_form, zero_cochain,
 )
 from .diffcocycle import (
     DiffClass, class_equal, delta1, delta2, i1 as dc_i1, i2 as dc_i2,
@@ -47,10 +47,17 @@ class Character:
         object.__setattr__(self, "f_values",
                            tuple(_mod1(v) for v in self.f_values))
 
+    @cached_property
+    def _lift(self) -> Cochain:
+        return lift_T(self)
+
     def evaluate(self, z) -> Fraction:
-        """Value on an integer (k-1)-cycle, by linearity over the basis."""
-        coords = cycle_coords(self.cx, self.degree - 1, z)
-        return _mod1(zlin.vec_dot(self.f_values, coords))
+        """Value on an integer (k-1)-cycle: the floor lift T takes f's
+        values on the cycle basis and vanishes on the rest of the
+        Smith-adapted basis, so f(z) = T(z) mod 1."""
+        if not self.cx.is_cycle(self.degree - 1, z):
+            raise NotACycle("chain has nonzero boundary")
+        return _mod1(self._lift.pair(z))
 
     def __eq__(self, other):
         if not isinstance(other, Character):

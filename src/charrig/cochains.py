@@ -10,7 +10,6 @@ factor), and a representative cocycle is synthesized on demand.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from math import floor, gcd, lcm
 
@@ -204,6 +203,8 @@ def cup_class_qmodz(a: "CohomologyClass", u: "CohomologyClass") -> "CohomologyCl
 # delta^j = d_{j+1}^T = Vinv^T S^T Uinv^T: the j-cocycles are the rows of U
 # past the rank, the columns of Uinv past the rank give a cocycle's
 # coordinates, and delta x = b is solved as S^T y = V^T b, x = U^T y.
+# A cocycle with prescribed periods takes them on the cycle basis and
+# vanishes on the rest of the Smith-adapted basis (`cochain_on_cycle_basis`).
 
 
 def _snf_boundary(cx: Complex, j: int) -> zlin.SNFResult:
@@ -285,6 +286,13 @@ class HomologyData:
 
     def project_chain(self, vec) -> tuple:
         return self.fg.project(cycle_coords(self.cx, self.degree, vec))
+
+    def cochain_with_periods(self, coords, ring: str) -> Cochain:
+        """The cochain taking the values `coords` on `gen_cycles` (trailing
+        ones may be left out); a cocycle when they define a homomorphism
+        H_j -> ring: zero on torsion over Z and Q, in (1/d)Z over Q/Z."""
+        psi = zlin.combine(coords, self.fg._proj_rows, self.fg.ambient)
+        return cochain_on_cycle_basis(self.cx, self.degree, psi, ring)
 
 
 def homology(cx: Complex, j: int) -> HomologyData:
@@ -391,20 +399,10 @@ class QCohomology:
     def __init__(self, cx: Complex, j: int):
         self.cx = cx
         self.degree = j
-        hz = cohomology(cx, j, RING_Z)
-        hom = homology(cx, j)
-        self.rank = hom.free_count
+        self.hom = homology(cx, j)
+        self.rank = self.hom.free_count
         self.torsion = ()
-        self.free_cycles = hom.gen_cycles[:hom.free_count]
-        # periods of the integral free generators on the free homology
-        # generators: a unimodular integer matrix
-        self._free_gens = hz.gen_cochains[:hz.rank]
-        self.pairing = [[g.pair(z) for g in self._free_gens]
-                        for z in self.free_cycles]
-
-    @cached_property
-    def pairing_snf(self) -> zlin.SNFResult:
-        return zlin.smith_normal_form(self.pairing, ncols=self.rank)
+        self.free_cycles = self.hom.gen_cycles[:self.rank]
 
     def make(self, coords) -> CohomologyClass:
         return CohomologyClass(self, tuple(Fraction(c) for c in coords))
@@ -421,13 +419,8 @@ class QCohomology:
         return self.make(tuple(Fraction(coch.pair(z)) for z in self.free_cycles))
 
     def cochain_for(self, coords) -> Cochain:
-        if self.rank == 0:
-            return zero_cochain(self.cx, RING_Q, self.degree)
-        a = zlin.solve_rational_with_fact(self.pairing_snf,
-                                          [Fraction(c) for c in coords])
-        vals = zlin.combine(a, [g.values for g in self._free_gens],
-                            self.cx.n_simplices(self.degree))
-        return Cochain(self.cx, RING_Q, self.degree, tuple(vals))
+        return self.hom.cochain_with_periods(
+            [Fraction(c) for c in coords], RING_Q)
 
     def describe(self) -> str:
         return " + ".join(["Q"] * self.rank) if self.rank else "0"
@@ -478,11 +471,8 @@ class QmodZCohomology:
         return self.make(tuple(coch.pair(z) for z in self.hom.gen_cycles))
 
     def cochain_for(self, coords) -> Cochain:
-        coords = self.make(coords).coords
-        # psi: the values on the cycle basis
-        fg = self.hom.fg
-        psi = zlin.combine(coords, fg._proj_rows, fg.ambient)
-        return cochain_on_cycle_basis(self.cx, self.degree, psi, RING_QMODZ)
+        return self.hom.cochain_with_periods(self.make(coords).coords,
+                                             RING_QMODZ)
 
     def describe(self) -> str:
         parts = ["Q/Z"] * self.free_count + [f"Z/{d}" for d in self.torsion]
@@ -561,13 +551,13 @@ class QuotientForm:
 
 
 def integral_form_generators(cx: Complex, k: int):
-    """A finite generating family of the integral forms in degree k:
-    free integral cohomology generators plus coboundaries of the integer
-    basis cochains."""
+    """A finite generating family of the integral forms in degree k, as Z
+    cochains: free integral cohomology generators plus coboundaries of the
+    integer basis cochains."""
     hz = cohomology(cx, k, RING_Z)
-    gens = [g.to_q() for g in hz.gen_cochains[:hz.rank]]
+    gens = list(hz.gen_cochains[:hz.rank])
     # the coboundary of the t-th basis (k-1)-cochain is row t of d_k
-    gens.extend(Cochain(cx, RING_Q, k, tuple(row))
+    gens.extend(Cochain(cx, RING_Z, k, tuple(row))
                 for row in cx._boundary_any(k) if any(row))
     return gens
 
@@ -658,6 +648,14 @@ def check_exactness(cx: Complex, k: int, rng=None) -> list[CheckResult]:
     hz_k = cohomology(cx, k, RING_Z)
     results = []
     fracs = _sample_fracs(rng)
+    # the integral classes dual to the free homology generators: period 1 on
+    # generator i and 0 on the others, None when the constructed cochain is
+    # not a cocycle
+    duals = []
+    for e in _units(hq_prev.rank):
+        w = hq_prev.hom.cochain_with_periods(e, RING_Z)
+        duals.append(hz_prev.class_from_cocycle(w)
+                     if coboundary(w).is_zero() else None)
 
     # --- Bockstein: ker alpha = im r at H^{k-1}(Q)
     probs, wit = [], []
@@ -665,17 +663,14 @@ def check_exactness(cx: Complex, k: int, rng=None) -> list[CheckResult]:
         x = r_to_rational(hz_prev.make(e))
         if not alpha(x).is_zero():
             probs.append(("alpha(r(gen)) != 0", e))
-    for i in range(hq_prev.rank):
+    for i, pre in enumerate(duals):
         # the lattice of integer-evaluation classes is spanned by the dual
         # basis vectors; each needs an integral preimage under r
         target = [Fraction(0)] * hq_prev.rank
         target[i] = Fraction(1)
-        a = zlin.solve_integer([], [0] * i + [1] + [0] * (hq_prev.rank - 1 - i),
-                               fact=hq_prev.pairing_snf)
-        if a is None:
-            probs.append(("integral-evaluation class has no integral preimage", i))
+        if pre is None:
+            probs.append(("dual preimage is not a cocycle", i))
             continue
-        pre = hz_prev.make(tuple(a) + (0,) * len(hz_prev.torsion))
         if r_to_rational(pre).coords != tuple(target):
             probs.append(("preimage does not map onto the dual vector", i))
         else:
@@ -752,17 +747,13 @@ def check_exactness(cx: Complex, k: int, rng=None) -> list[CheckResult]:
         x = r_to_rational(hz_prev.make(e))
         if not beta(x).is_zero():
             probs.append(("beta(r(gen)) != 0", e))
-    for i in range(hq_prev.rank):
-        a = zlin.solve_integer([], [0] * i + [1] + [0] * (hq_prev.rank - 1 - i),
-                               fact=hq_prev.pairing_snf)
-        if a is None:
-            probs.append(("no integral preimage for dual vector", i))
+    for i, pre in enumerate(duals):
+        if pre is None:
+            probs.append(("dual preimage is not a cocycle", i))
+        elif not beta(r_to_rational(pre)).is_zero():
+            probs.append(("preimage not in ker beta", i))
         else:
-            pre = hz_prev.make(tuple(a) + (0,) * len(hz_prev.torsion))
-            if not beta(r_to_rational(pre)).is_zero():
-                probs.append(("preimage not in ker beta", i))
-            else:
-                wit.append({"dual_index": i})
+            wit.append({"dual_index": i})
     results.append(check("derham.ker_beta_eq_im_r", not probs,
                          f"{hq_prev.rank} dual generators",
                          {"witnesses": wit, "problems": probs}))
@@ -781,7 +772,7 @@ def check_exactness(cx: Complex, k: int, rng=None) -> list[CheckResult]:
         if not d_of_quotient(theta).is_zero():
             probs.append(("d(beta(x)) != 0", idx))
             continue
-        rep = theta.rep if not shift else theta.rep + shift[0]
+        rep = theta.rep if not shift else theta.rep + shift[0].to_q()
         closed = QuotientForm(rep)
         back = beta(s_class_of_form(closed.rep))
         if back != closed:

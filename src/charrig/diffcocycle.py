@@ -6,20 +6,21 @@ omega is then closed with integral periods. Two cocycles represent the
 same class when omega agrees exactly and (c, h) differ by
 (delta b, -b + delta s) for an integral b and rational s. The four
 structure maps i1, i2, delta1, delta2 and pullback make the classes the
-engine's model of the character functor.
+engine's model of the character functor. Equality is decided by
+curvature and periods, as in the equivalence with characters (see
+`_decide_equivalence`).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import zlin
 from .cochains import (
     RING_Q, RING_QMODZ, RING_Z,
     Cochain, CohomologyClass, QuotientForm,
-    basis_cochain, coboundary, cohomology, cycle_basis, cocycle_basis,
-    is_integral_form, integral_form_generators, solve_coboundary,
-    zero_cochain, _units,
+    basis_cochain, coboundary, cochain_on_cycle_basis, cohomology,
+    cycle_basis, is_integral_form, integral_form_generators,
+    solve_coboundary, zero_cochain, _units,
 )
 from .report import CheckResult, check
 from .simplicial import Complex, MismatchError, SimplicialMap
@@ -121,7 +122,13 @@ def coboundary_shift(x: DiffClass, b: Cochain, s: Cochain) -> DiffClass:
 def _decide_equivalence(x: DiffClass, y: DiffClass, want_witness: bool):
     """Decide class equality; with want_witness also reconstruct (b, s).
     Returns None when the classes differ, True for a bare positive answer,
-    or the witness pair."""
+    or the witness pair.
+
+    Equal exactly when omega agrees, c_x - c_y = delta b0 for an integral
+    b0, and the cocycle v = h_x - h_y + b0 has integer periods t on the
+    cycle basis. That suffices because H^{k-1}(Q/Z) = Hom(H_{k-1}, Q/Z)
+    (Ext(-, Q/Z) = 0): the integral cocycle n with periods t leaves v - n
+    without periods, hence exact over Q, and b = b0 - n is the witness."""
     if x.cx is not y.cx or x.degree != y.degree:
         raise MismatchError("classes live on different complexes or degrees")
     cx = x.cx
@@ -133,25 +140,14 @@ def _decide_equivalence(x: DiffClass, y: DiffClass, want_witness: bool):
     if b0 is None:
         return None
     v = (x.rep.h - y.rep.h) + Cochain(cx, RING_Q, k - 1, tuple(b0))
-    K = cycle_basis(cx, k - 1)
-    t = [Fraction(v.pair(z)) for z in K]
+    t = [Fraction(v.pair(z)) for z in cycle_basis(cx, k - 1)]
     if any(f.denominator != 1 for f in t):
-        return None
-    W = cocycle_basis(cx, k - 1)
-    key = ("cycle_cocycle_pairing_snf", k - 1)
-    if key not in cx._cache:
-        cx._cache[key] = zlin.smith_normal_form(
-            [[zlin.vec_dot(w, z) for w in W] for z in K], ncols=len(W))
-    a = zlin.solve_integer([], [-f.numerator for f in t], fact=cx._cache[key])
-    if a is None:
         return None
     if not want_witness:
         return True
-    # b = b0 + sum of a[t] * W[t]
-    b = Cochain(cx, RING_Z, k - 1,
-                tuple(zlin.combine([1, *a], [b0, *W], len(b0))))
-    target = (x.rep.h - y.rep.h) + b.to_q()
-    s_vals = solve_coboundary(cx, k - 2, target.values, integral=False)
+    n = cochain_on_cycle_basis(cx, k - 1, t, RING_Z)
+    b = Cochain(cx, RING_Z, k - 1, tuple(b0)) - n
+    s_vals = solve_coboundary(cx, k - 2, (v - n.to_q()).values, integral=False)
     if s_vals is None:
         raise AssertionError("witness reconstruction failed on an exact cochain")
     s = Cochain(cx, RING_Q, k - 2, tuple(s_vals))
@@ -238,18 +234,15 @@ def preimage_of_class(cx: Complex, zclass: CohomologyClass) -> DiffClass:
 
 
 def preimage_of_form(cx: Complex, omega: Cochain) -> DiffClass:
-    """A differential class with delta1 equal to the given integral form."""
+    """A differential class with delta1 equal to the given integral form:
+    c is the integral cocycle with omega's periods on the cycle basis, so
+    omega - c has no periods and is exact over Q."""
     if not is_integral_form(omega):
         raise ValueError("delta1 preimages exist only for integral forms")
+    omega = omega.to_q()
     k = omega.degree
-    hq = cohomology(cx, k, RING_Q)
-    hz = cohomology(cx, k, RING_Z)
-    evals = [Fraction(omega.pair(z)) for z in hq.free_cycles]
-    a = zlin.solve_integer([], [e.numerator for e in evals], fact=hq.pairing_snf)
-    if a is None:
-        raise AssertionError("integral periods admit no integral class")
-    c = Cochain(cx, RING_Z, k, tuple(zlin.combine(
-        a, [g.values for g in hz.gen_cochains[:hz.rank]], cx.n_simplices(k))))
+    periods = [omega.pair(z) for z in cycle_basis(cx, k)]
+    c = cochain_on_cycle_basis(cx, k, periods, RING_Z)
     diff = omega - c.to_q()
     h_vals = solve_coboundary(cx, k - 1, diff.values, integral=False)
     if h_vals is None:

@@ -1,12 +1,15 @@
 """The hom-on-cycles model and the equivalence of the two models."""
+import functools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from charrig import corpus, zlin
 from charrig.cochains import (
-    Cochain, basis_cochain, bockstein, coboundary, cohomology, cycle_basis,
-    zero_cochain,
+    Cochain, _mod1, basis_cochain, bockstein, coboundary, cohomology,
+    cycle_basis, cycle_coords, zero_cochain,
 )
 from charrig.characters import (
     Character, NotACycle, char_i1, char_i2, char_pullback,
@@ -20,6 +23,14 @@ from charrig.diffcocycle import (
 from charrig.simplicial import barycentric_subdivide
 
 
+@functools.lru_cache(maxsize=None)
+def _complex(name):
+    """A corpus complex, or "sd1(s2)" for the first subdivision of s2."""
+    if name == "sd1(s2)":
+        return barycentric_subdivide(corpus.load("s2")).complex
+    return corpus.load(name)
+
+
 def test_evaluate_linearity_and_errors(cx):
     s1 = cx("s1")
     ch = character_from_holonomies(s1, 2, [Fraction(1, 3)])
@@ -29,6 +40,26 @@ def test_evaluate_linearity_and_errors(cx):
     assert ch.evaluate([2 * c for c in z]) == Fraction(2, 3)
     with pytest.raises(NotACycle):
         ch.evaluate([1, 0, 0])
+
+
+@pytest.mark.parametrize("name", list(corpus.CORPUS_NAMES) + ["sd1(s2)"])
+@settings(max_examples=10, deadline=None)
+@given(rnd=st.randoms(use_true_random=False))
+def test_evaluate_through_the_lift_is_the_basis_formula(name, rnd):
+    """f(z) = T(z) mod 1 agrees with f dotted with the cycle coordinates of
+    z, on random cycle-basis combinations plus boundaries."""
+    X = _complex(name)
+    for k in range(1, X.dim + 2):
+        K = cycle_basis(X, k - 1)
+        ch = character_from_holonomies(
+            X, k, [Fraction(rnd.randrange(12), 12) for _ in K])
+        z = zlin.combine([rnd.randrange(-3, 4) for _ in K], K,
+                         X.n_simplices(k - 1))
+        a = [rnd.randrange(-2, 3) for _ in range(X.n_simplices(k))]
+        if a:
+            z = [p + q for p, q in zip(z, X.boundary_of_chain(k, a))]
+        expect = _mod1(zlin.vec_dot(ch.f_values, cycle_coords(X, k - 1, z)))
+        assert ch.evaluate(z) == expect, k
 
 
 def test_is_character_examples(cx):

@@ -10,7 +10,7 @@ from sympy.matrices.normalforms import invariant_factors
 
 from charrig import corpus, zlin
 from charrig.cochains import (
-    Cochain, QuotientForm, RingError, alpha, basis_cochain, beta, bockstein,
+    Cochain, QuotientForm, RingError, _mod1, alpha, basis_cochain, beta, bockstein,
     check_exactness, coboundary, cocycle_basis, cocycle_coords, cohomology,
     cup, cup_int_qmodz, cycle_basis, d_of_quotient, homology,
     integral_form_generators, is_integral_form, r_to_rational,
@@ -411,3 +411,23 @@ def test_solve_coboundary_matches_sympy_solvability(read_complex):
             if xz is not None:
                 assert all(isinstance(v, int) for v in xz)
                 assert _apply(delta, xz) == list(b)
+
+
+@pytest.mark.parametrize("ring", ["Z", "Q", "QmodZ"])
+def test_cochain_with_periods_is_a_cocycle_with_those_periods(read_complex, ring):
+    """The cochain read off the cycle basis is closed and takes the given
+    values on every generator cycle, torsion generators included: zero over
+    Z and Q, multiples of 1/d over Q/Z."""
+    X = read_complex
+    rng = random.Random(5)
+    for j in range(X.dim + 2):
+        hom = homology(X, j)
+        coords = [rng.randrange(-6, 7) if ring == "Z"
+                  else Fraction(rng.randrange(-6, 7), rng.randrange(1, 6))
+                  for _ in range(hom.free_count)]
+        coords += [Fraction(rng.randrange(1, d), d) if ring == "QmodZ" else 0
+                   for d in hom.torsion]
+        w = hom.cochain_with_periods(coords, ring)
+        assert w.ring == ring and coboundary(w).is_zero(), j
+        expect = [_mod1(c) for c in coords] if ring == "QmodZ" else coords
+        assert [w.pair(z) for z in hom.gen_cycles] == expect, j

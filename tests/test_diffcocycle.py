@@ -1,5 +1,6 @@
 """Differential cocycle classes: equality, structure maps, the diagram."""
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -189,7 +190,7 @@ def test_verify_diagram_naturality(cx):
 
 def test_warm_rerun_factors_nothing(monkeypatch):
     """Every Smith factorization is cached: one per boundary operator of a
-    complex, one per period pairing and cycle-cocycle pairing of a
+    complex and one per group presentation (`zlin.cokernel`) of a
     (complex, degree). A second pass over the same suites factors nothing."""
     from charrig import cli, corpus, zlin
     from charrig.cochains import check_exactness
@@ -209,3 +210,29 @@ def test_warm_rerun_factors_nothing(monkeypatch):
                         lambda *a, **kw: calls.append(a) or real(*a, **kw))
     suites()
     assert calls == []
+
+
+def test_only_boundary_and_presentation_factorizations(monkeypatch):
+    """A cold pass of the exactness, diagram and equivalence suites factors
+    only boundary operators and group presentations: cocycles with given
+    periods come from the cycle basis, not from a factored pairing."""
+    from charrig import cli, corpus, zlin
+    from charrig.characters import verify_equivalence
+    from charrig.cochains import check_exactness
+    from charrig.simplicial import load_complex
+    callers = set()
+    real = zlin.smith_normal_form
+
+    def traced(*a, **kw):
+        callers.add(sys._getframe(1).f_code.co_name)
+        return real(*a, **kw)
+
+    monkeypatch.setattr(zlin, "smith_normal_form", traced)
+    for name in ("t2", "rp2", "klein"):
+        X = load_complex(corpus.resolve(name))
+        maps = cli._naturality_maps(X)
+        for k in (1, 2):
+            check_exactness(X, k, random.Random(0))
+            verify_diagram(X, k, random.Random(0), maps=maps)
+            verify_equivalence(X, k, random.Random(0), maps=maps)
+    assert callers <= {"_snf_boundary", "cokernel"}, callers

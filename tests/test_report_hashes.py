@@ -2,8 +2,9 @@
 
 Refactors of the linear algebra must not move any report. The table in
 data/report_hashes.json covers `inspect` on every corpus complex,
-`diagram` and `phi` at degrees 1 and 2 on s1, s2, t2 and rp2, `ring 1,1`
-on t2, `pseudo` on every shipped cycle, and on first barycentric
+`diagram` and `phi` at degrees 1 and 2 on s1, s2, t2 and rp2 and at
+degree 2 on klein and moore_z3, `ring 1,1` on t2 and moore_z3, `pseudo`
+on every shipped cycle, and on first barycentric
 subdivisions (sd1) `inspect` of t2, rp2, klein and moore_z3, `diagram 1`
 and `phi 1`, `phi 2` of s2, all at seed 0. A change that is
 meant to alter reports regenerates the table from the repository root:
@@ -19,6 +20,7 @@ from charrig.simplicial import barycentric_subdivide, load_complex
 
 TABLE = Path(__file__).resolve().parent / "data" / "report_hashes.json"
 SUITE_SPACES = ("s1", "s2", "t2", "rp2")
+DEGREE2_SPACES = ("klein", "moore_z3")
 SD1_INSPECT = ("t2", "rp2", "klein", "moore_z3")
 
 
@@ -30,7 +32,11 @@ def _operations():
         for k in (1, 2):
             yield f"diagram {name} {k}", name, 0, cli.cmd_diagram, {"degree": k}
             yield f"phi {name} {k}", name, 0, cli.cmd_phi, {"degree": k}
-    yield "ring t2 1,1", "t2", 0, cli.cmd_ring, {"degrees": (1, 1)}
+    for name in DEGREE2_SPACES:
+        yield f"diagram {name} 2", name, 0, cli.cmd_diagram, {"degree": 2}
+        yield f"phi {name} 2", name, 0, cli.cmd_phi, {"degree": 2}
+    for name in ("t2", "moore_z3"):
+        yield f"ring {name} 1,1", name, 0, cli.cmd_ring, {"degrees": (1, 1)}
     for path in sorted((corpus.corpus_dir() / "cycles").glob("*.json")):
         name = json.loads(path.read_text())["complex"]
         yield (f"pseudo {path.stem}", name, 0, cli.cmd_pseudo,
