@@ -15,11 +15,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+from . import zlin
 from .cochains import (
     RING_Q, RING_QMODZ, RING_Z,
-    Cochain, CohomologyClass, NotACycle, QuotientForm, _mod1,
+    Cochain, CohomologyClass, NotACycle, QuotientForm,
     coboundary, cochain_on_cycle_basis, cohomology, cycle_basis,
     homology, is_integral_form, zero_cochain,
+    _cochain, _mod1, _normal_form, _over_common_denominator,
 )
 from .diffcocycle import (
     DiffClass, class_equal, delta1, delta2, i1 as dc_i1, i2 as dc_i2,
@@ -30,26 +32,36 @@ from .report import CheckResult, check
 from .simplicial import Complex, MismatchError, SimplicialMap
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Character:
-    """Q/Z values on the cycle basis of Z_{k-1} plus a compatible form."""
+    """Q/Z values f_num[t] / f_den on the cycle basis of Z_{k-1}, in the
+    normal form of a Q/Z cochain (0 <= f_num[t] < f_den, no common
+    factor), plus a compatible form omega."""
     cx: Complex
     degree: int
-    f_values: tuple       # Fractions in [0,1), one per cycle-basis element
+    f_num: tuple
+    f_den: int
     omega: Cochain        # rational degree-k cochain, in the integral forms
 
     def __post_init__(self):
         expected = len(cycle_basis(self.cx, self.degree - 1))
-        if len(self.f_values) != expected:
+        if len(self.f_num) != expected:
             raise ValueError(
                 f"degree-{self.degree} character needs {expected} values "
-                f"on the cycle basis, got {len(self.f_values)}")
-        object.__setattr__(self, "f_values",
-                           tuple(_mod1(v) for v in self.f_values))
+                f"on the cycle basis, got {len(self.f_num)}")
+        num, den = _normal_form(RING_QMODZ, self.f_num, self.f_den)
+        object.__setattr__(self, "f_num", num)
+        object.__setattr__(self, "f_den", den)
+
+    @property
+    def f_values(self) -> tuple:
+        """The values on the cycle basis as Fractions in [0, 1)."""
+        return tuple(Fraction(v, self.f_den) for v in self.f_num)
 
     @cached_property
     def _lift(self) -> Cochain:
-        return lift_T(self)
+        """The floor lift T reduced mod 1, a Q/Z cochain."""
+        return lift_T(self).mod1()
 
     def evaluate(self, z) -> Fraction:
         """Value on an integer (k-1)-cycle: the floor lift T takes f's
@@ -57,61 +69,47 @@ class Character:
         Smith-adapted basis, so f(z) = T(z) mod 1."""
         if not self.cx.is_cycle(self.degree - 1, z):
             raise NotACycle("chain has nonzero boundary")
-        return _mod1(self._lift.pair(z))
+        return self._lift.pair(z)
 
     def __eq__(self, other):
         if not isinstance(other, Character):
             return NotImplemented
         return (self.cx is other.cx and self.degree == other.degree
-                and self.f_values == other.f_values
-                and self.omega.values == other.omega.values)
+                and self.f_den == other.f_den and self.f_num == other.f_num
+                and self.omega == other.omega)
 
     __hash__ = None
 
-    def __add__(self, other):
-        return Character(self.cx, self.degree,
-                         tuple(a + b for a, b in zip(self.f_values, other.f_values)),
-                         self.omega + other.omega)
 
-    def __neg__(self):
-        return Character(self.cx, self.degree,
-                         tuple(-v for v in self.f_values), -self.omega)
-
-    def serialize(self):
-        return {"degree": self.degree,
-                "f": [[i, f"{v.numerator}/{v.denominator}"]
-                      for i, v in enumerate(self.f_values) if v],
-                "omega": self.omega.serialize()}
+def _character(cx: Complex, k: int, f_values, omega: Cochain) -> Character:
+    """The character with the given int or Fraction values on the cycle
+    basis."""
+    num, den = _over_common_denominator(f_values)
+    return Character(cx, k, num, den, omega)
 
 
 def is_character(cx: Complex, k: int, f_values, omega: Cochain) -> bool:
     """Compatibility f(boundary e) = omega(e) mod 1 on every basis k-chain,
-    with omega closed of integral periods."""
+    with omega closed of integral periods. As f(boundary e) = T(boundary e)
+    mod 1 for the lift T, that is delta T = omega mod 1."""
     if omega.degree != k or omega.ring not in (RING_Z, RING_Q):
         return False
     if not is_integral_form(omega):
         return False
-    K = cycle_basis(cx, k - 1)
-    if len(f_values) != len(K):
+    if len(f_values) != len(cycle_basis(cx, k - 1)):
         return False
-    ch = Character(cx, k, tuple(f_values), omega.to_q())
-    for e in range(cx.n_simplices(k)):
-        vec = [0] * cx.n_simplices(k)
-        vec[e] = 1
-        bnd = cx.boundary_of_chain(k, vec)
-        if ch.evaluate(bnd) != _mod1(omega.values[e]):
-            return False
-    return True
+    ch = _character(cx, k, f_values, omega.to_q())
+    return (coboundary(lift_T(ch)) - ch.omega).mod1().is_zero()
 
 
 def make_character(cx: Complex, k: int, f_values, omega: Cochain) -> Character:
     if not is_character(cx, k, f_values, omega):
         raise ValueError("data does not satisfy the character compatibility")
-    return Character(cx, k, tuple(f_values), omega.to_q())
+    return _character(cx, k, f_values, omega.to_q())
 
 
 def zero_character(cx: Complex, k: int) -> Character:
-    return Character(cx, k, (Fraction(0),) * len(cycle_basis(cx, k - 1)),
+    return Character(cx, k, (0,) * len(cycle_basis(cx, k - 1)), 1,
                      zero_cochain(cx, RING_Q, k))
 
 
@@ -124,13 +122,14 @@ def lift_T(ch: Character, strategy: str = "floor") -> Cochain:
     Built on the Smith-adapted basis of the chain group: zero on the
     complement of the cycles, a lift of f on the cycle basis.
     """
+    den = ch.f_den
     if strategy == "floor":
-        lifts = list(ch.f_values)
+        lifts = ch.f_num
     elif strategy == "centered":
-        lifts = [v if v <= Fraction(1, 2) else v - 1 for v in ch.f_values]
+        lifts = [v if 2 * v <= den else v - den for v in ch.f_num]
     else:
         raise ValueError(f"unknown lift strategy {strategy!r}")
-    return cochain_on_cycle_basis(ch.cx, ch.degree - 1, lifts, RING_Q)
+    return cochain_on_cycle_basis(ch.cx, ch.degree - 1, lifts, RING_Q, den)
 
 
 def _lift_and_cocycle(ch: Character, strategy: str):
@@ -138,7 +137,7 @@ def _lift_and_cocycle(ch: Character, strategy: str):
     integer-valued for a character (a RingError otherwise)."""
     T = lift_T(ch, strategy)
     diff = ch.omega - coboundary(T)
-    return T, Cochain(ch.cx, RING_Z, ch.degree, diff.values)
+    return T, _cochain(ch.cx, RING_Z, ch.degree, diff.num, diff.den)
 
 
 def delta2_via_lift(ch: Character, strategy: str = "floor") -> CohomologyClass:
@@ -152,10 +151,9 @@ def delta2_via_lift(ch: Character, strategy: str = "floor") -> CohomologyClass:
 
 def phi_direct(x: DiffClass) -> Character:
     """Character read off the h component on the cycle basis."""
-    k = x.degree
-    K = cycle_basis(x.cx, k - 1)
-    f = tuple(_mod1(x.rep.h.pair(z)) for z in K)
-    return Character(x.cx, k, f, x.rep.omega)
+    h = x.rep.h
+    f = [zlin.vec_dot(h.num, z) for z in cycle_basis(x.cx, x.degree - 1)]
+    return Character(x.cx, x.degree, f, h.den, x.rep.omega)
 
 
 def phi_inverse(ch: Character, strategy: str = "floor") -> DiffClass:
@@ -186,7 +184,7 @@ def _value_on_neighborhood(x: DiffClass, nb: GoodNeighborhood, z) -> Fraction:
     theta = lift_through_i2(pullback(nb.inclusion, y))
     j = x.degree - 1
     z_local = nb.chain_to_neighborhood(j, nb.transport_chain(j, z))
-    return _mod1(theta.rep.pair(z_local))
+    return theta.rep.mod1().pair(z_local)
 
 
 def evaluate_via_normalization(x: DiffClass, z) -> Fraction:
@@ -195,15 +193,14 @@ def evaluate_via_normalization(x: DiffClass, z) -> Fraction:
     cx = x.cx
     k = x.degree
     sr, pm = normalize_cycle(cx, k - 1, z)
-    omega_vals = delta1(x).values
+    omega_up = delta1(x)
     for sd in sr.tower:
-        omega_vals = sd.transport_values(k, omega_vals)
-    omega_up = Cochain(sr.complex, RING_Q, k, tuple(omega_vals))
+        omega_up = omega_up.pullback(sd.last_vertex)
     part_form = omega_up.pair(sr.witness)
     zP = pm.ambient_cycle()
     zP_base = sr.push_down_chain(k - 1, zP)
     part_char = phi_direct(x).evaluate(zP_base)
-    return _mod1(Fraction(part_form) + part_char)
+    return _mod1(part_form + part_char)
 
 
 # ---------------------------------------------------------------------------
@@ -213,18 +210,16 @@ def char_i1(u: CohomologyClass) -> Character:
     """H^{k-1}(Q/Z) included as the flat characters."""
     rep = u.group.cochain_for(u.coords)
     cx = rep.cx
-    K = cycle_basis(cx, rep.degree)
-    f = tuple(rep.pair(z) for z in K)
-    return Character(cx, rep.degree + 1, f,
+    f = [zlin.vec_dot(rep.num, z) for z in cycle_basis(cx, rep.degree)]
+    return Character(cx, rep.degree + 1, f, rep.den,
                      zero_cochain(cx, RING_Q, rep.degree + 1))
 
 
 def char_i2(theta: QuotientForm) -> Character:
     """Forms modulo integral forms included by integration mod 1."""
     rep = theta.rep
-    K = cycle_basis(rep.cx, rep.degree)
-    f = tuple(_mod1(rep.pair(z)) for z in K)
-    return Character(rep.cx, rep.degree + 1, f, coboundary(rep))
+    f = [zlin.vec_dot(rep.num, z) for z in cycle_basis(rep.cx, rep.degree)]
+    return Character(rep.cx, rep.degree + 1, f, rep.den, coboundary(rep))
 
 
 def char_pullback(phi: SimplicialMap, ch: Character) -> Character:
@@ -232,11 +227,10 @@ def char_pullback(phi: SimplicialMap, ch: Character) -> Character:
     if ch.cx is not phi.target:
         raise MismatchError("character does not live on the map's target")
     k = ch.degree
-    src = phi.source
-    K = cycle_basis(src, k - 1)
-    f = tuple(ch.evaluate(phi.push_chain(k - 1, list(z))) for z in K)
-    omega = Cochain(src, RING_Q, k, tuple(phi.pull_values(k, ch.omega.values)))
-    return Character(src, k, f, omega)
+    T = ch._lift
+    f = [zlin.vec_dot(T.num, phi.push_chain(k - 1, z))
+         for z in cycle_basis(phi.source, k - 1)]
+    return Character(phi.source, k, f, T.den, ch.omega.pullback(phi))
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +270,7 @@ def verify_equivalence(cx: Complex, k: int, rng, n_round_trips: int = 20,
         if phi_direct(dc_i2(th)) != char_i2(th):
             probs.append(("phi . i2 != i2 on the hom model",))
     for x in classes:
-        if phi_direct(x).omega.values != delta1(x).values:
+        if phi_direct(x).omega != delta1(x):
             probs.append(("delta1 not preserved",))
     results.append(check("phi.structure_compatibility", not probs, "",
                          {"problems": probs}))
@@ -324,17 +318,17 @@ def verify_equivalence(cx: Complex, k: int, rng, n_round_trips: int = 20,
     probs = []
     for u in sample_qmodz_classes(cx, k - 1, rng):
         ch = char_i1(u)
-        if (all(v == 0 for v in ch.f_values)) != u.is_zero():
+        if any(ch.f_num) == u.is_zero():
             probs.append(("hom-model i1 injectivity",))
     for x in classes:
         ch = phi_direct(x)
         if ch.omega.is_zero():
-            u = _flat_class_from_values(cx, k, ch.f_values)
+            u = cohomology(cx, k - 1, RING_QMODZ).class_from_cocycle(ch._lift)
             if char_i1(u) != ch:
                 probs.append(("flat character outside im(i1)",))
     for om in integral_form_generators(cx, k):
         ch = character_with_form(cx, k, om)
-        if ch.omega.to_q().values != om.to_q().values:
+        if ch.omega.to_q() != om.to_q():
             probs.append(("delta1 surjectivity on the hom model",))
     results.append(check("phi.five_lemma_rows", not probs, "",
                          {"problems": probs}))
@@ -355,14 +349,6 @@ def verify_equivalence(cx: Complex, k: int, rng, n_round_trips: int = 20,
     return results
 
 
-def _flat_class_from_values(cx: Complex, k: int, f_values) -> CohomologyClass:
-    """The Q/Z class whose cocycle extension restricts to f on cycles."""
-    ch = Character(cx, k, tuple(f_values), zero_cochain(cx, RING_Q, k))
-    T = lift_T(ch)
-    u = T.mod1()
-    return cohomology(cx, k - 1, RING_QMODZ).class_from_cocycle(u)
-
-
 def character_with_form(cx: Complex, k: int, omega: Cochain) -> Character:
     """Some character with the given integral form (delta1 surjectivity)."""
     from .diffcocycle import preimage_of_form
@@ -372,9 +358,8 @@ def character_with_form(cx: Complex, k: int, omega: Cochain) -> Character:
 def character_from_holonomies(cx: Complex, k: int, f_values) -> Character:
     """The character with the given values on the cycle basis and the
     exact form of its canonical lift (any holonomy data is realizable)."""
-    ch0 = Character(cx, k, tuple(f_values), zero_cochain(cx, RING_Q, k))
-    T = lift_T(ch0)
-    return Character(cx, k, tuple(f_values), coboundary(T))
+    ch0 = _character(cx, k, f_values, zero_cochain(cx, RING_Q, k))
+    return Character(cx, k, ch0.f_num, ch0.f_den, coboundary(lift_T(ch0)))
 
 
 def verify_phi_good(cx: Complex, k: int, rng, n_pairs: int = 6,
@@ -427,7 +412,7 @@ def verify_phi_good(cx: Complex, k: int, rng, n_pairs: int = 6,
         vec = [0] * n_k
         vec[e] = 1
         bnd = cx.boundary_of_chain(k, vec)
-        if phi_direct(x).evaluate(bnd) != _mod1(delta1(x).values[e]):
+        if phi_direct(x).evaluate(bnd) != delta1(x).mod1().pair(vec):
             probs.append(("boundary evaluation misses the form", e))
     results.append(check("phi.boundary_formula", not probs,
                          f"{min(n_k, 3)} basis chains", {"problems": probs}))

@@ -22,8 +22,8 @@ from .characters import verify_equivalence, verify_phi_good
 from .diffcocycle import verify_diagram
 from .geometry import (
     BoundResult, DimensionError, GeometryBudgetExceeded, NotNullHomologous,
-    bound_in_good_neighborhood, cohomology_vanishes_above, normalize_cycle,
-    verify_normalization,
+    SurgeryError, bound_in_good_neighborhood, cohomology_vanishes_above,
+    normalize_cycle, verify_normalization,
 )
 from .product import verify_ring_axioms
 from .report import Report, check
@@ -47,10 +47,14 @@ def _naturality_maps(cx: Complex):
 
 def _run_tasks(rep: Report, tasks):
     """Evaluate (name, callable) tasks in order, add their results to the
-    report and record each task's wall time under its name."""
+    report and record each task's wall time under its name. A failed
+    surgery invariant becomes the failed check <command>.<task name>."""
     for name, fn in tasks:
         t0 = time.monotonic()
-        out = fn()
+        try:
+            out = fn()
+        except SurgeryError as e:
+            out = check(f"{rep.command}.{name}", False, str(e), e.witness)
         rep.timings_ms[name] = int((time.monotonic() - t0) * 1000)
         rep.extend(out if isinstance(out, list) else [out])
 
@@ -99,7 +103,7 @@ def cmd_inspect(cx: Complex, args, jobs: int) -> Report:
         def forms(j=j):
             gens = integral_form_generators(cx, j)
             bad = [t for t, g in enumerate(gens)
-                   if any(v.denominator != 1 for v in g.values)
+                   if g.den != 1
                    or not coboundary(g).is_zero()]
             return check(f"inspect.integral_forms_{j}", not bad,
                          f"{len(gens)} generators (free classes + "
@@ -173,7 +177,9 @@ def cmd_pseudo(cx: Complex, args, jobs: int) -> Report:
                           f"not null-homologous in {out.group}",
                           {"witness_class": list(out.coords),
                            "pseudomanifold": pm.serialize()})]
-        assert isinstance(out, BoundResult)
+        if not isinstance(out, BoundResult):
+            raise SurgeryError("bounding gave neither a chain nor a class",
+                               {"returned": type(out).__name__})
         nb = out.neighborhood
         # the chain must bound the carried cycle, and H^j must vanish
         # above nb.k in the neighborhood

@@ -1,11 +1,14 @@
 """Cochains over Z, Q and Q/Z, their cohomology, the cup product, and the
 two long exact sequences feeding the character diagram.
 
-Coefficient conventions: "R" is realized as Q and "R/Z" as Q/Z, with Q/Z
-values stored as Fractions reduced to [0, 1). H^j(Q/Z) is presented as
-Hom(H_j, Q/Z): an element is its tuple of evaluations on a fixed homology
-generator basis (free generators first, then one coordinate per torsion
-factor), and a representative cocycle is synthesized on demand.
+Coefficient conventions: "R" is realized as Q and "R/Z" as Q/Z. A cochain
+holds integer numerators over one positive common denominator, in the
+normal form given in `Cochain`, so sums, coboundaries, cup products and
+pairings are integer operations with at most one division at the end.
+H^j(Q/Z) is presented as Hom(H_j, Q/Z): an element is its tuple of
+evaluations on a fixed homology generator basis (free generators first,
+then one coordinate per torsion factor), and a representative cocycle is
+synthesized on demand.
 """
 from __future__ import annotations
 
@@ -36,114 +39,183 @@ def _mod1(x) -> Fraction:
     return x - floor(x)
 
 
+def _over_common_denominator(values):
+    """Integers num and den > 0 with values[i] = num[i] / den, for int or
+    Fraction values."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 # ---------------------------------------------------------------------------
 # cochains
 
-@dataclass(frozen=True)
 class Cochain:
-    cx: Complex
-    ring: str
-    degree: int
-    values: tuple
+    """A degree-j cochain taking the value num[i] / den on the i-th
+    j-simplex.
 
-    def __post_init__(self):
-        n = self.cx.n_simplices(self.degree) if self.degree >= 0 else 0
-        if len(self.values) != n:
+    Normal form, which every operation keeps: den = 1 over Z; over Q,
+    den > 0 and gcd(den, num[0], num[1], ...) = 1; over Q/Z also
+    0 <= num[i] < den, so each value is its representative in [0, 1).
+    `Cochain(cx, ring, degree, values)` takes ints or Fractions, and
+    `values` gives them back (Fractions over Q and Q/Z). Two cochains are
+    equal when they live on the same complex object with the same ring,
+    degree and normal form; cochains are not hashable.
+    """
+
+    __slots__ = ("cx", "ring", "degree", "num", "den")
+    __hash__ = None
+
+    def __init__(self, cx: Complex, ring: str, degree: int, values):
+        n = cx.n_simplices(degree)
+        if len(values) != n:
             raise ValueError(
-                f"degree-{self.degree} cochain on {self.cx.name} needs "
-                f"{n} values, got {len(self.values)}")
+                f"degree-{degree} cochain on {cx.name} needs "
+                f"{n} values, got {len(values)}")
+        if ring not in (RING_Z, RING_Q, RING_QMODZ):
+            raise RingError(f"unknown ring {ring!r}")
+        num, den = _over_common_denominator(
+            [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values])
+        self.cx, self.ring, self.degree = cx, ring, degree
+        self.num, self.den = _normal_form(ring, num, den)
+
+    @property
+    def values(self) -> tuple:
+        """The values: ints over Z, Fractions over Q and Q/Z."""
         if self.ring == RING_Z:
-            vals = tuple(int(v) for v in self.values)
-            if any(v != w for v, w in zip(vals, self.values)):
-                raise RingError("non-integer value in a Z cochain")
-        elif self.ring == RING_Q:
-            vals = tuple(Fraction(v) for v in self.values)
-        elif self.ring == RING_QMODZ:
-            vals = tuple(_mod1(v) for v in self.values)
-        else:
-            raise RingError(f"unknown ring {self.ring!r}")
-        object.__setattr__(self, "values", vals)
+            return self.num
+        return tuple(Fraction(v, self.den) for v in self.num)
+
+    def __eq__(self, other):
+        if not isinstance(other, Cochain):
+            return NotImplemented
+        return (self.cx is other.cx and self.ring == other.ring
+                and self.degree == other.degree and self.den == other.den
+                and self.num == other.num)
+
+    def __repr__(self):
+        return (f"Cochain({self.cx.name}, {self.ring}, degree {self.degree}, "
+                f"{self.num} / {self.den})")
 
     def is_zero(self) -> bool:
-        return all(v == 0 for v in self.values)
+        return not any(self.num)
 
-    def _compatible(self, other: "Cochain"):
+    def _add_scaled(self, other: "Cochain", sign: int) -> "Cochain":
+        """self + sign * other over the least common denominator."""
         if self.cx is not other.cx:
             raise MismatchError("cochains live on different complexes")
         if self.degree != other.degree or self.ring != other.ring:
             raise RingError("degree or ring mismatch")
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, sign * (den // other.den)
+        return _cochain(self.cx, self.ring, self.degree,
+                        [a * x + b * y for x, y in zip(self.num, other.num)], den)
 
     def __add__(self, other):
-        self._compatible(other)
-        return Cochain(self.cx, self.ring, self.degree,
-                       tuple(a + b for a, b in zip(self.values, other.values)))
+        return self._add_scaled(other, 1)
 
     def __sub__(self, other):
-        self._compatible(other)
-        return Cochain(self.cx, self.ring, self.degree,
-                       tuple(a - b for a, b in zip(self.values, other.values)))
+        return self._add_scaled(other, -1)
 
     def __neg__(self):
-        return Cochain(self.cx, self.ring, self.degree,
-                       tuple(-v for v in self.values))
+        return _cochain(self.cx, self.ring, self.degree,
+                        [-v for v in self.num], self.den)
 
     def scale(self, c):
-        if self.ring == RING_Z and Fraction(c).denominator != 1:
+        """c times the cochain, for an int or Fraction c (an int over Z)."""
+        p, q = c.numerator, c.denominator
+        if self.ring == RING_Z and q != 1:
             raise RingError("cannot scale a Z cochain by a non-integer")
-        return Cochain(self.cx, self.ring, self.degree,
-                       tuple(c * v for v in self.values))
+        return _cochain(self.cx, self.ring, self.degree,
+                        [p * v for v in self.num], self.den * q)
 
     def pair(self, chain_vec):
-        """Evaluate on a chain coefficient vector (Q/Z values come back mod 1)."""
-        total = zlin.vec_dot(self.values, chain_vec)
-        return _mod1(total) if self.ring == RING_QMODZ else total
+        """Evaluate on a chain coefficient vector: an int over Z, a Fraction
+        over Q, a Fraction in [0, 1) over Q/Z."""
+        total = zlin.vec_dot(self.num, chain_vec)
+        if self.ring == RING_Z:
+            return total
+        if self.ring == RING_QMODZ:
+            total %= self.den
+        return Fraction(total, self.den)
 
     def to_q(self) -> "Cochain":
         """View over Q (Z inclusion, or the canonical [0,1) lift of Q/Z)."""
-        return Cochain(self.cx, RING_Q, self.degree,
-                       tuple(Fraction(v) for v in self.values))
+        return _cochain(self.cx, RING_Q, self.degree, self.num, self.den)
 
     def mod1(self) -> "Cochain":
         if self.ring == RING_QMODZ:
             return self
-        return Cochain(self.cx, RING_QMODZ, self.degree, self.values)
+        return _cochain(self.cx, RING_QMODZ, self.degree, self.num, self.den)
+
+    def pullback(self, phi) -> "Cochain":
+        """phi^* of the cochain along a simplicial map into its complex."""
+        if self.cx is not phi.target:
+            raise MismatchError("cochain does not live on the map's target")
+        return _cochain(phi.source, self.ring, self.degree,
+                        phi.pull_values(self.degree, self.num), self.den)
 
     def serialize(self) -> dict:
         vals = {}
-        for i, v in enumerate(self.values):
+        den = self.den
+        for i, v in enumerate(self.num):
             if v:
                 key = ",".join(map(str, self.cx.simplices[self.degree][i]))
-                f = Fraction(v)
-                vals[key] = f"{f.numerator}/{f.denominator}"
+                g = gcd(v, den)
+                vals[key] = f"{v // g}/{den // g}"
         return {"ring": self.ring, "degree": self.degree, "values": vals}
 
 
+def _normal_form(ring: str, num, den: int):
+    """(num, den) in the normal form of `Cochain`, for integers num and
+    den > 0: reduced mod den over Q/Z, then one gcd pass; a RingError when
+    a Z cochain is not integral."""
+    if ring == RING_QMODZ:
+        num = [v % den for v in num]
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = [v // g for v in num]
+            den //= g
+        if ring == RING_Z and den != 1:
+            raise RingError("non-integer value in a Z cochain")
+    return tuple(num), den
+
+
+def _cochain(cx: Complex, ring: str, degree: int, num, den: int = 1) -> Cochain:
+    """The trusted constructor: integer numerators over a positive
+    denominator, brought to normal form, with no further validation."""
+    x = object.__new__(Cochain)
+    x.cx, x.ring, x.degree = cx, ring, degree
+    x.num, x.den = _normal_form(ring, num, den)
+    return x
+
+
 def zero_cochain(cx: Complex, ring: str, degree: int) -> Cochain:
-    n = cx.n_simplices(degree) if degree >= 0 else 0
-    return Cochain(cx, ring, degree, (0,) * n)
+    return _cochain(cx, ring, degree, (0,) * cx.n_simplices(degree))
 
 
 def basis_cochain(cx: Complex, ring: str, degree: int, i: int) -> Cochain:
-    n = cx.n_simplices(degree)
-    vals = [0] * n
+    vals = [0] * cx.n_simplices(degree)
     vals[i] = 1
-    return Cochain(cx, ring, degree, tuple(vals))
+    return _cochain(cx, ring, degree, vals)
 
 
 def unit_cochain(cx: Complex) -> Cochain:
-    return Cochain(cx, RING_Z, 0, (1,) * cx.n_simplices(0))
+    return _cochain(cx, RING_Z, 0, (1,) * cx.n_simplices(0))
+
+
+def _coboundary_num(x: Cochain) -> list:
+    """Numerators of delta x over x.den, not reduced."""
+    j = x.degree + 1
+    if j <= 0:
+        return [0] * x.cx.n_simplices(j)
+    num = x.num
+    return [sum(s * num[r] for r, s in col) for col in x.cx.faces_with_signs(j)]
 
 
 def coboundary(x: Cochain) -> Cochain:
     """delta x = x applied to boundaries; Q/Z values are reduced mod 1."""
-    cx = x.cx
-    j = x.degree + 1
-    n = cx.n_simplices(j)
-    out = [0] * n
-    if 0 < j <= cx.dim and x.degree >= 0:
-        for c, col in enumerate(cx.faces_with_signs(j)):
-            out[c] = sum(sign * x.values[r] for r, sign in col)
-    return Cochain(cx, x.ring, j, tuple(out))
+    return _cochain(x.cx, x.ring, x.degree + 1, _coboundary_num(x), x.den)
 
 
 def cup(x: Cochain, y: Cochain) -> Cochain:
@@ -160,13 +232,14 @@ def cup(x: Cochain, y: Cochain) -> Cochain:
     if n and k >= 0 and l >= 0:
         front_index = cx.index[k]
         back_index = cx.index[l]
+        xs, ys = x.num, y.num
         for c, s in enumerate(cx.simplices[k + l]):
-            a = x.values[front_index[s[:k + 1]]]
+            a = xs[front_index[s[:k + 1]]]
             if a:
-                b = y.values[back_index[s[k:]]]
+                b = ys[back_index[s[k:]]]
                 if b:
                     out[c] = a * b
-    return Cochain(cx, ring, k + l, tuple(out))
+    return _cochain(cx, ring, k + l, out, x.den * y.den)
 
 
 def cup_int_qmodz(c: Cochain, u: Cochain) -> Cochain:
@@ -235,13 +308,14 @@ def cycle_coords(cx: Complex, j: int, vec):
     return [zlin.vec_dot(row, vec) for row in fact.Vinv[fact.rank:]]
 
 
-def cochain_on_cycle_basis(cx: Complex, j: int, values, ring: str) -> Cochain:
-    """The j-cochain with the given values on the cycle basis that vanishes
-    on the rest of the Smith-adapted basis of C_j: the sum of values[t]
-    times row rank + t of Vinv."""
+def cochain_on_cycle_basis(cx: Complex, j: int, num, ring: str,
+                           den: int = 1) -> Cochain:
+    """The j-cochain with the values num[t] / den on the cycle basis that
+    vanishes on the rest of the Smith-adapted basis of C_j: the sum of
+    num[t] times row rank + t of Vinv, over den."""
     fact = _snf_boundary(cx, j)
-    vals = zlin.combine(values, fact.Vinv[fact.rank:], cx.n_simplices(j))
-    return Cochain(cx, ring, j, tuple(vals))
+    return _cochain(cx, ring, j, zlin.combine(
+        num, fact.Vinv[fact.rank:], cx.n_simplices(j)), den)
 
 
 def cocycle_basis(cx: Complex, j: int):
@@ -263,10 +337,16 @@ def cocycle_coords(cx: Complex, j: int, values):
     return zlin.combine(values, fact.Uinv, fact.shape[0])[fact.rank:]
 
 
-def solve_coboundary(cx: Complex, j: int, b, integral: bool):
-    """A j-cochain x (values) with delta x = b, integer when `integral`
-    and rational otherwise, or None when there is none."""
-    return zlin.solve_transposed(_snf_boundary(cx, j + 1), b, integral)
+def solve_coboundary(cx: Complex, j: int, b: Cochain, integral: bool):
+    """A j-cochain x with delta x = b, over Z when `integral` and over Q
+    otherwise, or None when there is none."""
+    if integral and b.den != 1:
+        return None
+    sol = zlin.solve_transposed(_snf_boundary(cx, j + 1), b.num, integral)
+    if sol is None:
+        return None
+    x, e = sol
+    return _cochain(cx, RING_Z if integral else RING_Q, j, x, e * b.den)
 
 
 @dataclass(frozen=True)
@@ -291,8 +371,9 @@ class HomologyData:
         """The cochain taking the values `coords` on `gen_cycles` (trailing
         ones may be left out); a cocycle when they define a homomorphism
         H_j -> ring: zero on torsion over Z and Q, in (1/d)Z over Q/Z."""
-        psi = zlin.combine(coords, self.fg._proj_rows, self.fg.ambient)
-        return cochain_on_cycle_basis(self.cx, self.degree, psi, ring)
+        num, den = _over_common_denominator(coords)
+        psi = zlin.combine(num, self.fg._proj_rows, self.fg.ambient)
+        return cochain_on_cycle_basis(self.cx, self.degree, psi, ring, den)
 
 
 def homology(cx: Complex, j: int) -> HomologyData:
@@ -367,8 +448,8 @@ class ZCohomology:
                                   for e in _units(self.fg.n_coords))
 
     def _materialize(self, wcoords) -> Cochain:
-        vals = zlin.combine(wcoords, self._W, self.cx.n_simplices(self.degree))
-        return Cochain(self.cx, RING_Z, self.degree, tuple(vals))
+        return _cochain(self.cx, RING_Z, self.degree, zlin.combine(
+            wcoords, self._W, self.cx.n_simplices(self.degree)))
 
     def make(self, coords) -> CohomologyClass:
         return CohomologyClass(self, self.fg.reduce(coords))
@@ -379,9 +460,9 @@ class ZCohomology:
     def class_from_cocycle(self, coch: Cochain) -> CohomologyClass:
         if coch.ring != RING_Z or coch.degree != self.degree or coch.cx is not self.cx:
             raise RingError("expected an integral cocycle of the right degree")
-        if not coboundary(coch).is_zero():
+        if any(_coboundary_num(coch)):
             raise ValueError("cochain is not a cocycle")
-        w = cocycle_coords(self.cx, self.degree, coch.values)
+        w = cocycle_coords(self.cx, self.degree, coch.num)
         return self.make(self.fg.project(w))
 
     def cochain_for(self, coords) -> Cochain:
@@ -414,13 +495,12 @@ class QCohomology:
         if coch.ring not in (RING_Z, RING_Q) or coch.degree != self.degree \
                 or coch.cx is not self.cx:
             raise RingError("expected a rational cocycle of the right degree")
-        if not coboundary(coch).is_zero():
+        if any(_coboundary_num(coch)):
             raise ValueError("cochain is not a cocycle")
-        return self.make(tuple(Fraction(coch.pair(z)) for z in self.free_cycles))
+        return self.make(tuple(coch.pair(z) for z in self.free_cycles))
 
     def cochain_for(self, coords) -> Cochain:
-        return self.hom.cochain_with_periods(
-            [Fraction(c) for c in coords], RING_Q)
+        return self.hom.cochain_with_periods(coords, RING_Q)
 
     def describe(self) -> str:
         return " + ".join(["Q"] * self.rank) if self.rank else "0"
@@ -466,7 +546,7 @@ class QmodZCohomology:
         if coch.ring != RING_QMODZ or coch.degree != self.degree \
                 or coch.cx is not self.cx:
             raise RingError("expected a Q/Z cochain of the right degree")
-        if not coboundary(coch).is_zero():
+        if any(v % coch.den for v in _coboundary_num(coch)):
             raise ValueError("cochain is not a cocycle mod 1")
         return self.make(tuple(coch.pair(z) for z in self.hom.gen_cycles))
 
@@ -508,12 +588,11 @@ def is_integral_form(omega: Cochain) -> bool:
     """Closed with integer evaluation on every integer cycle."""
     if omega.ring not in (RING_Z, RING_Q):
         raise RingError("integral forms are rational cochains")
-    if not coboundary(omega).is_zero():
+    if any(_coboundary_num(omega)):
         return False
-    for z in cycle_basis(omega.cx, omega.degree):
-        if Fraction(omega.pair(z)).denominator != 1:
-            return False
-    return True
+    return omega.den == 1 or not any(
+        zlin.vec_dot(omega.num, z) % omega.den
+        for z in cycle_basis(omega.cx, omega.degree))
 
 
 class QuotientForm:
@@ -546,9 +625,6 @@ class QuotientForm:
     def __repr__(self):
         return f"QuotientForm(deg {self.rep.degree} on {self.rep.cx.name})"
 
-    def serialize(self):
-        return {"quotient_form": self.rep.serialize()}
-
 
 def integral_form_generators(cx: Complex, k: int):
     """A finite generating family of the integral forms in degree k, as Z
@@ -557,7 +633,7 @@ def integral_form_generators(cx: Complex, k: int):
     hz = cohomology(cx, k, RING_Z)
     gens = list(hz.gen_cochains[:hz.rank])
     # the coboundary of the t-th basis (k-1)-cochain is row t of d_k
-    gens.extend(Cochain(cx, RING_Z, k, tuple(row))
+    gens.extend(_cochain(cx, RING_Z, k, row)
                 for row in cx._boundary_any(k) if any(row))
     return gens
 
@@ -579,17 +655,16 @@ def bockstein_of_cocycle(rep: Cochain, strategy: str = "floor") -> CohomologyCla
     if rep.ring != RING_QMODZ:
         raise RingError("expected a Q/Z cocycle")
     if strategy == "floor":
-        lift = rep.to_q()
+        num = rep.num
     elif strategy == "centered":
-        lift = Cochain(rep.cx, RING_Q, rep.degree,
-                       tuple(v if v <= Fraction(1, 2) else v - 1 for v in rep.values))
+        num = [v if 2 * v <= rep.den else v - rep.den for v in rep.num]
     else:
         raise ValueError(f"unknown lift strategy {strategy!r}")
-    c = coboundary(lift)
-    if any(v.denominator != 1 for v in c.values):
+    c = coboundary(_cochain(rep.cx, RING_Q, rep.degree, num, rep.den))
+    if c.den != 1:
         raise ValueError("input was not a cocycle mod 1")
-    c_int = Cochain(rep.cx, RING_Z, c.degree, tuple(int(v) for v in c.values))
-    return cohomology(rep.cx, c.degree, RING_Z).class_from_cocycle(c_int)
+    return cohomology(rep.cx, c.degree, RING_Z).class_from_cocycle(
+        _cochain(rep.cx, RING_Z, c.degree, c.num))
 
 
 def alpha(x: CohomologyClass) -> CohomologyClass:
@@ -597,7 +672,7 @@ def alpha(x: CohomologyClass) -> CohomologyClass:
     if x.group.ring != RING_Q:
         raise RingError("alpha starts from a rational class")
     g = cohomology(x.group.cx, x.group.degree, RING_QMODZ)
-    coords = [_mod1(c) for c in x.coords] + [Fraction(0)] * len(g.torsion)
+    coords = list(x.coords) + [Fraction(0)] * len(g.torsion)
     return g.make(coords)
 
 
@@ -721,12 +796,11 @@ def check_exactness(cx: Complex, k: int, rng=None) -> list[CheckResult]:
             probs.append(("torsion class survives rationally", t))
             continue
         c = tors.cocycle()
-        dc = c.scale(d)
-        b = solve_coboundary(cx, k - 1, dc.values, integral=True)
+        b = solve_coboundary(cx, k - 1, c.scale(d), integral=True)
         if b is None:
             probs.append(("d*c is not an integral coboundary", t))
             continue
-        u = Cochain(cx, RING_QMODZ, k - 1, tuple(Fraction(v, d) for v in b))
+        u = _cochain(cx, RING_QMODZ, k - 1, b.num, d)
         phi = hqz_prev.class_from_cocycle(u)
         if bockstein(phi) != tors:
             probs.append(("constructed Bockstein preimage misses the class", t))
@@ -798,12 +872,12 @@ def check_exactness(cx: Complex, k: int, rng=None) -> list[CheckResult]:
         if not s_class_of_form(omega).is_zero():
             probs.append(("exact form has nonzero rational class", idx))
             continue
-        rho = solve_coboundary(cx, k - 1, omega.values, integral=False)
+        rho = solve_coboundary(cx, k - 1, omega, integral=False)
         if rho is None:
             probs.append(("exact form not solvable as a coboundary", idx))
             continue
-        theta = QuotientForm(Cochain(cx, RING_Q, k - 1, tuple(rho)))
-        if d_of_quotient(theta).values != omega.values:
+        theta = QuotientForm(rho)
+        if d_of_quotient(theta) != omega:
             probs.append(("primitive does not reproduce the form", idx))
         else:
             wit.append({"sample": idx})

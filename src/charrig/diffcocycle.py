@@ -15,12 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import zlin
 from .cochains import (
     RING_Q, RING_QMODZ, RING_Z,
     Cochain, CohomologyClass, QuotientForm,
     basis_cochain, coboundary, cochain_on_cycle_basis, cohomology,
     cycle_basis, is_integral_form, integral_form_generators,
-    solve_coboundary, zero_cochain, _units,
+    solve_coboundary, zero_cochain, _coboundary_num, _cochain, _units,
 )
 from .report import CheckResult, check
 from .simplicial import Complex, MismatchError, SimplicialMap
@@ -45,9 +46,13 @@ class DifferentialCocycle:
         k = c.degree
         if h.degree != k - 1 or omega.degree != k:
             raise ValueError("component degrees must be (k, k-1, k)")
-        if not coboundary(c).is_zero():
+        # both identities as integer comparisons over the denominators:
+        # delta c = 0, and delta h = omega - c, cross-multiplied
+        if any(_coboundary_num(c)):
             raise ValueError("c is not a cocycle")
-        if not (coboundary(h) - (omega - c.to_q())).is_zero():
+        hd, od = h.den, omega.den
+        if any(dh * od != (w - ci * od) * hd for dh, w, ci
+               in zip(_coboundary_num(h), omega.num, c.num)):
             raise ValueError("delta h != omega - c")
 
     @property
@@ -96,10 +101,6 @@ class DiffClass:
     def __repr__(self):
         return f"DiffClass(deg {self.degree} on {self.cx.name})"
 
-    def serialize(self):
-        return {"c": self.rep.c.serialize(), "h": self.rep.h.serialize(),
-                "omega": self.rep.omega.serialize()}
-
 
 def make_class(c: Cochain, h: Cochain, omega: Cochain) -> DiffClass:
     return DiffClass(DifferentialCocycle(c, h, omega))
@@ -133,25 +134,22 @@ def _decide_equivalence(x: DiffClass, y: DiffClass, want_witness: bool):
         raise MismatchError("classes live on different complexes or degrees")
     cx = x.cx
     k = x.degree
-    if not (x.rep.omega - y.rep.omega).is_zero():
+    if x.rep.omega != y.rep.omega:
         return None
-    dc = x.rep.c - y.rep.c
-    b0 = solve_coboundary(cx, k - 1, dc.values, integral=True)
+    b0 = solve_coboundary(cx, k - 1, x.rep.c - y.rep.c, integral=True)
     if b0 is None:
         return None
-    v = (x.rep.h - y.rep.h) + Cochain(cx, RING_Q, k - 1, tuple(b0))
-    t = [Fraction(v.pair(z)) for z in cycle_basis(cx, k - 1)]
-    if any(f.denominator != 1 for f in t):
+    v = (x.rep.h - y.rep.h) + b0.to_q()
+    periods = [zlin.vec_dot(v.num, z) for z in cycle_basis(cx, k - 1)]
+    if any(p % v.den for p in periods):
         return None
     if not want_witness:
         return True
-    n = cochain_on_cycle_basis(cx, k - 1, t, RING_Z)
-    b = Cochain(cx, RING_Z, k - 1, tuple(b0)) - n
-    s_vals = solve_coboundary(cx, k - 2, (v - n.to_q()).values, integral=False)
-    if s_vals is None:
+    n = cochain_on_cycle_basis(cx, k - 1, [p // v.den for p in periods], RING_Z)
+    s = solve_coboundary(cx, k - 2, v - n.to_q(), integral=False)
+    if s is None:
         raise AssertionError("witness reconstruction failed on an exact cochain")
-    s = Cochain(cx, RING_Q, k - 2, tuple(s_vals))
-    return b, s
+    return b0 - n, s
 
 
 def equivalence_witness(x: DiffClass, y: DiffClass):
@@ -179,9 +177,9 @@ def i1(u: CohomologyClass) -> DiffClass:
 def i1_of_cocycle(rep: Cochain) -> DiffClass:
     h = rep.to_q()
     dh = coboundary(h)
-    if any(v.denominator != 1 for v in dh.values):
+    if dh.den != 1:
         raise ValueError("representative is not a cocycle mod 1")
-    c = Cochain(rep.cx, RING_Z, dh.degree, tuple(-v.numerator for v in dh.values))
+    c = _cochain(rep.cx, RING_Z, dh.degree, [-v for v in dh.num])
     return make_class(c, h, zero_cochain(rep.cx, RING_Q, dh.degree))
 
 
@@ -205,23 +203,17 @@ def pullback(phi: SimplicialMap, x: DiffClass) -> DiffClass:
     """Componentwise cochain pullback along a simplicial map."""
     if x.cx is not phi.target:
         raise MismatchError("class does not live on the map's target")
-    k = x.degree
-    src = phi.source
-    c = Cochain(src, RING_Z, k, tuple(phi.pull_values(k, x.rep.c.values)))
-    h = Cochain(src, RING_Q, k - 1, tuple(phi.pull_values(k - 1, x.rep.h.values)))
-    om = Cochain(src, RING_Q, k, tuple(phi.pull_values(k, x.rep.omega.values)))
-    return make_class(c, h, om)
+    r = x.rep
+    return make_class(r.c.pullback(phi), r.h.pullback(phi),
+                      r.omega.pullback(phi))
 
 
 def lift_through_i2(x: DiffClass) -> QuotientForm:
     """The unique quotient form with i2(theta) = x; needs delta2(x) = 0."""
-    cx = x.cx
-    k = x.degree
-    b = solve_coboundary(cx, k - 1, x.rep.c.values, integral=True)
+    b = solve_coboundary(x.cx, x.degree - 1, x.rep.c, integral=True)
     if b is None:
         raise NotInImage("delta2 obstruction: c is not an integral coboundary")
-    theta = x.rep.h + Cochain(cx, RING_Q, k - 1, tuple(b))
-    return QuotientForm(theta)
+    return QuotientForm(x.rep.h + b.to_q())
 
 
 # ---------------------------------------------------------------------------
@@ -241,13 +233,12 @@ def preimage_of_form(cx: Complex, omega: Cochain) -> DiffClass:
         raise ValueError("delta1 preimages exist only for integral forms")
     omega = omega.to_q()
     k = omega.degree
-    periods = [omega.pair(z) for z in cycle_basis(cx, k)]
+    periods = [zlin.vec_dot(omega.num, z) // omega.den
+               for z in cycle_basis(cx, k)]
     c = cochain_on_cycle_basis(cx, k, periods, RING_Z)
-    diff = omega - c.to_q()
-    h_vals = solve_coboundary(cx, k - 1, diff.values, integral=False)
-    if h_vals is None:
+    h = solve_coboundary(cx, k - 1, omega - c.to_q(), integral=False)
+    if h is None:
         raise AssertionError("omega - c should be exact over Q")
-    h = Cochain(cx, RING_Q, k - 1, tuple(h_vals))
     return make_class(c, h, omega)
 
 
@@ -383,7 +374,7 @@ def verify_diagram(cx: Complex, k: int, rng, maps=None) -> list[CheckResult]:
                                     .scale(Fraction(1, 2)))]
     for idx, om in enumerate(forms):
         pre = preimage_of_form(cx, om)
-        if delta1(pre).values != om.to_q().values:
+        if delta1(pre) != om.to_q():
             probs.append(("delta1 surjectivity preimage failed", idx))
     results.append(check("diagonal.i1_delta1_exact", not probs,
                          f"{len(forms)} integral forms",
@@ -405,7 +396,7 @@ def verify_diagram(cx: Complex, k: int, rng, maps=None) -> list[CheckResult]:
     # face: delta1 . i2 = d on quotient forms
     probs = []
     for idx, th in enumerate(thetas):
-        if delta1(i2(th)).values != d_of_quotient(th).values:
+        if delta1(i2(th)) != d_of_quotient(th):
             probs.append(("delta1(i2(theta)) != d theta", idx))
     results.append(check("face.delta1_i2_eq_d", not probs,
                          f"{len(thetas)} forms", {"problems": probs}))
@@ -432,7 +423,6 @@ def verify_diagram(cx: Complex, k: int, rng, maps=None) -> list[CheckResult]:
         for mi, phi in enumerate(maps):
             if phi.target is not cx:
                 continue
-            src = phi.source
             for u in sample_qmodz_classes(cx, k - 1, rng, count=2):
                 lhs = pullback(phi, i1(u))
                 rhs = i1(pullback_class(phi, u))
@@ -440,14 +430,12 @@ def verify_diagram(cx: Complex, k: int, rng, maps=None) -> list[CheckResult]:
                     probs.append(("i1 naturality", mi))
             for th in sample_quotient_forms(cx, k, rng, count=2):
                 lhs = pullback(phi, i2(th))
-                rhs = i2(QuotientForm(Cochain(
-                    src, RING_Q, k - 1,
-                    tuple(phi.pull_values(k - 1, th.rep.values)))))
+                rhs = i2(QuotientForm(th.rep.pullback(phi)))
                 if not class_equal(lhs, rhs):
                     probs.append(("i2 naturality", mi))
             for x in sample_classes(cx, k, rng, count=3):
                 y = pullback(phi, x)
-                if delta1(y).values != tuple(phi.pull_values(k, delta1(x).values)):
+                if delta1(y) != delta1(x).pullback(phi):
                     probs.append(("delta1 naturality", mi))
                 if delta2(y) != pullback_class(phi, delta2(x)):
                     probs.append(("delta2 naturality", mi))
@@ -458,7 +446,5 @@ def verify_diagram(cx: Complex, k: int, rng, maps=None) -> list[CheckResult]:
 
 def pullback_class(phi: SimplicialMap, u: CohomologyClass) -> CohomologyClass:
     """phi^* on cohomology in any ring, through a representative cocycle."""
-    rep = u.group.cochain_for(u.coords)
-    pulled = Cochain(phi.source, rep.ring, rep.degree,
-                     tuple(phi.pull_values(rep.degree, rep.values)))
-    return cohomology(phi.source, rep.degree, rep.ring).class_from_cocycle(pulled)
+    rep = u.group.cochain_for(u.coords).pullback(phi)
+    return cohomology(phi.source, rep.degree, rep.ring).class_from_cocycle(rep)

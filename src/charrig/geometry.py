@@ -30,6 +30,15 @@ class DimensionError(Exception):
     pass
 
 
+class SurgeryError(Exception):
+    """An invariant of cycle surgery failed. This is a verifier finding,
+    not bad input: the CLI reports it as a failed check with `witness`."""
+
+    def __init__(self, message: str, witness: dict):
+        super().__init__(message)
+        self.witness = witness
+
+
 @dataclass(frozen=True)
 class NotNullHomologous:
     """Returned when a cycle has a nonzero homology class; carries the
@@ -260,8 +269,11 @@ def resolve_cycle(ambient: Complex, d: int, vec):
             entries = incident[f_idx]
             plus = sorted(p for p, s in entries if s > 0)
             minus = sorted(p for p, s in entries if s < 0)
-            assert len(plus) == len(minus), "cycle condition violated at a face"
             face = ambient.simplices[d - 1][f_idx]
+            if len(plus) != len(minus):
+                raise SurgeryError("cycle condition violated at a face",
+                                   {"face": list(face), "sheets":
+                                    [len(plus), len(minus)]})
             for a, b in zip(plus, minus):
                 for v in face:
                     sa = cell_tuples[a].index(v)
@@ -278,13 +290,17 @@ def resolve_cycle(ambient: Complex, d: int, vec):
     vertex_map = [0] * len(order)
     for root, members in classes.items():
         imgs = {cell_tuples[p][s] for p, s in members}
-        assert len(imgs) == 1, "glued slots map to different ambient vertices"
+        if len(imgs) != 1:
+            raise SurgeryError("glued slots map to different ambient vertices",
+                               {"vertices": sorted(imgs)})
         vertex_map[label[root]] = imgs.pop()
     tops = []
     coefs = []
     for pos, (i, coef) in enumerate(cells):
         labs = [label[uf.find((pos, slot))] for slot in range(d + 1)]
-        assert len(set(labs)) == d + 1, "cell collapsed during regluing"
+        if len(set(labs)) != d + 1:
+            raise SurgeryError("cell collapsed during regluing",
+                               {"cell": list(cell_tuples[pos])})
         sign = _sort_sign(labs)[1]
         tops.append(tuple(sorted(labs)))
         coefs.append(coef * sign)
@@ -369,9 +385,13 @@ def _split_chain(base: Complex, d: int, vec) -> SplitResult:
                 b1[c] -= sign * v
     # exactness of the bookkeeping: transported = boundary(b1) + cycle
     db = Y.boundary_of_chain(d + 1, b1)
-    assert all(z2[c] == db[c] + z_out[c] for c in range(Y.n_simplices(d))), \
-        "split witness identity failed"
-    assert all(abs(c) <= 1 for c in z_out), "split left a large coefficient"
+    bad = [list(Y.simplices[d][c]) for c in range(Y.n_simplices(d))
+           if z2[c] != db[c] + z_out[c]]
+    if bad:
+        raise SurgeryError("split witness identity failed", {"simplices": bad})
+    large = [list(Y.simplices[d][c]) for c, v in enumerate(z_out) if abs(v) > 1]
+    if large:
+        raise SurgeryError("split left a large coefficient", {"simplices": large})
     return SplitResult(base, 2, tower, Y, d, list(z2), z_out, b1)
 
 
@@ -421,7 +441,9 @@ def _local_homology_witness(base: Complex, tower, d: int, rho: int,
     sol = zlin.solve_integer(sub.boundary_matrix(d + 1),
                              _chain_to_subcomplex(incl, d, rhs),
                              ncols=sub.n_simplices(d + 1))
-    assert sol is not None, "local witness must exist inside a disk"
+    if sol is None:
+        raise SurgeryError("no local witness inside a disk",
+                           {"coface": list(base.simplices[d + 1][rho])})
     return incl.push_chain(d + 1, sol)
 
 
@@ -484,7 +506,10 @@ def bound_in_good_neighborhood(P: Pseudomanifold, base: Complex, tower,
         raise DimensionError("ambient dimension is below the bounding degree")
     from .cochains import _snf_boundary
     w = zlin.solve_integer([], zP, fact=_snf_boundary(ambient, k))
-    assert w is not None, "null-homologous cycle must bound"
+    if w is None:
+        raise SurgeryError("a null-homologous cycle does not bound",
+                           {"cycle": [list(ambient.simplices[d][i])
+                                      for i, c in enumerate(zP) if c]})
     if base.dim == k:
         # the cycle separates; pick the compact side by shifting with
         # multiples of the fundamental top cycles

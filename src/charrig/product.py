@@ -13,8 +13,6 @@ A real fix needs graded-commutative forms, which this model does not have.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .cochains import (
     QuotientForm, cup, cup_class_qmodz, cup_integral_classes, solve_coboundary,
 )
@@ -33,8 +31,7 @@ def star(x: DiffClass, y: DiffClass) -> DiffClass:
         raise MismatchError("factors live on different complexes")
     k = x.degree
     c = cup(x.rep.c, y.rep.c)
-    h = cup(x.rep.c.to_q(), y.rep.h).scale(Fraction((-1) ** k)) \
-        + cup(x.rep.h, y.rep.omega)
+    h = cup(x.rep.c, y.rep.h).scale((-1) ** k) + cup(x.rep.h, y.rep.omega)
     omega = cup(x.rep.omega, y.rep.omega)
     return make_class(c, h, omega)
 
@@ -93,9 +90,8 @@ def verify_ring_axioms(cx: Complex, degrees, rng, maps=None) -> list[CheckResult
         z = xs[(idx + 2) % len(xs)]
         left = star(star(x, y), z)
         right = star(x, star(y, z))
-        if left.rep.c.values != right.rep.c.values \
-                or left.rep.h.values != right.rep.h.values \
-                or left.rep.omega.values != right.rep.omega.values:
+        if left.rep.c != right.rep.c or left.rep.h != right.rep.h \
+                or left.rep.omega != right.rep.omega:
             probs.append(("associator is nonzero at cochain level", idx))
     results.append(check("ring.associativity", not probs,
                          "representative-level identity", {"problems": probs}))
@@ -114,7 +110,7 @@ def verify_ring_axioms(cx: Complex, degrees, rng, maps=None) -> list[CheckResult
                                 (delta1(lhs) - delta1(rhs)).serialize()})
         defect = delta1(lhs) - delta1(rhs)
         if not defect.is_zero():
-            sol = solve_coboundary(cx, k + l - 1, defect.values, integral=False)
+            sol = solve_coboundary(cx, k + l - 1, defect, integral=False)
             if sol is None:
                 defect_probs.append(("curvature defect is not exact", idx))
     results.append(check("ring.axiom_1_17_graded_commutativity", not probs,
@@ -129,7 +125,7 @@ def verify_ring_axioms(cx: Complex, degrees, rng, maps=None) -> list[CheckResult
     # 1.18: curvature is multiplicative at cochain level
     probs = []
     for idx, (x, y) in enumerate(pairs):
-        if delta1(star(x, y)).values != cup(delta1(x), delta1(y)).values:
+        if delta1(star(x, y)) != cup(delta1(x), delta1(y)):
             probs.append(idx)
     results.append(check("ring.axiom_1_18_curvature", not probs,
                          "cochain-level equality", {"failing_pairs": probs}))

@@ -505,10 +505,6 @@ class Subdivision:
                     out[ni] += sign * coef
         return out
 
-    def transport_values(self, j: int, values):
-        """Cochain values old -> new (pullback along last_vertex)."""
-        return self.last_vertex.pull_values(j, values)
-
 
 def barycentric_subdivide(base: Complex) -> Subdivision:
     key = "subdivision"

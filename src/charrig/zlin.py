@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 
 class ShapeError(Exception):
@@ -349,42 +350,54 @@ def cokernel(a, ambient: int | None = None, fact: SNFResult | None = None) -> Fg
 # solves through a Smith factorization
 
 def _divide_by_diag(fact: SNFResult, c, integral: bool):
-    """y with d_t y_t = c_t for t below the rank, or None when c is nonzero
-    past the rank or, for an integral solve, some d_t does not divide c_t."""
+    """Integers y and e > 0 with d_t y_t = e c_t for t below the rank, for
+    an integer vector c; e = 1 for an integral solve. None when c is
+    nonzero past the rank or, for an integral solve, some d_t does not
+    divide c_t."""
     r = fact.rank
     if any(c[r:]):
         return None
     pairs = list(zip(c, fact.diag[:r]))
-    if not integral:
-        return [Fraction(ct, d) for ct, d in pairs]
-    if any(ct % d for ct, d in pairs):
-        return None
-    return [ct // d for ct, d in pairs]
+    if integral:
+        if any(ct % d for ct, d in pairs):
+            return None
+        return [ct // d for ct, d in pairs], 1
+    e = lcm(*(d // gcd(ct, d) for ct, d in pairs))
+    return [ct * e // d for ct, d in pairs], e
 
 
 def _solve(fact: SNFResult, b, integral: bool):
-    """x with A x = b through U A V = S: S y = U b, x = V y."""
+    """x with A x = b through U A V = S: S y = U b, x = V y. b may hold
+    Fractions; a rational x comes back as Fractions."""
     m, n = fact.shape
     if len(b) != m:
         raise ShapeError(f"rhs length {len(b)} does not match {m} rows")
-    y = _divide_by_diag(fact, [vec_dot(row, b) for row in fact.U], integral)
-    if y is None:
+    q = lcm(*(v.denominator for v in b))
+    if integral and q != 1:
         return None
+    sol = _divide_by_diag(
+        fact, [int(vec_dot(row, b) * q) for row in fact.U], integral)
+    if sol is None:
+        return None
+    y, e = sol
     y += [0] * (n - len(y))
-    return [vec_dot(row, y) for row in fact.V]
+    x = [vec_dot(row, y) for row in fact.V]
+    return x if integral else [Fraction(v, e * q) for v in x]
 
 
 def solve_transposed(fact: SNFResult, b, integral: bool):
-    """x with A^T x = b from the factorization U A V = S of A itself, so
-    A^T = Vinv^T S^T Uinv^T: S^T y = V^T b and x = U^T y. An integer
-    solution when `integral`, else a rational one; None when unsolvable."""
+    """Integers x and e > 0 with A^T x = e b, for an integer vector b, from
+    the factorization U A V = S of A itself, so A^T = Vinv^T S^T Uinv^T:
+    S^T y = V^T b and x = U^T y. e = 1 when `integral`; None when there
+    is no solution (over Z when `integral`, else over Q)."""
     m, n = fact.shape
     if len(b) != n:
         raise ShapeError(f"rhs length {len(b)} does not match {n} columns")
-    y = _divide_by_diag(fact, combine(b, fact.V, n), integral)
-    if y is None:
+    sol = _divide_by_diag(fact, combine(b, fact.V, n), integral)
+    if sol is None:
         return None
-    return combine(y, fact.U, m)
+    y, e = sol
+    return combine(y, fact.U, m), e
 
 
 def solve_integer(a, b, fact: SNFResult | None = None, ncols: int | None = None):

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from charrig import cli, corpus
+from charrig import cli, corpus, zlin
 from charrig.cochains import basis_cochain, cohomology
 from charrig.simplicial import load_complex
 
@@ -164,6 +164,31 @@ def test_pseudo_bounding_fails_with_a_witness(monkeypatch, capsys, corrupt):
     wit = bad["witness"]
     assert bool(wit["boundary_differs_on"]) == (corrupt == "chain")
     assert wit["cohomology_vanishes_above"] == (corrupt == "chain")
+
+
+@pytest.mark.parametrize("broken", ["result", "bounding_chain"])
+def test_surgery_invariant_failure_is_a_failed_check(monkeypatch, capsys,
+                                                     broken):
+    """A bounding step that returns neither a chain nor a class, or a
+    null-homologous cycle with no integral bounding chain, fails
+    pseudo.bounding with a witness (exit 1) instead of a traceback."""
+    if broken == "result":
+        monkeypatch.setattr(cli, "bound_in_good_neighborhood",
+                            lambda *args, **kwargs: None)
+    else:
+        monkeypatch.setattr(zlin, "solve_integer", lambda *args, **kwargs: None)
+    code = cli.main(["pseudo", "s2", "--cycle", "s2_equator"])
+    assert code == 1
+    doc = parse_report(capsys.readouterr().out)
+    by_name = {c["name"]: c for c in doc["checks"]}
+    bad = by_name["pseudo.bounding"]
+    assert bad["status"] == "fail"
+    if broken == "result":
+        assert bad["witness"] == {"returned": "NoneType"}
+    else:
+        assert bad["detail"] == "a null-homologous cycle does not bound"
+        assert len(bad["witness"]["cycle"]) == 3  # the equator's edges
+    assert by_name["surgery.is_pseudomanifold"]["status"] == "pass"
 
 
 @pytest.mark.parametrize("argv", [

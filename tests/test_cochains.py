@@ -1,7 +1,8 @@
 """Cochains, cohomology in three rings, cup product, Bockstein, exactness."""
 import random
 from fractions import Fraction
-from math import lcm
+import functools
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -400,17 +401,19 @@ def test_solve_coboundary_matches_sympy_solvability(read_complex):
         rhs.extend(list(g.values) for g in hz.gen_cochains[hz.rank:])
         for b in rhs:
             over_z, over_q = _solvable(delta, b)
-            xq = solve_coboundary(X, j, b, integral=False)
+            bc = Cochain(X, "Q", j + 1, b)
+            xq = solve_coboundary(X, j, bc, integral=False)
             assert (xq is not None) == over_q, (X.name, j, b)
             if xq is not None:
-                assert _apply(delta, xq) == [Fraction(v) for v in b]
-            if any(Fraction(v).denominator != 1 for v in b):
-                continue
-            xz = solve_coboundary(X, j, b, integral=True)
+                assert (xq.ring, xq.degree) == ("Q", j)
+                assert _apply(delta, xq.values) == [Fraction(v) for v in b]
+            # a right side with a fractional value has no integral solution
+            xz = solve_coboundary(X, j, bc, integral=True)
             assert (xz is not None) == over_z, (X.name, j, b)
             if xz is not None:
-                assert all(isinstance(v, int) for v in xz)
-                assert _apply(delta, xz) == list(b)
+                assert (xz.ring, xz.degree) == ("Z", j)
+                assert all(isinstance(v, int) for v in xz.values)
+                assert _apply(delta, xz.values) == list(b)
 
 
 @pytest.mark.parametrize("ring", ["Z", "Q", "QmodZ"])
@@ -431,3 +434,165 @@ def test_cochain_with_periods_is_a_cocycle_with_those_periods(read_complex, ring
         assert w.ring == ring and coboundary(w).is_zero(), j
         expect = [_mod1(c) for c in coords] if ring == "QmodZ" else coords
         assert [w.pair(z) for z in hom.gen_cycles] == expect, j
+
+
+# ---------------------------------------------------------------------------
+# the integer-numerator representation against plain Fraction values
+
+PROPERTY_SPACES = list(corpus.CORPUS_NAMES) + ["sd1(s2)"]
+RINGS = ["Z", "Q", "QmodZ"]
+
+
+@functools.lru_cache(maxsize=None)
+def _space(name):
+    """A corpus complex, or "sd1(s2)" for the first subdivision of s2."""
+    if name == "sd1(s2)":
+        return barycentric_subdivide(corpus.load("s2")).complex
+    return corpus.load(name)
+
+
+def _reduced(ring, vals):
+    """The Fraction model of a cochain's values: Q/Z values taken mod 1."""
+    return [Fraction(v) % 1 if ring == "QmodZ" else v for v in vals]
+
+
+_INTS = st.integers(-9, 9)
+_FRACTIONS = st.tuples(st.integers(-36, 36), st.integers(1, 12)).map(
+    lambda t: Fraction(*t))
+
+
+def _values(draw, X, ring, degree):
+    n = X.n_simplices(degree)
+    return draw(st.lists(_INTS if ring == "Z" else _FRACTIONS,
+                         min_size=n, max_size=n))
+
+
+def _assert_normal_form(x):
+    assert x.den >= 1 and all(type(v) is int for v in x.num)
+    if x.ring == "Z":
+        assert x.den == 1
+    else:
+        assert gcd(x.den, *x.num) == 1
+    if x.ring == "QmodZ":
+        assert all(0 <= v < x.den for v in x.num)
+
+
+@pytest.mark.parametrize("name", PROPERTY_SPACES)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_arithmetic_matches_fraction_values(name, data):
+    """+, -, neg, scale, to_q, mod1 and serialize agree with the same
+    operation on Fraction values, and every result is in normal form."""
+    X = _space(name)
+    ring = data.draw(st.sampled_from(RINGS))
+    j = data.draw(st.integers(0, X.dim))
+    a, b = _values(data.draw, X, ring, j), _values(data.draw, X, ring, j)
+    c = data.draw(_INTS if ring == "Z" else _FRACTIONS)
+    x, y = Cochain(X, ring, j, a), Cochain(X, ring, j, b)
+    cases = [(x, a), (x + y, [p + q for p, q in zip(a, b)]),
+             (x - y, [p - q for p, q in zip(a, b)]), (-x, [-p for p in a]),
+             # over Q/Z, as before, the [0, 1) representatives are scaled
+             (x.scale(c), [c * p for p in _reduced(ring, a)])]
+    for z, vals in cases:
+        _assert_normal_form(z)
+        assert (z.cx, z.ring, z.degree) == (X, ring, j)
+        assert list(z.values) == _reduced(ring, vals)
+        assert z == Cochain(X, ring, j, vals)
+    assert x + y - y == x and x - x == zero_cochain(X, ring, j)
+    for z, r in ((x.to_q(), "Q"), (x.mod1(), "QmodZ")):
+        _assert_normal_form(z)
+        expect = _reduced(ring, a) if r == "Q" else _reduced(r, a)
+        assert z.ring == r and list(z.values) == expect
+    keys = [",".join(map(str, s)) for s in X.simplices[j]]
+    assert x.serialize() == {"ring": ring, "degree": j, "values": {
+        k: f"{Fraction(v).numerator}/{Fraction(v).denominator}"
+        for k, v in zip(keys, _reduced(ring, a)) if v}}
+    if ring != "Z":
+        assert x.to_q().mod1() == x.mod1()
+        assert x.to_q() != x.mod1()  # equality compares the rings too
+    with pytest.raises(TypeError):
+        hash(x)
+
+
+@pytest.mark.parametrize("name", PROPERTY_SPACES)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_pairing_and_coboundary_match_fraction_values(name, data):
+    """pair on integer chains and delta, read off the simplices' faces,
+    agree with Fraction arithmetic (mod 1 over Q/Z)."""
+    X = _space(name)
+    ring = data.draw(st.sampled_from(RINGS))
+    j = data.draw(st.integers(0, X.dim))
+    a = _values(data.draw, X, ring, j)
+    x = Cochain(X, ring, j, a)
+    z = data.draw(st.lists(st.integers(-3, 3), min_size=len(a),
+                           max_size=len(a)))
+    got = x.pair(z)
+    assert got == _reduced(ring, [sum(p * q for p, q in zip(a, z))])[0]
+    assert isinstance(got, int if ring == "Z" else Fraction)
+    dx = coboundary(x)
+    _assert_normal_form(dx)
+    expect = []
+    for s in X.simplices[j + 1] if j < X.dim else ():
+        faces = [s[:i] + s[i + 1:] for i in range(j + 2)]
+        expect.append(sum((-1) ** i * a[X.index[j][f]]
+                          for i, f in enumerate(faces)))
+    assert (dx.ring, dx.degree) == (ring, j + 1)
+    assert list(dx.values) == _reduced(ring, expect)
+
+
+@pytest.mark.parametrize("name", PROPERTY_SPACES)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_cup_matches_fraction_values(name, data):
+    """The front-face/back-face product over Z and Q, denominators
+    multiplied, agrees with the product of Fraction values."""
+    X = _space(name)
+    k = data.draw(st.integers(0, X.dim))
+    l = data.draw(st.integers(0, X.dim - k))
+    rx, ry = data.draw(st.sampled_from(["Z", "Q"])), data.draw(
+        st.sampled_from(["Z", "Q"]))
+    a, b = _values(data.draw, X, rx, k), _values(data.draw, X, ry, l)
+    p = cup(Cochain(X, rx, k, a), Cochain(X, ry, l, b))
+    _assert_normal_form(p)
+    expect = [a[X.index[k][s[:k + 1]]] * b[X.index[l][s[k:]]]
+              for s in X.simplices[k + l]]
+    assert p.ring == ("Z" if rx == ry == "Z" else "Q") and p.degree == k + l
+    assert list(p.values) == expect
+
+
+@pytest.mark.parametrize("name", PROPERTY_SPACES)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_pullback_matches_fraction_values(name, data):
+    """phi^* x along the last-vertex map of the subdivision is x evaluated
+    on the pushed-forward simplices, as Fractions (mod 1 over Q/Z)."""
+    X = _space(name)
+    ring = data.draw(st.sampled_from(RINGS))
+    phi = barycentric_subdivide(X).last_vertex
+    j = data.draw(st.integers(0, X.dim))
+    a = _values(data.draw, X, ring, j)
+    y = Cochain(X, ring, j, a).pullback(phi)
+    _assert_normal_form(y)
+    n = phi.source.n_simplices(j)
+    expect = []
+    for i in range(n):
+        unit = [0] * n
+        unit[i] = 1
+        pushed = phi.push_chain(j, unit)
+        expect.append(sum(p * q for p, q in zip(a, pushed)))
+    assert (y.cx, y.ring, y.degree) == (phi.source, ring, j)
+    assert list(y.values) == _reduced(ring, expect)
+
+
+def test_cochain_construction_errors(cx):
+    s1 = cx("s1")
+    with pytest.raises(RingError):
+        Cochain(s1, "Z", 0, (Fraction(1, 2), 0, 0))
+    with pytest.raises(RingError):
+        Cochain(s1, "R", 0, (0, 0, 0))
+    with pytest.raises(ValueError):
+        Cochain(s1, "Q", 0, (0, 0))
+    with pytest.raises(RingError):
+        basis_cochain(s1, "Z", 0, 0).scale(Fraction(1, 2))
+    assert Cochain(s1, "Z", 0, (Fraction(4, 2), 0, 0)).num == (2, 0, 0)

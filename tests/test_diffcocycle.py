@@ -4,6 +4,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from charrig.cochains import (
     Cochain, QuotientForm, basis_cochain, bockstein, coboundary, cohomology,
@@ -32,6 +33,37 @@ def test_cocycle_invariants_enforced(cx):
             basis_cochain(s1, "Z", 1, 0),
             zero_cochain(s1, "Q", 0),
             zero_cochain(s1, "Q", 1))
+
+
+@pytest.mark.parametrize("name,k", DEGREES)
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_cocycle_identities_checked_over_common_denominators(cx, name, k, data):
+    """(c, h, omega) with omega = delta h + c is accepted for a rational h
+    with mixed denominators and any integral cocycle c; moving one value
+    of omega by 1/d, or c off the cocycles, is refused."""
+    X = cx(name)
+    n_prev, n_k = X.n_simplices(k - 1), X.n_simplices(k)
+    ints = st.lists(st.integers(-3, 3), min_size=n_prev, max_size=n_prev)
+    dens = st.lists(st.integers(1, 6), min_size=n_prev, max_size=n_prev)
+    h = Cochain(X, "Q", k - 1, [Fraction(p, q) for p, q in
+                                zip(data.draw(ints), data.draw(dens))])
+    c = coboundary(Cochain(X, "Z", k - 1, data.draw(ints)))
+    for g in cohomology(X, k, "Z").gen_cochains:
+        c = c + g.scale(data.draw(st.integers(-2, 2)))
+    omega = coboundary(h) + c.to_q()
+    DifferentialCocycle(c, h, omega)
+    if not n_k:
+        return
+    e = data.draw(st.integers(0, n_k - 1))
+    d = data.draw(st.integers(1, 6))
+    with pytest.raises(ValueError, match="delta h != omega - c"):
+        DifferentialCocycle(c, h, omega + basis_cochain(X, "Q", k, e).scale(
+            Fraction(1, d)))
+    off = c + basis_cochain(X, "Z", k, e)
+    if not coboundary(off).is_zero():
+        with pytest.raises(ValueError, match="c is not a cocycle"):
+            DifferentialCocycle(off, h, coboundary(h) + off.to_q())
 
 
 def test_class_equal_under_coboundary_shifts(cx):
