@@ -22,11 +22,11 @@ from .characters import verify_equivalence, verify_phi_good
 from .diffcocycle import verify_diagram
 from .geometry import (
     BoundResult, DimensionError, GeometryBudgetExceeded, NotNullHomologous,
-    SurgeryError, bound_in_good_neighborhood, cohomology_vanishes_above,
+    bound_in_good_neighborhood, cohomology_vanishes_above,
     normalize_cycle, verify_normalization,
 )
 from .product import verify_ring_axioms
-from .report import Report, check
+from .report import InvariantError, Report, check
 from .simplicial import (
     Complex, DegreeError, DuplicateError, FaceClosureError, ParseError,
     barycentric_subdivide, closed_star_neighborhood, subcomplex_from_simplices,
@@ -48,12 +48,12 @@ def _naturality_maps(cx: Complex):
 def _run_tasks(rep: Report, tasks):
     """Evaluate (name, callable) tasks in order, add their results to the
     report and record each task's wall time under its name. A failed
-    surgery invariant becomes the failed check <command>.<task name>."""
+    invariant becomes the failed check <command>.<task name>."""
     for name, fn in tasks:
         t0 = time.monotonic()
         try:
             out = fn()
-        except SurgeryError as e:
+        except InvariantError as e:
             out = check(f"{rep.command}.{name}", False, str(e), e.witness)
         rep.timings_ms[name] = int((time.monotonic() - t0) * 1000)
         rep.extend(out if isinstance(out, list) else [out])
@@ -178,8 +178,8 @@ def cmd_pseudo(cx: Complex, args, jobs: int) -> Report:
                           {"witness_class": list(out.coords),
                            "pseudomanifold": pm.serialize()})]
         if not isinstance(out, BoundResult):
-            raise SurgeryError("bounding gave neither a chain nor a class",
-                               {"returned": type(out).__name__})
+            raise InvariantError("bounding gave neither a chain nor a class",
+                                 {"returned": type(out).__name__})
         nb = out.neighborhood
         # the chain must bound the carried cycle, and H^j must vanish
         # above nb.k in the neighborhood

@@ -121,10 +121,11 @@ class Cochain:
                         [-v for v in self.num], self.den)
 
     def scale(self, c):
-        """c times the cochain, for an int or Fraction c (an int over Z)."""
+        """c times the cochain, for an int or Fraction c; an int over Z and
+        over Q/Z, where a fraction of a value mod 1 is not defined."""
         p, q = c.numerator, c.denominator
-        if self.ring == RING_Z and q != 1:
-            raise RingError("cannot scale a Z cochain by a non-integer")
+        if self.ring != RING_Q and q != 1:
+            raise RingError(f"cannot scale a {self.ring} cochain by a non-integer")
         return _cochain(self.cx, self.ring, self.degree,
                         [p * v for v in self.num], self.den * q)
 
@@ -278,6 +279,10 @@ def cup_class_qmodz(a: "CohomologyClass", u: "CohomologyClass") -> "CohomologyCl
 # coordinates, and delta x = b is solved as S^T y = V^T b, x = U^T y.
 # A cocycle with prescribed periods takes them on the cycle basis and
 # vanishes on the rest of the Smith-adapted basis (`cochain_on_cycle_basis`).
+# The transforms are sparse (U and Vinv by rows, V and Uinv by columns, see
+# `zlin.SNFResult`): coordinates, periods and solves read those rows and
+# columns directly, and only the cycle and cocycle bases are made dense,
+# once per complex and degree.
 
 
 def _snf_boundary(cx: Complex, j: int) -> zlin.SNFResult:
@@ -305,7 +310,7 @@ def cycle_coords(cx: Complex, j: int, vec):
     if not cx.is_cycle(j, vec):
         raise NotACycle("chain has nonzero boundary")
     fact = _snf_boundary(cx, j)
-    return [zlin.vec_dot(row, vec) for row in fact.Vinv[fact.rank:]]
+    return [zlin.vec_dot(vec, row) for row in fact.Vinv[fact.rank:]]
 
 
 def cochain_on_cycle_basis(cx: Complex, j: int, num, ring: str,
@@ -325,7 +330,9 @@ def cocycle_basis(cx: Complex, j: int):
     if key not in cx._cache:
         if 0 <= j <= cx.dim:
             fact = _snf_boundary(cx, j + 1)
-            cx._cache[key] = tuple(tuple(row) for row in fact.U[fact.rank:])
+            n = fact.shape[0]
+            cx._cache[key] = tuple(tuple(zlin.combine((1,), (row,), n))
+                                   for row in fact.U[fact.rank:])
         else:
             cx._cache[key] = ()
     return cx._cache[key]
@@ -334,7 +341,7 @@ def cocycle_basis(cx: Complex, j: int):
 def cocycle_coords(cx: Complex, j: int, values):
     """Coordinates of a j-cocycle in the cocycle basis."""
     fact = _snf_boundary(cx, j + 1)
-    return zlin.combine(values, fact.Uinv, fact.shape[0])[fact.rank:]
+    return [zlin.vec_dot(values, col) for col in fact.Uinv[fact.rank:]]
 
 
 def solve_coboundary(cx: Complex, j: int, b: Cochain, integral: bool):
@@ -384,7 +391,7 @@ def homology(cx: Complex, j: int) -> HomologyData:
         fact = _snf_boundary(cx, j)
         # relations: the cycle coordinates of each (j+1)-simplex's boundary
         faces = cx.faces_with_signs(j + 1)
-        Y = [[sum(s * row[i] for i, s in col) for col in faces]
+        Y = [[sum(s * row.get(i, 0) for i, s in col) for col in faces]
              for row in fact.Vinv[fact.rank:]]
         fg = zlin.cokernel(Y, ambient=len(K))
         n = cx.n_simplices(j)

@@ -23,7 +23,7 @@ from .cochains import (
     cycle_basis, is_integral_form, integral_form_generators,
     solve_coboundary, zero_cochain, _coboundary_num, _cochain, _units,
 )
-from .report import CheckResult, check
+from .report import CheckResult, InvariantError, check
 from .simplicial import Complex, MismatchError, SimplicialMap
 
 
@@ -146,9 +146,12 @@ def _decide_equivalence(x: DiffClass, y: DiffClass, want_witness: bool):
     if not want_witness:
         return True
     n = cochain_on_cycle_basis(cx, k - 1, [p // v.den for p in periods], RING_Z)
-    s = solve_coboundary(cx, k - 2, v - n.to_q(), integral=False)
+    rest = v - n.to_q()
+    s = solve_coboundary(cx, k - 2, rest, integral=False)
     if s is None:
-        raise AssertionError("witness reconstruction failed on an exact cochain")
+        raise InvariantError(
+            "witness reconstruction: a cochain without periods is not exact",
+            {"degree": k - 2, "cochain": rest.serialize()})
     return b0 - n, s
 
 
@@ -236,9 +239,12 @@ def preimage_of_form(cx: Complex, omega: Cochain) -> DiffClass:
     periods = [zlin.vec_dot(omega.num, z) // omega.den
                for z in cycle_basis(cx, k)]
     c = cochain_on_cycle_basis(cx, k, periods, RING_Z)
-    h = solve_coboundary(cx, k - 1, omega - c.to_q(), integral=False)
+    rest = omega - c.to_q()
+    h = solve_coboundary(cx, k - 1, rest, integral=False)
     if h is None:
-        raise AssertionError("omega - c should be exact over Q")
+        raise InvariantError(
+            "preimage of a form: omega - c has no periods but is not exact",
+            {"degree": k - 1, "cochain": rest.serialize()})
     return make_class(c, h, omega)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import zlin
-from .report import CheckResult, check
+from .report import CheckResult, InvariantError, check
 from .simplicial import (
     Complex, SimplicialMap, Subcomplex, _sort_sign, chain_support,
     closed_star_neighborhood, complex_from_maximal,
@@ -28,15 +28,6 @@ class GeometryBudgetExceeded(Exception):
 
 class DimensionError(Exception):
     pass
-
-
-class SurgeryError(Exception):
-    """An invariant of cycle surgery failed. This is a verifier finding,
-    not bad input: the CLI reports it as a failed check with `witness`."""
-
-    def __init__(self, message: str, witness: dict):
-        super().__init__(message)
-        self.witness = witness
 
 
 @dataclass(frozen=True)
@@ -271,9 +262,9 @@ def resolve_cycle(ambient: Complex, d: int, vec):
             minus = sorted(p for p, s in entries if s < 0)
             face = ambient.simplices[d - 1][f_idx]
             if len(plus) != len(minus):
-                raise SurgeryError("cycle condition violated at a face",
-                                   {"face": list(face), "sheets":
-                                    [len(plus), len(minus)]})
+                raise InvariantError("cycle condition violated at a face",
+                                     {"face": list(face), "sheets":
+                                      [len(plus), len(minus)]})
             for a, b in zip(plus, minus):
                 for v in face:
                     sa = cell_tuples[a].index(v)
@@ -291,16 +282,16 @@ def resolve_cycle(ambient: Complex, d: int, vec):
     for root, members in classes.items():
         imgs = {cell_tuples[p][s] for p, s in members}
         if len(imgs) != 1:
-            raise SurgeryError("glued slots map to different ambient vertices",
-                               {"vertices": sorted(imgs)})
+            raise InvariantError("glued slots map to different ambient vertices",
+                                 {"vertices": sorted(imgs)})
         vertex_map[label[root]] = imgs.pop()
     tops = []
     coefs = []
     for pos, (i, coef) in enumerate(cells):
         labs = [label[uf.find((pos, slot))] for slot in range(d + 1)]
         if len(set(labs)) != d + 1:
-            raise SurgeryError("cell collapsed during regluing",
-                               {"cell": list(cell_tuples[pos])})
+            raise InvariantError("cell collapsed during regluing",
+                                 {"cell": list(cell_tuples[pos])})
         sign = _sort_sign(labs)[1]
         tops.append(tuple(sorted(labs)))
         coefs.append(coef * sign)
@@ -388,10 +379,10 @@ def _split_chain(base: Complex, d: int, vec) -> SplitResult:
     bad = [list(Y.simplices[d][c]) for c in range(Y.n_simplices(d))
            if z2[c] != db[c] + z_out[c]]
     if bad:
-        raise SurgeryError("split witness identity failed", {"simplices": bad})
+        raise InvariantError("split witness identity failed", {"simplices": bad})
     large = [list(Y.simplices[d][c]) for c, v in enumerate(z_out) if abs(v) > 1]
     if large:
-        raise SurgeryError("split left a large coefficient", {"simplices": large})
+        raise InvariantError("split left a large coefficient", {"simplices": large})
     return SplitResult(base, 2, tower, Y, d, list(z2), z_out, b1)
 
 
@@ -442,8 +433,8 @@ def _local_homology_witness(base: Complex, tower, d: int, rho: int,
                              _chain_to_subcomplex(incl, d, rhs),
                              ncols=sub.n_simplices(d + 1))
     if sol is None:
-        raise SurgeryError("no local witness inside a disk",
-                           {"coface": list(base.simplices[d + 1][rho])})
+        raise InvariantError("no local witness inside a disk",
+                             {"coface": list(base.simplices[d + 1][rho])})
     return incl.push_chain(d + 1, sol)
 
 
@@ -507,9 +498,9 @@ def bound_in_good_neighborhood(P: Pseudomanifold, base: Complex, tower,
     from .cochains import _snf_boundary
     w = zlin.solve_integer([], zP, fact=_snf_boundary(ambient, k))
     if w is None:
-        raise SurgeryError("a null-homologous cycle does not bound",
-                           {"cycle": [list(ambient.simplices[d][i])
-                                      for i, c in enumerate(zP) if c]})
+        raise InvariantError("a null-homologous cycle does not bound",
+                             {"cycle": [list(ambient.simplices[d][i])
+                                        for i, c in enumerate(zP) if c]})
     if base.dim == k:
         # the cycle separates; pick the compact side by shifting with
         # multiples of the fundamental top cycles

@@ -16,6 +16,16 @@ FAIL = "fail"
 SKIPPED = "skipped"
 
 
+class InvariantError(Exception):
+    """An invariant of the computation failed (cycle surgery, a witness
+    reconstruction, an exact solve). This is a verifier finding, not bad
+    input: the CLI reports it as a failed check with `witness`."""
+
+    def __init__(self, message: str, witness: dict):
+        super().__init__(message)
+        self.witness = witness
+
+
 def jsonable(obj):
     """Recursively convert witnesses to canonical JSON-able values."""
     if isinstance(obj, Fraction):

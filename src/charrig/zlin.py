@@ -4,12 +4,15 @@ Everything here works with arbitrary-precision Python ints and Fractions;
 no floating point is used anywhere. The central routine is a Smith normal
 form with unimodular transforms (and their inverses), from which integer
 solvability, kernels, cokernels and finitely generated abelian group
-presentations are derived.
+presentations are derived. The factorization is sparse throughout: the
+working matrix and the four transforms are dicts from index to nonzero
+int, so an elementary operation costs the nonzeros it touches.
 
 This module also owns exact vector pairing and combination: every pairing
 of a cochain with a chain goes through `vec_dot`, and every linear
 combination of rows through `combine`. Both skip zero terms, since chain
-vectors and coefficient lists are mostly zero.
+vectors and coefficient lists are mostly zero, and both take the sparse
+side as a dict.
 """
 from __future__ import annotations
 
@@ -23,37 +26,46 @@ class ShapeError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# dense matrix helpers (lists of lists, row-major)
-
-def identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def zeros(m, n):
-    return [[0] * n for _ in range(m)]
-
-
-# ---------------------------------------------------------------------------
 # exact vectors: pairing and linear combination
 
+def _entries(v):
+    """(index, value) pairs of a dense sequence or of a sparse dict."""
+    return v.items() if isinstance(v, dict) else enumerate(v)
+
+
 def vec_dot(u, v):
-    """sum of u[i] * v[i] over the nonzero entries of v."""
-    if len(u) != len(v):
+    """sum of u[i] * v[i] over the nonzero entries of v; v may be a sparse
+    dict, whose indices must lie in u."""
+    if not isinstance(v, dict) and len(u) != len(v):
         raise ShapeError("dot product length mismatch")
-    return sum(u[i] * x for i, x in enumerate(v) if x)
+    return sum(u[i] * x for i, x in _entries(v) if x)
 
 
 def combine(coeffs, rows, n: int) -> list:
     """sum of coeffs[t] * rows[t] as a length-n list, over the nonzero
-    coefficients and the nonzero row entries; coefficients or rows past
-    the shorter of the two lists are ignored."""
+    coefficients and the nonzero row entries; rows may be sparse dicts.
+    Coefficients or rows past the shorter of the two lists are ignored."""
     out = [0] * n
     for c, row in zip(coeffs, rows):
         if c:
-            for i, x in enumerate(row):
+            for i, x in _entries(row):
                 if x:
                     out[i] += c * x
     return out
+
+
+def _axpy(dst: dict, src: dict, q: int) -> None:
+    """dst += q * src on sparse vectors, dropping the entries that cancel."""
+    for j, x in src.items():
+        new = dst.get(j, 0) + q * x
+        if new:
+            dst[j] = new
+        else:
+            dst.pop(j, None)
+
+
+def _sparse_identity(n: int) -> list:
+    return [{i: 1} for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +79,11 @@ class SNFResult:
     only the diagonal is stored. Uinv and Vinv are the exact inverses,
     carried along during elimination because recovering them afterwards
     would cost another elimination.
+
+    Each transform is a list of sparse vectors, dicts from index to nonzero
+    int: U and Vinv by rows (U[i] is row i), V and Uinv by columns (V[j] is
+    column j). The dicts are shared with every reader of a cached
+    factorization and are read-only after return.
     """
     shape: tuple[int, int]
     diag: tuple[int, ...]
@@ -74,14 +91,6 @@ class SNFResult:
     V: list
     Uinv: list
     Vinv: list
-
-    @property
-    def S(self):
-        m, n = self.shape
-        s = zeros(m, n)
-        for i, d in enumerate(self.diag):
-            s[i][i] = d
-        return s
 
     @property
     def rank(self) -> int:
@@ -108,28 +117,22 @@ def smith_normal_form(a, ncols: int | None = None) -> SNFResult:
     for i, r in enumerate(rows):
         for j in r:
             col_rows[j].add(i)
-    U = identity(m)
-    Uinv = identity(m)
-    V = identity(n)
-    Vinv = identity(n)
+    U = _sparse_identity(m)
+    Uinv = _sparse_identity(m)
+    V = _sparse_identity(n)
+    Vinv = _sparse_identity(n)
 
     def row_op(i, t, q):
         # row_i -= q * row_t
-        rt = rows[t]
         ri = rows[i]
-        for j, val in rt.items():
-            new = ri.get(j, 0) - q * val
-            if new:
-                ri[j] = new
+        _axpy(ri, rows[t], -q)
+        for j in rows[t]:
+            if j in ri:
                 col_rows[j].add(i)
-            elif j in ri:
-                del ri[j]
+            else:
                 col_rows[j].discard(i)
-        Ui, Ut = U[i], U[t]
-        for c in range(m):
-            Ui[c] -= q * Ut[c]
-        for r in range(m):
-            Uinv[r][t] += q * Uinv[r][i]
+        _axpy(U[i], U[t], -q)
+        _axpy(Uinv[t], Uinv[i], q)
 
     def col_op(j, t, q):
         # col_j -= q * col_t
@@ -142,11 +145,8 @@ def smith_normal_form(a, ncols: int | None = None) -> SNFResult:
             elif j in ri:
                 del ri[j]
                 col_rows[j].discard(i)
-        for r in range(n):
-            V[r][j] -= q * V[r][t]
-        Vt, Vj = Vinv[t], Vinv[j]
-        for c in range(n):
-            Vt[c] += q * Vj[c]
+        _axpy(V[j], V[t], -q)
+        _axpy(Vinv[t], Vinv[j], q)
 
     def row_swap(i, t):
         if i == t:
@@ -160,8 +160,7 @@ def smith_normal_form(a, ncols: int | None = None) -> SNFResult:
                 else:
                     col_rows[j].discard(r)
         U[i], U[t] = U[t], U[i]
-        for r in range(m):
-            Uinv[r][i], Uinv[r][t] = Uinv[r][t], Uinv[r][i]
+        Uinv[i], Uinv[t] = Uinv[t], Uinv[i]
 
     def col_swap(j, t):
         if j == t:
@@ -174,16 +173,13 @@ def smith_normal_form(a, ncols: int | None = None) -> SNFResult:
             if vj is not None:
                 ri[t] = vj
         col_rows[j], col_rows[t] = col_rows[t], col_rows[j]
-        for r in range(n):
-            V[r][j], V[r][t] = V[r][t], V[r][j]
+        V[j], V[t] = V[t], V[j]
         Vinv[j], Vinv[t] = Vinv[t], Vinv[j]
 
     def row_negate(i):
-        for j in rows[i]:
-            rows[i][j] = -rows[i][j]
-        U[i] = [-x for x in U[i]]
-        for r in range(m):
-            Uinv[r][i] = -Uinv[r][i]
+        for vec in (rows[i], U[i], Uinv[i]):
+            for j in vec:
+                vec[j] = -vec[j]
 
     def find_pivot(t):
         best = None
@@ -263,8 +259,8 @@ def kernel_basis(a, fact: SNFResult | None = None, ncols: int | None = None):
     if fact is None:
         fact = smith_normal_form(a, ncols=ncols)
     n = fact.shape[1]
-    r = fact.rank
-    return [[fact.V[i][j] for i in range(n)] for j in range(r, n)]
+    # the columns of V past the rank, made dense
+    return [combine((1,), (col,), n) for col in fact.V[fact.rank:]]
 
 
 @dataclass(frozen=True)
@@ -277,8 +273,8 @@ class FgAbelianGroup:
     """
     rank: int
     torsion: tuple[int, ...]
-    gen_lift: tuple  # tuple of ambient column vectors, one per coordinate
-    _proj_rows: tuple  # rows of U picking out each coordinate
+    gen_lift: tuple  # sparse ambient column vectors, one per coordinate
+    _proj_rows: tuple  # sparse rows of U picking out each coordinate
     ambient: int
 
     @property
@@ -304,7 +300,7 @@ class FgAbelianGroup:
 
     def project(self, v) -> tuple:
         """Coordinates of an ambient vector's class."""
-        return self.reduce([vec_dot(row, v) for row in self._proj_rows])
+        return self.reduce([vec_dot(v, row) for row in self._proj_rows])
 
     def lift(self, coords):
         """An ambient representative of the class with the given coordinates."""
@@ -328,9 +324,8 @@ def cokernel(a, ambient: int | None = None, fact: SNFResult | None = None) -> Fg
     if m == 0:
         if ambient is None:
             ambient = 0
-        eye = identity(ambient)
-        rows = tuple(tuple(r) for r in eye)
-        return FgAbelianGroup(ambient, (), rows, rows, ambient)
+        eye = tuple(_sparse_identity(ambient))
+        return FgAbelianGroup(ambient, (), eye, eye, ambient)
     if ambient is not None and ambient != m:
         raise ShapeError("ambient rank disagrees with row count")
     if fact is None:
@@ -338,12 +333,10 @@ def cokernel(a, ambient: int | None = None, fact: SNFResult | None = None) -> Fg
     free_idx = list(range(fact.rank, m))
     tors_idx = [i for i in range(fact.rank) if fact.diag[i] > 1]
     torsion = tuple(fact.diag[i] for i in tors_idx)
-    cols = []
-    rows = []
-    for i in free_idx + tors_idx:
-        cols.append(tuple(fact.Uinv[r][i] for r in range(m)))
-        rows.append(tuple(fact.U[i]))
-    return FgAbelianGroup(len(free_idx), torsion, tuple(cols), tuple(rows), m)
+    picked = free_idx + tors_idx
+    return FgAbelianGroup(len(free_idx), torsion,
+                          tuple(fact.Uinv[i] for i in picked),
+                          tuple(fact.U[i] for i in picked), m)
 
 
 # ---------------------------------------------------------------------------
@@ -376,12 +369,11 @@ def _solve(fact: SNFResult, b, integral: bool):
     if integral and q != 1:
         return None
     sol = _divide_by_diag(
-        fact, [int(vec_dot(row, b) * q) for row in fact.U], integral)
+        fact, [int(vec_dot(b, row) * q) for row in fact.U], integral)
     if sol is None:
         return None
     y, e = sol
-    y += [0] * (n - len(y))
-    x = [vec_dot(row, y) for row in fact.V]
+    x = combine(y, fact.V, n)
     return x if integral else [Fraction(v, e * q) for v in x]
 
 
@@ -393,7 +385,7 @@ def solve_transposed(fact: SNFResult, b, integral: bool):
     m, n = fact.shape
     if len(b) != n:
         raise ShapeError(f"rhs length {len(b)} does not match {n} columns")
-    sol = _divide_by_diag(fact, combine(b, fact.V, n), integral)
+    sol = _divide_by_diag(fact, [vec_dot(b, col) for col in fact.V], integral)
     if sol is None:
         return None
     y, e = sol

@@ -1,4 +1,5 @@
 """Differential cocycle classes: equality, structure maps, the diagram."""
+import json
 import random
 import sys
 from fractions import Fraction
@@ -268,3 +269,32 @@ def test_only_boundary_and_presentation_factorizations(monkeypatch):
             verify_diagram(X, k, random.Random(0), maps=maps)
             verify_equivalence(X, k, random.Random(0), maps=maps)
     assert callers <= {"_snf_boundary", "cokernel"}, callers
+
+
+def test_failed_rational_solve_is_a_finding_with_a_witness(cx, monkeypatch,
+                                                           capsys):
+    """When a rational delta-solve that must succeed returns None, the CLI
+    reports a failed check carrying the degree and the cochain that did not
+    solve, and exits 1 without a traceback; `equivalence_witness` raises
+    the same finding as an InvariantError."""
+    from charrig import cli, diffcocycle
+    from charrig.report import InvariantError
+    real = diffcocycle.solve_coboundary
+    monkeypatch.setattr(
+        diffcocycle, "solve_coboundary",
+        lambda X, j, b, integral: real(X, j, b, integral) if integral else None)
+    assert cli.main(["diagram", "s1", "--degree", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    failed = [c for c in json.loads(out)["checks"] if c["status"] == "fail"]
+    assert [c["name"] for c in failed] == ["diagram.diagram"]
+    assert failed[0]["detail"].startswith("preimage of a form")
+    assert failed[0]["witness"] == {
+        "degree": 0, "cochain": {"degree": 1, "ring": "Q", "values": {}}}
+    X = cx("t2")
+    x = zero_class(X, 2)
+    y = coboundary_shift(x, basis_cochain(X, "Z", 1, 0), zero_cochain(X, "Q", 0))
+    with pytest.raises(InvariantError) as err:
+        equivalence_witness(x, y)
+    assert err.value.witness["degree"] == 0
+    assert err.value.witness["cochain"]["degree"] == 1

@@ -17,6 +17,24 @@ def matvec(a, x):
     return [Fraction(int(v.p), int(v.q)) for v in Matrix(a) * Matrix(x)]
 
 
+def dense(fact):
+    """U, V, Uinv and Vinv of a factorization as dense lists of rows; U and
+    Vinv are stored by rows, V and Uinv by columns."""
+    m, n = fact.shape
+
+    def rows(vecs, k):
+        return [[v.get(c, 0) for c in range(k)] for v in vecs]
+
+    def cols(vecs, k):
+        return [list(r) for r in zip(*rows(vecs, k))]
+    return rows(fact.U, m), cols(fact.V, n), cols(fact.Uinv, m), rows(fact.Vinv, n)
+
+
+def as_dict(v):
+    """The sparse form of a dense vector."""
+    return {i: x for i, x in enumerate(v) if x}
+
+
 def small_matrices(max_dim=8, lo=-5, hi=5):
     return st.integers(1, max_dim).flatmap(
         lambda m: st.integers(1, max_dim).flatmap(
@@ -29,12 +47,18 @@ def small_matrices(max_dim=8, lo=-5, hi=5):
 @given(small_matrices())
 def test_snf_transforms_and_divisibility(a):
     f = zlin.smith_normal_form(a)
-    assert Matrix(f.U) * Matrix(a) * Matrix(f.V) == Matrix(f.S)
     m, n = f.shape
-    assert Matrix(f.U) * Matrix(f.Uinv) == eye(m)
-    assert Matrix(f.Vinv) * Matrix(f.V) == eye(n)
-    assert abs(Matrix(f.U).det()) == 1
-    assert abs(Matrix(f.V).det()) == 1
+    U, V, Uinv, Vinv = dense(f)
+    S = Matrix.zeros(m, n)
+    for i, d in enumerate(f.diag):
+        S[i, i] = d
+    assert Matrix(U) * Matrix(a) * Matrix(V) == S
+    assert Matrix(U) * Matrix(Uinv) == eye(m)
+    assert Matrix(Vinv) * Matrix(V) == eye(n)
+    assert abs(Matrix(U).det()) == 1
+    assert abs(Matrix(V).det()) == 1
+    assert all(x != 0 for vecs in (f.U, f.V, f.Uinv, f.Vinv)
+               for vec in vecs for x in vec.values())
     nz = [d for d in f.diag if d]
     assert all(d > 0 for d in nz)
     assert all(nz[i + 1] % nz[i] == 0 for i in range(len(nz) - 1))
@@ -50,10 +74,13 @@ def test_snf_matches_independent_oracle(a):
 
 def test_snf_examples():
     f = zlin.smith_normal_form([[2]])
-    assert f.diag == (2,) and f.U == [[1]] and f.V == [[1]]
+    assert f.diag == (2,) and f.U == [{0: 1}] and f.V == [{0: 1}]
     z = zlin.smith_normal_form([[0, 0], [0, 0]])
     assert z.diag == (0, 0)
-    assert z.U == zlin.identity(2) and z.V == zlin.identity(2)
+    assert z.U == z.V == z.Uinv == z.Vinv == [{0: 1}, {1: 1}]
+    # swapping the two columns of [[0, 1]] brings the pivot to (0, 0)
+    s = zlin.smith_normal_form([[0, 1]])
+    assert s.diag == (1,) and s.V == [{1: 1}, {0: 1}] and s.Vinv == s.V
 
 
 def test_snf_is_deterministic():
@@ -61,7 +88,8 @@ def test_snf_is_deterministic():
     a = [[rng.randrange(-5, 6) for _ in range(5)] for _ in range(4)]
     f1 = zlin.smith_normal_form(a)
     f2 = zlin.smith_normal_form([row[:] for row in a])
-    assert (f1.U, f1.V, f1.diag) == (f2.U, f2.V, f2.diag)
+    assert (f1.U, f1.V, f1.Uinv, f1.Vinv, f1.diag) \
+        == (f2.U, f2.V, f2.Uinv, f2.Vinv, f2.diag)
 
 
 @settings(max_examples=50, deadline=None)
@@ -132,7 +160,7 @@ def test_solve_integer_unsolvable_confirmed_by_enumeration(a, braw):
     # brute-force over the SNF-reduced system: solvability would demand
     # each diagonal d_i to divide (U b)_i and zero rows to match exactly
     f = zlin.smith_normal_form(a)
-    c = matvec(f.U, b)
+    c = matvec(dense(f)[0], b)
     solvable = True
     for i in range(m):
         if i < len(f.diag) and f.diag[i]:
@@ -143,7 +171,7 @@ def test_solve_integer_unsolvable_confirmed_by_enumeration(a, braw):
 
 
 def test_kernel_basis_examples():
-    assert zlin.kernel_basis(zlin.identity(3)) == []
+    assert zlin.kernel_basis([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == []
     assert zlin.kernel_basis([[0, 0], [0, 0]]) == [[1, 0], [0, 1]]
 
 
@@ -223,8 +251,10 @@ def _sparse_vectors(length):
 @given(st.integers(0, 6).flatmap(lambda n: st.tuples(
     _sparse_vectors(st.just(n)), _sparse_vectors(st.just(n)))))
 def test_vec_dot_is_the_dense_dot(uv):
+    """v dense or as the sparse dict of a Smith transform."""
     u, v = uv
-    assert zlin.vec_dot(u, v) == sum(x * y for x, y in zip(u, v))
+    expected = sum(x * y for x, y in zip(u, v))
+    assert zlin.vec_dot(u, v) == zlin.vec_dot(u, as_dict(v)) == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -232,9 +262,11 @@ def test_vec_dot_is_the_dense_dot(uv):
     st.just(n), _sparse_vectors(st.integers(0, 4)),
     st.lists(_sparse_vectors(st.just(n)), max_size=4))))
 def test_combine_is_the_dense_linear_combination(case):
-    """sum_t coeffs[t] * rows[t]; coefficients or rows past the shorter
-    of the two lists are ignored, as the solves through a factorization
-    rely on."""
+    """sum_t coeffs[t] * rows[t], with the rows dense or as sparse dicts;
+    coefficients or rows past the shorter of the two lists are ignored, as
+    the solves through a factorization rely on."""
     n, coeffs, rows = case
-    dense = [sum(c * row[i] for c, row in zip(coeffs, rows)) for i in range(n)]
-    assert zlin.combine(coeffs, rows, n) == dense
+    expected = [sum(c * row[i] for c, row in zip(coeffs, rows))
+                for i in range(n)]
+    assert zlin.combine(coeffs, rows, n) == expected
+    assert zlin.combine(coeffs, [as_dict(r) for r in rows], n) == expected
