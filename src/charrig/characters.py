@@ -15,12 +15,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from . import zlin
 from .cochains import (
     RING_Q, RING_QMODZ, RING_Z,
     Cochain, CohomologyClass, NotACycle, QuotientForm,
-    coboundary, cochain_on_cycle_basis, cohomology, cycle_basis,
-    homology, is_integral_form, zero_cochain,
+    coboundary, cochain_on_cycle_basis, cohomology, cycle_periods,
+    homology, is_integral_form, n_cycles, zero_cochain,
     _cochain, _mod1, _normal_form, _over_common_denominator,
 )
 from .diffcocycle import (
@@ -44,7 +43,7 @@ class Character:
     omega: Cochain        # rational degree-k cochain, in the integral forms
 
     def __post_init__(self):
-        expected = len(cycle_basis(self.cx, self.degree - 1))
+        expected = n_cycles(self.cx, self.degree - 1)
         if len(self.f_num) != expected:
             raise ValueError(
                 f"degree-{self.degree} character needs {expected} values "
@@ -96,7 +95,7 @@ def is_character(cx: Complex, k: int, f_values, omega: Cochain) -> bool:
         return False
     if not is_integral_form(omega):
         return False
-    if len(f_values) != len(cycle_basis(cx, k - 1)):
+    if len(f_values) != n_cycles(cx, k - 1):
         return False
     ch = _character(cx, k, f_values, omega.to_q())
     return (coboundary(lift_T(ch)) - ch.omega).mod1().is_zero()
@@ -109,7 +108,7 @@ def make_character(cx: Complex, k: int, f_values, omega: Cochain) -> Character:
 
 
 def zero_character(cx: Complex, k: int) -> Character:
-    return Character(cx, k, (0,) * len(cycle_basis(cx, k - 1)), 1,
+    return Character(cx, k, (0,) * n_cycles(cx, k - 1), 1,
                      zero_cochain(cx, RING_Q, k))
 
 
@@ -152,7 +151,7 @@ def delta2_via_lift(ch: Character, strategy: str = "floor") -> CohomologyClass:
 def phi_direct(x: DiffClass) -> Character:
     """Character read off the h component on the cycle basis."""
     h = x.rep.h
-    f = [zlin.vec_dot(h.num, z) for z in cycle_basis(x.cx, x.degree - 1)]
+    f = cycle_periods(x.cx, x.degree - 1, h.num)
     return Character(x.cx, x.degree, f, h.den, x.rep.omega)
 
 
@@ -210,7 +209,7 @@ def char_i1(u: CohomologyClass) -> Character:
     """H^{k-1}(Q/Z) included as the flat characters."""
     rep = u.group.cochain_for(u.coords)
     cx = rep.cx
-    f = [zlin.vec_dot(rep.num, z) for z in cycle_basis(cx, rep.degree)]
+    f = cycle_periods(cx, rep.degree, rep.num)
     return Character(cx, rep.degree + 1, f, rep.den,
                      zero_cochain(cx, RING_Q, rep.degree + 1))
 
@@ -218,19 +217,18 @@ def char_i1(u: CohomologyClass) -> Character:
 def char_i2(theta: QuotientForm) -> Character:
     """Forms modulo integral forms included by integration mod 1."""
     rep = theta.rep
-    f = [zlin.vec_dot(rep.num, z) for z in cycle_basis(rep.cx, rep.degree)]
+    f = cycle_periods(rep.cx, rep.degree, rep.num)
     return Character(rep.cx, rep.degree + 1, f, rep.den, coboundary(rep))
 
 
 def char_pullback(phi: SimplicialMap, ch: Character) -> Character:
-    """The hom-model pullback: f'(a) = f(phi_* a)."""
+    """The hom-model pullback: f'(a) = f(phi_* a) = (phi^* T)(a) for the
+    lift T of f."""
     if ch.cx is not phi.target:
         raise MismatchError("character does not live on the map's target")
-    k = ch.degree
-    T = ch._lift
-    f = [zlin.vec_dot(T.num, phi.push_chain(k - 1, z))
-         for z in cycle_basis(phi.source, k - 1)]
-    return Character(phi.source, k, f, T.den, ch.omega.pullback(phi))
+    T = ch._lift.pullback(phi)
+    f = cycle_periods(phi.source, T.degree, T.num)
+    return Character(phi.source, ch.degree, f, T.den, ch.omega.pullback(phi))
 
 
 # ---------------------------------------------------------------------------
@@ -303,9 +301,8 @@ def verify_equivalence(cx: Complex, k: int, rng, n_round_trips: int = 20,
             probs.append(("phi_inverse(phi(x)) differs from x", idx))
         trips += 1
     # synthesized characters round-trip too
-    K = cycle_basis(cx, k - 1)
     for trial in range(3):
-        f = [Fraction(rng.randrange(0, 6), 6) for _ in K]
+        f = [Fraction(rng.randrange(0, 6), 6) for _ in range(n_cycles(cx, k - 1))]
         ch = character_from_holonomies(cx, k, f)
         x = phi_inverse(ch)
         if phi_direct(x) != ch:

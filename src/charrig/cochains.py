@@ -280,9 +280,9 @@ def cup_class_qmodz(a: "CohomologyClass", u: "CohomologyClass") -> "CohomologyCl
 # A cocycle with prescribed periods takes them on the cycle basis and
 # vanishes on the rest of the Smith-adapted basis (`cochain_on_cycle_basis`).
 # The transforms are sparse (U and Vinv by rows, V and Uinv by columns, see
-# `zlin.SNFResult`): coordinates, periods and solves read those rows and
-# columns directly, and only the cycle and cocycle bases are made dense,
-# once per complex and degree.
+# `zlin.SNFResult`): coordinates, periods, relation matrices and solves
+# read those rows and columns directly. Only `cycle_basis` makes the
+# cycles dense, for callers outside the cohomology layer.
 
 
 def _snf_boundary(cx: Complex, j: int) -> zlin.SNFResult:
@@ -305,6 +305,23 @@ def cycle_basis(cx: Complex, j: int):
     return cx._cache[key]
 
 
+def n_cycles(cx: Complex, j: int) -> int:
+    """The rank of Z_j: n_j minus the rank of boundary_j."""
+    if not 0 <= j <= cx.dim:
+        return 0
+    fact = _snf_boundary(cx, j)
+    return fact.shape[1] - fact.rank
+
+
+def cycle_periods(cx: Complex, j: int, num) -> list:
+    """The pairings of the numerators `num` of a j-cochain with the cycle
+    basis, the columns of V past the rank."""
+    if not 0 <= j <= cx.dim:
+        return []
+    fact = _snf_boundary(cx, j)
+    return [zlin.vec_dot(num, col) for col in fact.V[fact.rank:]]
+
+
 def cycle_coords(cx: Complex, j: int, vec):
     """Coordinates of a j-cycle in the cycle basis (NotACycle otherwise)."""
     if not cx.is_cycle(j, vec):
@@ -321,21 +338,6 @@ def cochain_on_cycle_basis(cx: Complex, j: int, num, ring: str,
     fact = _snf_boundary(cx, j)
     return _cochain(cx, ring, j, zlin.combine(
         num, fact.Vinv[fact.rank:], cx.n_simplices(j)), den)
-
-
-def cocycle_basis(cx: Complex, j: int):
-    """Rows forming a Z-basis of the j-cocycles ker delta^j; the basis is
-    saturated because U is unimodular."""
-    key = ("cocycle_basis", j)
-    if key not in cx._cache:
-        if 0 <= j <= cx.dim:
-            fact = _snf_boundary(cx, j + 1)
-            n = fact.shape[0]
-            cx._cache[key] = tuple(tuple(zlin.combine((1,), (row,), n))
-                                   for row in fact.U[fact.rank:])
-        else:
-            cx._cache[key] = ()
-    return cx._cache[key]
 
 
 def cocycle_coords(cx: Complex, j: int, values):
@@ -387,12 +389,23 @@ def homology(cx: Complex, j: int) -> HomologyData:
     """H_j(cx; Z) with explicit generator cycles."""
     key = ("homology", j)
     if key not in cx._cache:
-        K = cycle_basis(cx, j)
         fact = _snf_boundary(cx, j)
-        # relations: the cycle coordinates of each (j+1)-simplex's boundary
-        faces = cx.faces_with_signs(j + 1)
-        Y = [[sum(s * row.get(i, 0) for i, s in col) for col in faces]
-             for row in fact.Vinv[fact.rank:]]
+        K = fact.V[fact.rank:]
+        # relations: the cycle coordinates of each (j+1)-simplex's boundary,
+        # row t of Vinv past the rank carried to the (j+1)-simplices through
+        # the cofaces of each j-simplex
+        n_up = cx.n_simplices(j + 1)
+        cofaces = [[] for _ in range(cx.n_simplices(j))]
+        for c, col in enumerate(cx.faces_with_signs(j + 1)):
+            for i, s in col:
+                cofaces[i].append((c, s))
+        Y = []
+        for row in fact.Vinv[fact.rank:]:
+            y = [0] * n_up
+            for i, v in row.items():
+                for c, s in cofaces[i]:
+                    y[c] += s * v
+            Y.append(y)
         fg = zlin.cokernel(Y, ambient=len(K))
         n = cx.n_simplices(j)
         gens = tuple(tuple(zlin.combine(fg.lift(e), K, n))
@@ -442,15 +455,26 @@ class ZCohomology:
     def __init__(self, cx: Complex, j: int):
         self.cx = cx
         self.degree = j
-        W = cocycle_basis(cx, j)
-        q = len(W)
-        # the coboundary of the t-th basis (j-1)-cochain is row t of d_j
-        cols = [cocycle_coords(cx, j, row) for row in cx._boundary_any(j)]
-        Y = [[col[t] for col in cols] for t in range(q)]
-        self.fg = zlin.cokernel(Y, ambient=q)
+        # the cocycle basis is the rows of U past the rank, from the
+        # factorization of d_{j+1}; only in degrees 0..dim+1 is C^j or
+        # C^{j-1} nonzero
+        self._W = coords = ()
+        if 0 <= j <= cx.dim + 1:
+            fact = _snf_boundary(cx, j + 1)
+            self._W, coords = fact.U[fact.rank:], fact.Uinv[fact.rank:]
+        # relations: the cocycle coordinates of delta of each basis
+        # (j-1)-cochain, i.e. of row r of d_j, read off column t of Uinv
+        # past the rank through the faces of each j-simplex
+        Y = [[0] * cx.n_simplices(j - 1) for _ in coords]
+        if j >= 1:
+            faces = cx.faces_with_signs(j)
+            for y, col in zip(Y, coords):
+                for sigma, u in col.items():
+                    for r, s in faces[sigma]:
+                        y[r] += s * u
+        self.fg = zlin.cokernel(Y, ambient=len(Y))
         self.rank = self.fg.rank
         self.torsion = self.fg.torsion
-        self._W = W
         self.gen_cochains = tuple(self._materialize(self.fg.lift(e))
                                   for e in _units(self.fg.n_coords))
 
@@ -598,8 +622,7 @@ def is_integral_form(omega: Cochain) -> bool:
     if any(_coboundary_num(omega)):
         return False
     return omega.den == 1 or not any(
-        zlin.vec_dot(omega.num, z) % omega.den
-        for z in cycle_basis(omega.cx, omega.degree))
+        p % omega.den for p in cycle_periods(omega.cx, omega.degree, omega.num))
 
 
 class QuotientForm:

@@ -15,20 +15,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import zlin
 from .cochains import (
     RING_Q, RING_QMODZ, RING_Z,
     Cochain, CohomologyClass, QuotientForm,
     basis_cochain, coboundary, cochain_on_cycle_basis, cohomology,
-    cycle_basis, is_integral_form, integral_form_generators,
+    cycle_periods, is_integral_form, integral_form_generators,
     solve_coboundary, zero_cochain, _coboundary_num, _cochain, _units,
 )
 from .report import CheckResult, InvariantError, check
 from .simplicial import Complex, MismatchError, SimplicialMap
 
 
-class NotInImage(Exception):
-    pass
+class NotInImage(InvariantError):
+    """c is not an integral coboundary, so the class is not an i2 image.
+    Expected where delta2 may be nonzero; elsewhere a failed invariant,
+    witnessed by the degree of the solve and c."""
 
 
 @dataclass(frozen=True)
@@ -140,7 +141,7 @@ def _decide_equivalence(x: DiffClass, y: DiffClass, want_witness: bool):
     if b0 is None:
         return None
     v = (x.rep.h - y.rep.h) + b0.to_q()
-    periods = [zlin.vec_dot(v.num, z) for z in cycle_basis(cx, k - 1)]
+    periods = cycle_periods(cx, k - 1, v.num)
     if any(p % v.den for p in periods):
         return None
     if not want_witness:
@@ -215,7 +216,8 @@ def lift_through_i2(x: DiffClass) -> QuotientForm:
     """The unique quotient form with i2(theta) = x; needs delta2(x) = 0."""
     b = solve_coboundary(x.cx, x.degree - 1, x.rep.c, integral=True)
     if b is None:
-        raise NotInImage("delta2 obstruction: c is not an integral coboundary")
+        raise NotInImage("delta2 obstruction: c is not an integral coboundary",
+                         {"degree": x.degree - 1, "cochain": x.rep.c.serialize()})
     return QuotientForm(x.rep.h + b.to_q())
 
 
@@ -236,8 +238,7 @@ def preimage_of_form(cx: Complex, omega: Cochain) -> DiffClass:
         raise ValueError("delta1 preimages exist only for integral forms")
     omega = omega.to_q()
     k = omega.degree
-    periods = [zlin.vec_dot(omega.num, z) // omega.den
-               for z in cycle_basis(cx, k)]
+    periods = [p // omega.den for p in cycle_periods(cx, k, omega.num)]
     c = cochain_on_cycle_basis(cx, k, periods, RING_Z)
     rest = omega - c.to_q()
     h = solve_coboundary(cx, k - 1, rest, integral=False)

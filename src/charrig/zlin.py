@@ -190,6 +190,8 @@ def smith_normal_form(a, ncols: int | None = None) -> SNFResult:
                 key = (abs(val), i, j)
                 if best is None or key < best:
                     best = key
+            if best is not None and best[0] == 1:
+                break  # no later row beats a unit found in an earlier one
         return None if best is None else (best[1], best[2])
 
     diag = []

@@ -196,6 +196,24 @@ def test_character_pullback_is_hom_model(cx):
     assert pulled.evaluate(list(z6)) == ch.evaluate(lv.push_chain(1, list(z6)))
 
 
+def test_char_pullback_is_the_value_on_pushed_cycles(corpus_complex):
+    """char_pullback, read as the periods of the pulled-back lift, equals
+    f(phi_* a) on every cycle-basis vector a of the source, for every map
+    the CLI checks naturality along."""
+    from charrig.cli import _naturality_maps
+    X = corpus_complex
+    for phi in _naturality_maps(X):
+        for k in range(1, X.dim + 2):
+            for x in sample_classes(X, k, random.Random(k), count=3):
+                ch = phi_direct(x)
+                T = ch._lift
+                f = [zlin.vec_dot(T.num, phi.push_chain(k - 1, list(z)))
+                     for z in cycle_basis(phi.source, k - 1)]
+                expect = Character(phi.source, k, f, T.den,
+                                   ch.omega.pullback(phi))
+                assert char_pullback(phi, ch) == expect, (X.name, k)
+
+
 def test_naturality_of_phi(cx):
     rp2 = cx("rp2")
     maps = [barycentric_subdivide(rp2).last_vertex]

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 import functools
 from math import gcd, lcm
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,12 +13,15 @@ from sympy.matrices.normalforms import invariant_factors
 from charrig import corpus, zlin
 from charrig.cochains import (
     Cochain, QuotientForm, RingError, _mod1, alpha, basis_cochain, beta, bockstein,
-    check_exactness, coboundary, cocycle_basis, cocycle_coords, cohomology,
-    cup, cup_int_qmodz, cycle_basis, d_of_quotient, homology,
+    ZCohomology, check_exactness, coboundary, cocycle_coords, cohomology,
+    cup, cup_int_qmodz, cycle_basis, cycle_periods, d_of_quotient, homology,
     integral_form_generators, is_integral_form, r_to_rational,
     s_class_of_form, solve_coboundary, unit_cochain, zero_cochain,
+    _snf_boundary,
 )
-from charrig.simplicial import barycentric_subdivide, complex_from_maximal
+from charrig.simplicial import (
+    barycentric_subdivide, complex_from_maximal, load_complex,
+)
 
 
 def oracle_cohomology(X, j):
@@ -343,10 +347,18 @@ def _coboundary_matrix(X, j):
     return m
 
 
+def _cocycle_rows(X, j):
+    """The cocycle basis: the rows of U past the rank in the factorization
+    of d_{j+1}, made dense."""
+    fact = _snf_boundary(X, j + 1)
+    return [[row.get(i, 0) for i in range(X.n_simplices(j))]
+            for row in fact.U[fact.rank:]]
+
+
 def test_cocycle_basis_is_saturated_kernel(read_complex):
     X = read_complex
     for j in range(X.dim + 1):
-        W = cocycle_basis(X, j)
+        W = _cocycle_rows(X, j)
         delta = _coboundary_matrix(X, j)
         rank, _ = _rank_and_divisor(delta)
         assert len(W) == X.n_simplices(j) - rank, (X.name, j)
@@ -360,6 +372,69 @@ def test_cocycle_basis_is_saturated_kernel(read_complex):
         # coordinates read back from Uinv invert the basis
         for t, w in enumerate(W[:5]):
             assert cocycle_coords(X, j, w) == [int(i == t) for i in range(len(W))]
+
+
+def test_cycle_periods_pair_with_the_cycle_basis(read_complex):
+    X = read_complex
+    rng = random.Random(3)
+    for j in range(-1, X.dim + 2):
+        num = [rng.randrange(-5, 6) for _ in range(X.n_simplices(j))]
+        assert cycle_periods(X, j, num) == \
+            [zlin.vec_dot(num, z) for z in cycle_basis(X, j)], (X.name, j)
+
+
+def _relation_matrices(X, j):
+    """The relation matrices `ZCohomology` and `homology` pass to
+    `zlin.cokernel` in degree j, each built afresh."""
+    seen = []
+    real = zlin.cokernel
+
+    def spy(a, *args, **kw):
+        seen.append([list(r) for r in a])
+        return real(a, *args, **kw)
+
+    X._cache.pop(("homology", j), None)
+    with mock.patch.object(zlin, "cokernel", spy):
+        ZCohomology(X, j)
+        homology(X, j)
+    return seen
+
+
+def _dense_relation_matrices(X, j):
+    """The same two matrices by the dense formulas: the cocycle coordinates
+    of every row of d_j, one dot product with each column of Uinv past the
+    rank, transposed; and the cycle coordinates of the boundary of every
+    (j+1)-simplex, one sum over its faces for each row of Vinv past the
+    rank."""
+    fu = _snf_boundary(X, j + 1)
+    cols = [[zlin.vec_dot(row, col) for col in fu.Uinv[fu.rank:]]
+            for row in X._boundary_any(j)]
+    zrel = [[col[t] for col in cols] for t in range(len(fu.U) - fu.rank)]
+    fv = _snf_boundary(X, j)
+    faces = X.faces_with_signs(j + 1)
+    hrel = [[sum(s * row.get(i, 0) for i, s in col) for col in faces]
+            for row in fv.Vinv[fv.rank:]]
+    return [zrel, hrel]
+
+
+@functools.lru_cache(maxsize=None)
+def _fixed_space(name):
+    """A corpus complex, or its first subdivision for "sd1(<name>)"."""
+    if name.startswith("sd1("):
+        return barycentric_subdivide(load_complex(corpus.resolve(name[4:-1]))).complex
+    return load_complex(corpus.resolve(name))
+
+
+_FIXED_SPACES = list(corpus.CORPUS_NAMES) + [
+    f"sd1({n})" for n in ("s1", "s2", "t2", "rp2", "klein", "moore_z3")]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.sampled_from(_FIXED_SPACES).map(_fixed_space),
+                 random_complexes()), st.data())
+def test_relation_matrices_match_the_dense_formulas(X, data):
+    j = data.draw(st.integers(0, X.dim + 1))
+    assert _relation_matrices(X, j) == _dense_relation_matrices(X, j), j
 
 
 def _solvable(delta, b):

@@ -133,8 +133,10 @@ def test_lift_through_i2_roundtrip_and_obstruction(cx):
     assert back == th
     rp2 = cx("rp2")
     tors = cohomology(rp2, 2, "Z").make((1,))
-    with pytest.raises(NotInImage):
+    with pytest.raises(NotInImage) as err:
         lift_through_i2(preimage_of_class(rp2, tors))
+    assert err.value.witness["degree"] == 1
+    assert err.value.witness["cochain"]["degree"] == 2
 
 
 def test_delta2_surjectivity_preimages(cx):
@@ -298,3 +300,48 @@ def test_failed_rational_solve_is_a_finding_with_a_witness(cx, monkeypatch,
         equivalence_witness(x, y)
     assert err.value.witness["degree"] == 0
     assert err.value.witness["cochain"]["degree"] == 1
+
+
+def test_failed_integral_lift_is_a_finding_with_a_witness(monkeypatch, capsys):
+    """Where a lift through i2 must exist, NotInImage is a failed invariant:
+    with every integral delta-solve failing, the CLI reports the failed
+    check diagram.diagram carrying the degree and c, exits 1 and writes
+    nothing to stderr."""
+    from charrig import cli, diffcocycle
+    real = diffcocycle.solve_coboundary
+    monkeypatch.setattr(
+        diffcocycle, "solve_coboundary",
+        lambda X, j, b, integral: None if integral else real(X, j, b, integral))
+    assert cli.main(["diagram", "s1", "--degree", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    failed = [c for c in json.loads(out)["checks"] if c["status"] == "fail"]
+    assert [c["name"] for c in failed] == ["diagram.diagram"]
+    assert failed[0]["detail"].startswith("delta2 obstruction")
+    assert failed[0]["witness"] == {
+        "degree": 0, "cochain": {"degree": 1, "ring": "Z", "values": {}}}
+
+
+def test_suites_make_no_dense_cycle_or_cocycle_basis():
+    """Cold exactness, diagram and equivalence suites, naturality maps
+    included, read cycles and cocycles straight from the sparse Smith
+    transforms: no complex, the sd1 source of `last_vertex` included,
+    caches a dense cycle or cocycle basis."""
+    from charrig import cli, corpus
+    from charrig.characters import verify_equivalence
+    from charrig.cochains import check_exactness
+    from charrig.simplicial import load_complex
+    complexes, sd1 = [], []
+    for name in ("t2", "rp2", "klein"):
+        X = load_complex(corpus.resolve(name))
+        maps = cli._naturality_maps(X)
+        complexes += [X] + [phi.source for phi in maps]
+        sd1.append(maps[0].source)
+        for k in (1, 2):
+            check_exactness(X, k, random.Random(0))
+            verify_diagram(X, k, random.Random(0), maps=maps)
+            verify_equivalence(X, k, random.Random(0), maps=maps)
+    dense = [(Y.name, key) for Y in complexes for key in Y._cache
+             if key[0] in ("cycle_basis", "cocycle_basis")]
+    assert not dense, dense
+    assert all(("snf_boundary", 1) in Y._cache for Y in sd1)

@@ -6,7 +6,8 @@ data/report_hashes.json covers `inspect` on every corpus complex,
 degree 2 on klein and moore_z3, `ring 1,1` on t2 and moore_z3, `pseudo`
 on every shipped cycle, and on first barycentric
 subdivisions (sd1) `inspect` of t2, rp2, klein and moore_z3, `diagram 1`
-and `phi 1`, `phi 2` of s2, all at seed 0. A change that is
+and `phi 1`, `phi 2` of s2, and on second subdivisions (sd2) `inspect` of
+t2 and moore_z3 and `phi 2` of t2, all at seed 0. A change that is
 meant to alter reports regenerates the table from the repository root:
 
     PYTHONPATH=src python -c "import json,sys; sys.path.insert(0,'tests'); import test_report_hashes as t; open(t.TABLE,'w').write(json.dumps(t.current_hashes(),indent=1,sort_keys=True)+'\\n')"
@@ -22,6 +23,7 @@ TABLE = Path(__file__).resolve().parent / "data" / "report_hashes.json"
 SUITE_SPACES = ("s1", "s2", "t2", "rp2")
 DEGREE2_SPACES = ("klein", "moore_z3")
 SD1_INSPECT = ("t2", "rp2", "klein", "moore_z3")
+SD2_INSPECT = ("t2", "moore_z3")
 
 
 def _operations():
@@ -46,6 +48,9 @@ def _operations():
     yield "diagram sd1(s2) 1", "s2", 1, cli.cmd_diagram, {"degree": 1}
     for k in (1, 2):
         yield f"phi sd1(s2) {k}", "s2", 1, cli.cmd_phi, {"degree": k}
+    for name in SD2_INSPECT:
+        yield f"inspect sd2({name})", name, 2, cli.cmd_inspect, {}
+    yield "phi sd2(t2) 2", "t2", 2, cli.cmd_phi, {"degree": 2}
 
 
 def current_hashes() -> dict:

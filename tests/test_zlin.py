@@ -83,6 +83,23 @@ def test_snf_examples():
     assert s.diag == (1,) and s.V == [{1: 1}, {0: 1}] and s.Vinv == s.V
 
 
+def test_snf_pivot_examples():
+    """The pivot is the smallest |entry|, ties by row then column: the
+    scan may stop at the first row holding a unit, but not before."""
+    # row 0 holds only non-units; the first unit, (1, 1), is the pivot
+    f = zlin.smith_normal_form([[2, 3], [4, 1]])
+    assert f.diag == (1, 10)
+    assert f.U == [{1: 1}, {0: -1, 1: 3}] and f.V == [{1: 1}, {0: 1, 1: -4}]
+    assert f.Uinv == [{0: 3, 1: 1}, {0: -1}] and f.Vinv == [{0: 4, 1: 1}, {0: 1}]
+    # no unit in the active block: the whole block is scanned for the 2
+    g = zlin.smith_normal_form([[2, 4], [6, 3]])
+    assert g.diag == (1, 18)
+    assert g.U == [{0: -2, 1: 1}, {0: -21, 1: 10}]
+    assert g.V == [{0: 3, 1: 1}, {0: -5, 1: -2}]
+    assert g.Uinv == [{0: 10, 1: 21}, {0: -1, 1: -2}]
+    assert g.Vinv == [{0: 2, 1: -5}, {0: 1, 1: -3}]
+
+
 def test_snf_is_deterministic():
     rng = random.Random(7)
     a = [[rng.randrange(-5, 6) for _ in range(5)] for _ in range(4)]
