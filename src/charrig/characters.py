@@ -291,7 +291,11 @@ def verify_equivalence(cx: Complex, k: int, rng, n_round_trips: int = 20,
     trips = 0
     rounds = list(classes)
     while len(rounds) < n_round_trips:
-        rounds.extend(sample_classes(cx, k, rng, count=4)[1:])
+        # past the zero class; none at all when zero is the only class
+        more = sample_classes(cx, k, rng, count=4)[1:]
+        if not more:
+            break
+        rounds.extend(more)
     for idx, x in enumerate(rounds[:n_round_trips]):
         ch = phi_direct(x)
         back = phi_inverse(ch)

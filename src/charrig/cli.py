@@ -228,10 +228,10 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp = sub.add_parser("diagram", help="character diagram checks at one degree")
     common(sp)
-    sp.add_argument("--degree", type=int, required=True)
+    sp.add_argument("--degree", type=_degree, required=True)
     sp = sub.add_parser("phi", help="equivalence of the two character models")
     common(sp)
-    sp.add_argument("--degree", type=int, required=True)
+    sp.add_argument("--degree", type=_degree, required=True)
     sp = sub.add_parser("ring", help="product axiom suite")
     common(sp)
     sp.add_argument("--degrees", type=_degree_pair, required=True,
@@ -243,11 +243,22 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _degree(text: str) -> int:
+    try:
+        k = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"degree {text!r} is not an integer") from None
+    if k < 0:
+        raise argparse.ArgumentTypeError(f"degree {k} is negative")
+    return k
+
+
 def _degree_pair(text: str):
     parts = text.split(",")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError("expected two degrees like 1,1")
-    return (int(parts[0]), int(parts[1]))
+    return (_degree(parts[0]), _degree(parts[1]))
 
 
 def main(argv=None) -> int:

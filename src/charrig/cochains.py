@@ -12,6 +12,7 @@ synthesized on demand.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, gcd, lcm
@@ -206,12 +207,18 @@ def unit_cochain(cx: Complex) -> Cochain:
 
 
 def _coboundary_num(x: Cochain) -> list:
-    """Numerators of delta x over x.den, not reduced."""
+    """Numerators of delta x over x.den, not reduced: the alternating sum
+    over face positions, each position one C-level map over the simplices."""
     j = x.degree + 1
-    if j <= 0:
+    cols = x.cx.face_columns(j)
+    if not cols:
         return [0] * x.cx.n_simplices(j)
-    num = x.num
-    return [sum(s * num[r] for r, s in col) for col in x.cx.faces_with_signs(j)]
+    get = x.num.__getitem__
+    out = map(get, cols[0])
+    for i in range(1, len(cols)):
+        out = map(operator.sub if i % 2 else operator.add, out,
+                  map(get, cols[i]))
+    return list(out)
 
 
 def coboundary(x: Cochain) -> Cochain:
@@ -279,10 +286,16 @@ def cup_class_qmodz(a: "CohomologyClass", u: "CohomologyClass") -> "CohomologyCl
 # coordinates, and delta x = b is solved as S^T y = V^T b, x = U^T y.
 # A cocycle with prescribed periods takes them on the cycle basis and
 # vanishes on the rest of the Smith-adapted basis (`cochain_on_cycle_basis`).
-# The transforms are sparse (U and Vinv by rows, V and Uinv by columns, see
-# `zlin.SNFResult`): coordinates, periods, relation matrices and solves
-# read those rows and columns directly. Only `cycle_basis` makes the
-# cycles dense, for callers outside the cohomology layer.
+# The build is sparse from input to output. Each d_j is cached as one
+# ascending dict per (j-1)-simplex (`Complex._boundary_any`) and factored
+# as it is; the transforms are sparse too (U and Vinv by rows, V and Uinv
+# by columns, see `zlin.SNFResult`): coordinates, periods, relation
+# matrices and solves read those rows and columns directly. The relation
+# matrices of H^j(Z) and H_j are ascending dict rows, and their
+# presentations (`zlin.cokernel`) are factored without column transforms,
+# since a presentation reads only U and Uinv. Only `cycle_basis` makes the
+# cycles dense, for callers outside the cohomology layer, and the
+# coboundary reads the per-position face lists of `Complex.face_columns`.
 
 
 def _snf_boundary(cx: Complex, j: int) -> zlin.SNFResult:
@@ -394,19 +407,15 @@ def homology(cx: Complex, j: int) -> HomologyData:
         # relations: the cycle coordinates of each (j+1)-simplex's boundary,
         # row t of Vinv past the rank carried to the (j+1)-simplices through
         # the cofaces of each j-simplex
-        n_up = cx.n_simplices(j + 1)
-        cofaces = [[] for _ in range(cx.n_simplices(j))]
-        for c, col in enumerate(cx.faces_with_signs(j + 1)):
-            for i, s in col:
-                cofaces[i].append((c, s))
+        cofaces = cx._boundary_any(j + 1)
         Y = []
         for row in fact.Vinv[fact.rank:]:
-            y = [0] * n_up
+            y = {}
             for i, v in row.items():
-                for c, s in cofaces[i]:
-                    y[c] += s * v
-            Y.append(y)
-        fg = zlin.cokernel(Y, ambient=len(K))
+                for c, s in cofaces[i].items():
+                    y[c] = y.get(c, 0) + s * v
+            Y.append(_ascending(y))
+        fg = zlin.cokernel(Y, ambient=len(K), ncols=cx.n_simplices(j + 1))
         n = cx.n_simplices(j)
         gens = tuple(tuple(zlin.combine(fg.lift(e), K, n))
                      for e in _units(fg.n_coords))
@@ -465,14 +474,16 @@ class ZCohomology:
         # relations: the cocycle coordinates of delta of each basis
         # (j-1)-cochain, i.e. of row r of d_j, read off column t of Uinv
         # past the rank through the faces of each j-simplex
-        Y = [[0] * cx.n_simplices(j - 1) for _ in coords]
-        if j >= 1:
-            faces = cx.faces_with_signs(j)
-            for y, col in zip(Y, coords):
+        faces = cx.faces_with_signs(j)
+        Y = []
+        for col in coords:
+            y = {}
+            if faces:
                 for sigma, u in col.items():
                     for r, s in faces[sigma]:
-                        y[r] += s * u
-        self.fg = zlin.cokernel(Y, ambient=len(Y))
+                        y[r] = y.get(r, 0) + s * u
+            Y.append(_ascending(y))
+        self.fg = zlin.cokernel(Y, ambient=len(Y), ncols=cx.n_simplices(j - 1))
         self.rank = self.fg.rank
         self.torsion = self.fg.torsion
         self.gen_cochains = tuple(self._materialize(self.fg.lift(e))
@@ -590,6 +601,12 @@ class QmodZCohomology:
         return " + ".join(parts) if parts else "0"
 
 
+def _ascending(row: dict) -> dict:
+    """The nonzero entries of a sparse row, keys ascending, as
+    `zlin.smith_normal_form` needs them."""
+    return {i: row[i] for i in sorted(row) if row[i]}
+
+
 def _units(n):
     for t in range(n):
         e = [0] * n
@@ -663,8 +680,9 @@ def integral_form_generators(cx: Complex, k: int):
     hz = cohomology(cx, k, RING_Z)
     gens = list(hz.gen_cochains[:hz.rank])
     # the coboundary of the t-th basis (k-1)-cochain is row t of d_k
-    gens.extend(_cochain(cx, RING_Z, k, row)
-                for row in cx._boundary_any(k) if any(row))
+    n = cx.n_simplices(k)
+    gens.extend(_cochain(cx, RING_Z, k, zlin.combine((1,), (row,), n))
+                for row in cx._boundary_any(k) if row)
     return gens
 
 

@@ -429,7 +429,7 @@ def _local_homology_witness(base: Complex, tower, d: int, rho: int,
     rhs = [r - s for r, s in zip(route, s2)]
     local = _carrier_subcomplex(base, tower, d + 1, rho)
     sub, incl = local.as_complex()
-    sol = zlin.solve_integer(sub.boundary_matrix(d + 1),
+    sol = zlin.solve_integer(sub._boundary_any(d + 1),
                              _chain_to_subcomplex(incl, d, rhs),
                              ncols=sub.n_simplices(d + 1))
     if sol is None:

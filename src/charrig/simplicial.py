@@ -33,7 +33,7 @@ class MismatchError(Exception):
 
 
 class Complex:
-    """Immutable simplicial complex with integer boundary matrices."""
+    """Immutable simplicial complex with sparse integer boundary matrices."""
 
     def __init__(self, name: str, simplices_by_dim, vertex_count: int | None = None):
         self.name = name
@@ -108,26 +108,44 @@ class Complex:
             self._cache[key] = tuple(out)
         return self._cache[key]
 
+    def face_columns(self, j: int):
+        """The faces of the j-simplices by position: entry i lists, for each
+        j-simplex in order, the index of the face that omits vertex i, which
+        enters the boundary with sign (-1)^i. Empty unless 1 <= j <= dim."""
+        key = ("face_columns", j)
+        if key not in self._cache:
+            self._cache[key] = tuple(zip(*(
+                tuple(r for r, _ in col) for col in self.faces_with_signs(j))))
+        return self._cache[key]
+
     def boundary_matrix(self, j: int):
-        """Matrix of the boundary operator C_j -> C_{j-1}.
+        """Dense matrix of the boundary operator C_j -> C_{j-1}, built
+        afresh on each call from the sparse rows of `_boundary_any`.
 
         Accepts 0 <= j <= dim+1; the extremes give matrices with an empty
         side (a point complex has a 1x0 boundary in degree 1).
         """
         if not (0 <= j <= self.dim + 1):
             raise DegreeError(f"degree {j} out of range for {self.name} (dim {self.dim})")
-        return self._boundary_any(j)
+        cols = self.n_simplices(j)
+        out = []
+        for row in self._boundary_any(j):
+            dense = [0] * cols
+            for c, sign in row.items():
+                dense[c] = sign
+            out.append(dense)
+        return out
 
     def _boundary_any(self, j: int):
+        """The boundary operator C_j -> C_{j-1} as one sparse row per
+        (j-1)-simplex, a dict from j-simplex index to sign whose keys
+        ascend; cached."""
         key = ("boundary", j)
         if key not in self._cache:
-            rows = self.n_simplices(j - 1) if j >= 1 else 0
-            cols = self.n_simplices(j)
-            mat = [[0] * cols for _ in range(rows)]
-            if rows and cols:
-                for c, col in enumerate(self.faces_with_signs(j)):
-                    for r, sign in col:
-                        mat[r][c] = sign
+            mat = [{} for _ in range(self.n_simplices(j - 1) if j >= 1 else 0)]
+            for c, col in enumerate(self.faces_with_signs(j)):
+                for r, sign in col:
+                    mat[r][c] = sign
             self._cache[key] = mat
         return self._cache[key]
 

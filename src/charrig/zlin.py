@@ -4,9 +4,13 @@ Everything here works with arbitrary-precision Python ints and Fractions;
 no floating point is used anywhere. The central routine is a Smith normal
 form with unimodular transforms (and their inverses), from which integer
 solvability, kernels, cokernels and finitely generated abelian group
-presentations are derived. The factorization is sparse throughout: the
-working matrix and the four transforms are dicts from index to nonzero
-int, so an elementary operation costs the nonzeros it touches.
+presentations are derived. The factorization is sparse throughout: it
+takes its rows as dense sequences or as dicts from column index to
+nonzero int (the boundary operators and the relation matrices of the
+cohomology layer come as dicts), the working matrix and the four
+transforms are dicts, so an elementary operation costs the nonzeros it
+touches. A group presentation (`cokernel`) reads only U and Uinv and
+factors without the column transforms.
 
 This module also owns exact vector pairing and combination: every pairing
 of a cochain with a chain goes through `vec_dot`, and every linear
@@ -83,34 +87,43 @@ class SNFResult:
     Each transform is a list of sparse vectors, dicts from index to nonzero
     int: U and Vinv by rows (U[i] is row i), V and Uinv by columns (V[j] is
     column j). The dicts are shared with every reader of a cached
-    factorization and are read-only after return.
+    factorization and are read-only after return. A factorization made
+    without column transforms (`smith_normal_form(..., col_transforms=False)`,
+    as `cokernel` makes it) leaves V and Vinv as None.
     """
     shape: tuple[int, int]
     diag: tuple[int, ...]
     U: list
-    V: list
+    V: list | None
     Uinv: list
-    Vinv: list
+    Vinv: list | None
 
     @property
     def rank(self) -> int:
         return sum(1 for d in self.diag if d != 0)
 
 
-def smith_normal_form(a, ncols: int | None = None) -> SNFResult:
+def smith_normal_form(a, ncols: int | None = None, *,
+                      col_transforms: bool = True) -> SNFResult:
     """Smith normal form over Z.
 
     Pivot choice: smallest absolute value in the active submatrix, ties
     broken by row index then column index, which keeps the result
     deterministic and bounds coefficient growth.
 
-    `ncols` disambiguates the column count of a 0-row matrix, which the
-    list-of-lists representation cannot express.
+    Each row of `a` is a dense sequence or a dict from column index to
+    value. A dict row must hold its columns in ascending order, as a dense
+    row does: the divisibility sweep takes the first entry of a row that
+    the pivot does not divide, so another order can pick another row
+    operation. `ncols` gives the column count, which dict rows and a
+    0-row matrix cannot express; without it, the length of the first row.
+    With `col_transforms=False` only U and Uinv are kept up to date, and
+    the result holds None for V and Vinv.
     """
     m = len(a)
-    n = len(a[0]) if m else (ncols or 0)
+    n = ncols if ncols is not None else (len(a[0]) if m else 0)
     # sparse working copy: per-row dict col -> value, plus per-column row sets
-    rows = [{j: int(x) for j, x in enumerate(r) if x} for r in a]
+    rows = [{j: int(x) for j, x in _entries(r) if x} for r in a]
     if any(v != r[j] for row, r in zip(rows, a) for j, v in row.items()):
         raise ValueError("Smith normal form needs an integer matrix")
     col_rows = [set() for _ in range(n)]
@@ -119,8 +132,8 @@ def smith_normal_form(a, ncols: int | None = None) -> SNFResult:
             col_rows[j].add(i)
     U = _sparse_identity(m)
     Uinv = _sparse_identity(m)
-    V = _sparse_identity(n)
-    Vinv = _sparse_identity(n)
+    V = _sparse_identity(n) if col_transforms else None
+    Vinv = _sparse_identity(n) if col_transforms else None
 
     def row_op(i, t, q):
         # row_i -= q * row_t
@@ -145,8 +158,9 @@ def smith_normal_form(a, ncols: int | None = None) -> SNFResult:
             elif j in ri:
                 del ri[j]
                 col_rows[j].discard(i)
-        _axpy(V[j], V[t], -q)
-        _axpy(Vinv[t], Vinv[j], q)
+        if col_transforms:
+            _axpy(V[j], V[t], -q)
+            _axpy(Vinv[t], Vinv[j], q)
 
     def row_swap(i, t):
         if i == t:
@@ -173,8 +187,9 @@ def smith_normal_form(a, ncols: int | None = None) -> SNFResult:
             if vj is not None:
                 ri[t] = vj
         col_rows[j], col_rows[t] = col_rows[t], col_rows[j]
-        V[j], V[t] = V[t], V[j]
-        Vinv[j], Vinv[t] = Vinv[t], Vinv[j]
+        if col_transforms:
+            V[j], V[t] = V[t], V[j]
+            Vinv[j], Vinv[t] = Vinv[t], Vinv[j]
 
     def row_negate(i):
         for vec in (rows[i], U[i], Uinv[i]):
@@ -316,11 +331,15 @@ class FgAbelianGroup:
         return " + ".join(parts) if parts else "0"
 
 
-def cokernel(a, ambient: int | None = None, fact: SNFResult | None = None) -> FgAbelianGroup:
+def cokernel(a, ambient: int | None = None, fact: SNFResult | None = None,
+             ncols: int | None = None) -> FgAbelianGroup:
     """Presentation of Z^m / im(a).
 
     `ambient` must be given when `a` has no rows to disambiguate the target
-    rank (an empty image inside Z^ambient).
+    rank (an empty image inside Z^ambient). Rows may be dense or ascending
+    dicts, as in `smith_normal_form`, with `ncols` their column count. The
+    presentation reads only U and Uinv, so `a` is factored without the
+    column transforms.
     """
     m = len(a)
     if m == 0:
@@ -331,7 +350,7 @@ def cokernel(a, ambient: int | None = None, fact: SNFResult | None = None) -> Fg
     if ambient is not None and ambient != m:
         raise ShapeError("ambient rank disagrees with row count")
     if fact is None:
-        fact = smith_normal_form(a)
+        fact = smith_normal_form(a, ncols=ncols, col_transforms=False)
     free_idx = list(range(fact.rank, m))
     tors_idx = [i for i in range(fact.rank) if fact.diag[i] > 1]
     torsion = tuple(fact.diag[i] for i in tors_idx)

@@ -12,16 +12,16 @@ import pytest
 
 from charrig import cli, corpus, zlin
 from charrig.cochains import basis_cochain, cohomology
-from charrig.simplicial import load_complex
+from charrig.simplicial import barycentric_subdivide, load_complex
 
 
-def run_cli(*args, env=None, check=False):
+def run_cli(*args, env=None, check=False, timeout=None):
     full_env = dict(os.environ)
     if env:
         full_env.update(env)
     proc = subprocess.run(
         [sys.executable, "-m", "charrig.cli", *args],
-        capture_output=True, text=True, env=full_env)
+        capture_output=True, text=True, env=full_env, timeout=timeout)
     if check and proc.returncode != 0:
         raise AssertionError(f"cli failed: {proc.stdout}\n{proc.stderr}")
     return proc.returncode, proc.stdout, proc.stderr
@@ -200,6 +200,46 @@ def test_exit_code_when_no_good_neighborhood_fits_the_budget(argv):
     assert code == 2
     assert err.startswith("input error:") and "within 0 subdivisions" in err
     assert "Traceback" not in err and out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["phi", "point", "--degree", "2"],
+    ["phi", "t2", "--degree", "4"],
+])
+def test_phi_finishes_when_the_degree_has_only_the_zero_class(argv):
+    """The round trips stop sampling when a sample adds no class beyond
+    zero, instead of sampling forever."""
+    code, out, err = run_cli(*argv, timeout=60)
+    assert code == 0, err
+    by_name = {c["name"]: c for c in parse_report(out)["checks"]}
+    trips = by_name["phi.bijective_round_trips"]
+    assert trips["status"] == "pass" and trips["detail"] == "4 round trips"
+
+
+@pytest.mark.parametrize("argv", [
+    ["diagram", "t2", "--degree=-1"],
+    ["phi", "t2", "--degree=-1"],
+    ["ring", "t2", "--degrees=-1,1"],
+    ["ring", "t2", "--degrees=1,-2"],
+])
+def test_negative_degrees_are_rejected_when_parsed(argv):
+    code, out, err = run_cli(*argv)
+    assert code == 2 and out == ""
+    assert "is negative" in err and "Traceback" not in err
+
+
+def test_caches_hold_no_dense_matrices():
+    """After `inspect` and `diagram 2` on sd1(t2), no value cached on the
+    complex or on its subdivision is a list of dense rows: boundary
+    operators are cached as sparse rows and relation matrices are never
+    made dense."""
+    X = barycentric_subdivide(load_complex(corpus.resolve("t2"))).complex
+    cli.cmd_inspect(X, argparse.Namespace(seed=0, max_subdiv=2), 1)
+    cli.cmd_diagram(X, argparse.Namespace(seed=0, max_subdiv=2, degree=2), 1)
+    for cx in (X, barycentric_subdivide(X).complex):
+        dense = [key for key, v in cx._cache.items() if isinstance(v, list)
+                 and any(isinstance(row, list) for row in v)]
+        assert dense == [], (cx.name, dense)
 
 
 def test_timings_per_task_outside_the_hash():

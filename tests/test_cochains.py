@@ -17,7 +17,7 @@ from charrig.cochains import (
     cup, cup_int_qmodz, cycle_basis, cycle_periods, d_of_quotient, homology,
     integral_form_generators, is_integral_form, r_to_rational,
     s_class_of_form, solve_coboundary, unit_cochain, zero_cochain,
-    _snf_boundary,
+    _coboundary_num, _snf_boundary,
 )
 from charrig.simplicial import (
     barycentric_subdivide, complex_from_maximal, load_complex,
@@ -383,14 +383,14 @@ def test_cycle_periods_pair_with_the_cycle_basis(read_complex):
             [zlin.vec_dot(num, z) for z in cycle_basis(X, j)], (X.name, j)
 
 
-def _relation_matrices(X, j):
-    """The relation matrices `ZCohomology` and `homology` pass to
-    `zlin.cokernel` in degree j, each built afresh."""
+def _cokernel_calls(X, j):
+    """(rows, ncols) of each relation matrix that `ZCohomology` and
+    `homology` pass to `zlin.cokernel` in degree j, each built afresh."""
     seen = []
     real = zlin.cokernel
 
     def spy(a, *args, **kw):
-        seen.append([list(r) for r in a])
+        seen.append((a, kw["ncols"]))
         return real(a, *args, **kw)
 
     X._cache.pop(("homology", j), None)
@@ -398,6 +398,18 @@ def _relation_matrices(X, j):
         ZCohomology(X, j)
         homology(X, j)
     return seen
+
+
+def _relation_matrices(X, j):
+    """The relation matrices of `_cokernel_calls`, their dict rows checked
+    to be ascending and free of zeros, then made dense over `ncols`
+    columns."""
+    out = []
+    for a, ncols in _cokernel_calls(X, j):
+        for r in a:
+            assert list(r) == sorted(r) and all(r.values()), r
+        out.append([zlin.combine((1,), (r,), ncols) for r in a])
+    return out
 
 
 def _dense_relation_matrices(X, j):
@@ -408,7 +420,7 @@ def _dense_relation_matrices(X, j):
     rank."""
     fu = _snf_boundary(X, j + 1)
     cols = [[zlin.vec_dot(row, col) for col in fu.Uinv[fu.rank:]]
-            for row in X._boundary_any(j)]
+            for row in X.boundary_matrix(j)]
     zrel = [[col[t] for col in cols] for t in range(len(fu.U) - fu.rank)]
     fv = _snf_boundary(X, j)
     faces = X.faces_with_signs(j + 1)
@@ -435,6 +447,52 @@ _FIXED_SPACES = list(corpus.CORPUS_NAMES) + [
 def test_relation_matrices_match_the_dense_formulas(X, data):
     j = data.draw(st.integers(0, X.dim + 1))
     assert _relation_matrices(X, j) == _dense_relation_matrices(X, j), j
+
+
+def _transforms(f):
+    return f.diag, f.U, f.V, f.Uinv, f.Vinv
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.sampled_from(_FIXED_SPACES).map(_fixed_space),
+                 random_complexes()), st.data())
+def test_sparse_and_row_only_factorizations_match_the_dense_one(X, data):
+    """For d_j and the two relation matrices of degree j: dict rows and
+    dense rows give the same diag and the same four transforms, and the
+    factorization without column transforms, the one `zlin.cokernel`
+    makes, the same diag, U and Uinv and so the same presentation."""
+    j = data.draw(st.integers(0, X.dim + 1))
+    mats = [(X._boundary_any(j), X.n_simplices(j))] + _cokernel_calls(X, j)
+    for rows, ncols in mats:
+        dense = [zlin.combine((1,), (r,), ncols) for r in rows]
+        full = zlin.smith_normal_form(dense, ncols=ncols)
+        assert _transforms(zlin.smith_normal_form(rows, ncols=ncols)) == \
+            _transforms(full), j
+        row_only = zlin.smith_normal_form(rows, ncols=ncols,
+                                          col_transforms=False)
+        assert _transforms(row_only) == \
+            (full.diag, full.U, None, full.Uinv, None), j
+        if rows:
+            assert zlin.cokernel(rows, ncols=ncols) == \
+                zlin.cokernel(rows, fact=full), j
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.sampled_from(_FIXED_SPACES).map(_fixed_space),
+                 random_complexes()), st.data())
+def test_coboundary_kernel_is_the_signed_face_sum(X, data):
+    """`_coboundary_num` is sum_i (-1)^i x(face_i) over `faces_with_signs`
+    in degrees -1..dim+1, over Z, Q and Q/Z."""
+    j = data.draw(st.integers(-1, X.dim + 1))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    faces = X.faces_with_signs(j + 1)
+    for ring, den in (("Z", 1), ("Q", rng.randrange(1, 7)),
+                      ("QmodZ", rng.randrange(1, 7))):
+        x = Cochain(X, ring, j, [Fraction(rng.randrange(-9, 10), den)
+                                 for _ in range(X.n_simplices(j))])
+        expected = ([sum(s * x.num[r] for r, s in col) for col in faces]
+                    if faces else [0] * X.n_simplices(j + 1))
+        assert _coboundary_num(x) == expected, (ring, j)
 
 
 def _solvable(delta, b):

@@ -1,14 +1,18 @@
 """Report bytes pinned against a committed table of canonical hashes.
 
-Refactors of the linear algebra must not move any report. The table in
-data/report_hashes.json covers `inspect` on every corpus complex,
-`diagram` and `phi` at degrees 1 and 2 on s1, s2, t2 and rp2 and at
-degree 2 on klein and moore_z3, `ring 1,1` on t2 and moore_z3, `pseudo`
-on every shipped cycle, and on first barycentric
+Refactors of the linear algebra must not move any report: not the
+choice between dense and sparse rows fed to a Smith factorization, nor
+factoring a group presentation without its column transforms, since
+both give the same diag and the same row transforms, hence the same
+generators. The table in data/report_hashes.json covers `inspect` on
+every corpus complex, `diagram` and `phi` at degrees 1 and 2 on s1, s2,
+t2 and rp2 and at degree 2 on klein and moore_z3, `ring 1,1` on t2 and
+moore_z3, `pseudo` on every shipped cycle, and on first barycentric
 subdivisions (sd1) `inspect` of t2, rp2, klein and moore_z3, `diagram 1`
 and `phi 1`, `phi 2` of s2, and on second subdivisions (sd2) `inspect` of
-t2 and moore_z3 and `phi 2` of t2, all at seed 0. A change that is
-meant to alter reports regenerates the table from the repository root:
+t2 and moore_z3 and `diagram 2` and `phi 2` of t2, all at seed 0. A
+change that is meant to alter reports regenerates the table from the
+repository root:
 
     PYTHONPATH=src python -c "import json,sys; sys.path.insert(0,'tests'); import test_report_hashes as t; open(t.TABLE,'w').write(json.dumps(t.current_hashes(),indent=1,sort_keys=True)+'\\n')"
 """
@@ -51,6 +55,7 @@ def _operations():
     for name in SD2_INSPECT:
         yield f"inspect sd2({name})", name, 2, cli.cmd_inspect, {}
     yield "phi sd2(t2) 2", "t2", 2, cli.cmd_phi, {"degree": 2}
+    yield "diagram sd2(t2) 2", "t2", 2, cli.cmd_diagram, {"degree": 2}
 
 
 def current_hashes() -> dict:

@@ -72,6 +72,19 @@ def test_snf_matches_independent_oracle(a):
     assert [d for d in f.diag if d] == expected
 
 
+@settings(max_examples=60, deadline=None)
+@given(small_matrices())
+def test_dict_rows_and_row_only_factorization_match_dense_rows(a):
+    """Ascending dict rows give the factorization of the dense rows; without
+    column transforms, the same diag, U and Uinv."""
+    f = zlin.smith_normal_form(a)
+    rows = [as_dict(r) for r in a]
+    g = zlin.smith_normal_form(rows, ncols=len(a[0]))
+    assert (g.diag, g.U, g.V, g.Uinv, g.Vinv) == (f.diag, f.U, f.V, f.Uinv, f.Vinv)
+    h = zlin.smith_normal_form(rows, ncols=len(a[0]), col_transforms=False)
+    assert (h.diag, h.U, h.V, h.Uinv, h.Vinv) == (f.diag, f.U, None, f.Uinv, None)
+
+
 def test_snf_examples():
     f = zlin.smith_normal_form([[2]])
     assert f.diag == (2,) and f.U == [{0: 1}] and f.V == [{0: 1}]
@@ -248,6 +261,8 @@ def test_solve_rational():
     # the matrix must be integral; a rational one is refused, not truncated
     with pytest.raises(ValueError):
         zlin.solve_rational([[Fraction(1, 2)]], [1])
+    with pytest.raises(ValueError):
+        zlin.smith_normal_form([{0: Fraction(1, 2)}], ncols=1)
 
 
 def test_shape_errors():
