@@ -26,7 +26,10 @@ from .diffcocycle import (
     DiffClass, class_equal, delta1, delta2, i1 as dc_i1, i2 as dc_i2,
     lift_through_i2, make_class, pullback, sample_classes,
 )
-from .geometry import GoodNeighborhood, good_neighborhood_of_cycle, normalize_cycle
+from .geometry import (
+    GeometryBudgetExceeded, GoodNeighborhood, good_neighborhood_of_cycle,
+    normalize_cycle,
+)
 from .report import CheckResult, check
 from .simplicial import Complex, MismatchError, SimplicialMap
 
@@ -418,17 +421,25 @@ def verify_phi_good(cx: Complex, k: int, rng, n_pairs: int = 6,
     results.append(check("phi.boundary_formula", not probs,
                          f"{min(n_k, 3)} basis chains", {"problems": probs}))
 
-    # the pseudomanifold path (cycle surgery consistency)
-    probs = []
+    # the pseudomanifold path (cycle surgery consistency); a pair whose
+    # cycle the surgery cannot split within budget is skipped, as
+    # `_phi_good_alternative` skips a neighborhood
+    probs, skipped = [], []
     for idx, (x, z) in enumerate(pairs[:4]):
         if k - 1 >= cx.dim or all(c == 0 for c in z):
             continue
         direct = phi_direct(x).evaluate(list(z))
-        via_pm = evaluate_via_normalization(x, list(z))
+        try:
+            via_pm = evaluate_via_normalization(x, list(z))
+        except GeometryBudgetExceeded:
+            skipped.append(idx)
+            continue
         if direct != via_pm:
             probs.append(("pseudomanifold-path value disagrees", idx))
     results.append(check("phi.pseudomanifold_path", not probs,
-                         "normalization evaluation", {"problems": probs}))
+                         "normalization evaluation",
+                         {"problems": probs,
+                          **({"skipped": skipped} if skipped else {})}))
     return results
 
 
@@ -436,7 +447,7 @@ def _phi_good_alternative(x: DiffClass, z, max_subdiv: int):
     """The phi_good value through a second good neighborhood: first try a
     strictly finer one (deeper subdivision), else a fattened star; None
     when no alternative fits the subdivision budget."""
-    from .geometry import GeometryBudgetExceeded, good_neighborhood
+    from .geometry import good_neighborhood
     from .simplicial import chain_support, closed_star_neighborhood
     cx = x.cx
     k = x.degree

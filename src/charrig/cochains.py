@@ -277,22 +277,22 @@ def cup_class_qmodz(a: "CohomologyClass", u: "CohomologyClass") -> "CohomologyCl
 # cached chain-level data
 #
 # One Smith factorization U d_j V = S per boundary operator d_j: C_j ->
-# C_{j-1}, cached per complex, serves both sides. Chain side in degree j,
-# from the factorization of d_j: the j-cycles are the columns of V past the
-# rank, and the rows of Vinv past the rank give a cycle's coordinates.
-# Cochain side in degree j, from the factorization of d_{j+1}, since
-# delta^j = d_{j+1}^T = Vinv^T S^T Uinv^T: the j-cocycles are the rows of U
-# past the rank, the columns of Uinv past the rank give a cocycle's
-# coordinates, and delta x = b is solved as S^T y = V^T b, x = U^T y.
-# A cocycle with prescribed periods takes them on the cycle basis and
-# vanishes on the rest of the Smith-adapted basis (`cochain_on_cycle_basis`).
+# C_{j-1}, cached per complex, serves both sides. Chain side in degree j:
+# the j-cycles are the columns of V past the rank, and the rows of Vinv
+# past the rank give a cycle's coordinates. Cochain side, by transposition:
+# delta^{j-1} = d_j^T, so the j-coboundaries are the x with w = V^T x in
+# d_i Z below the rank and 0 past it, and H^j(Z) is read from the same
+# factorization (`ZCohomology`); delta^j x = b is solved through that of
+# d_{j+1} as S^T y = V^T b, x = U^T y. A cocycle with prescribed periods
+# takes them on the cycle basis and vanishes on the rest of the
+# Smith-adapted basis (`cochain_on_cycle_basis`).
 # The build is sparse from input to output. Each d_j is cached as one
 # ascending dict per (j-1)-simplex (`Complex._boundary_any`) and factored
 # as it is; the transforms are sparse too (U and Vinv by rows, V and Uinv
 # by columns, see `zlin.SNFResult`): coordinates, periods, relation
 # matrices and solves read those rows and columns directly. The relation
-# matrices of H^j(Z) and H_j are ascending dict rows, and their
-# presentations (`zlin.cokernel`) are factored without column transforms,
+# matrix of H_j is ascending dict rows, and its
+# presentation (`zlin.cokernel`) is factored without column transforms,
 # since a presentation reads only U and Uinv. Only `cycle_basis` makes the
 # cycles dense, for callers outside the cohomology layer, and the
 # coboundary reads the per-position face lists of `Complex.face_columns`.
@@ -353,10 +353,19 @@ def cochain_on_cycle_basis(cx: Complex, j: int, num, ring: str,
         num, fact.Vinv[fact.rank:], cx.n_simplices(j)), den)
 
 
-def cocycle_coords(cx: Complex, j: int, values):
-    """Coordinates of a j-cocycle in the cocycle basis."""
-    fact = _snf_boundary(cx, j + 1)
-    return [zlin.vec_dot(values, col) for col in fact.Uinv[fact.rank:]]
+def _torsion_indices(fact: zlin.SNFResult) -> range:
+    """The i with d_i > 1 below the rank: d_i | d_{i+1}, so after the 1s."""
+    return range(fact.diag.count(1), fact.rank)
+
+
+def cocycle_coords(cx: Complex, j: int, values) -> list:
+    """Unreduced coordinates in H^j(Z) of a j-cocycle: its periods on the
+    free homology generators, then its pairing with column i of V for each
+    torsion index i of d_j (see `ZCohomology`)."""
+    fact = _snf_boundary(cx, j)
+    hom = homology(cx, j)
+    return ([zlin.vec_dot(values, z) for z in hom.gen_cycles[:hom.free_count]]
+            + [zlin.vec_dot(values, fact.V[i]) for i in _torsion_indices(fact)])
 
 
 def solve_coboundary(cx: Complex, j: int, b: Cochain, integral: bool):
@@ -406,7 +415,8 @@ def homology(cx: Complex, j: int) -> HomologyData:
         K = fact.V[fact.rank:]
         # relations: the cycle coordinates of each (j+1)-simplex's boundary,
         # row t of Vinv past the rank carried to the (j+1)-simplices through
-        # the cofaces of each j-simplex
+        # the cofaces of each j-simplex, as ascending dicts free of zeros
+        # (`zlin.smith_normal_form` needs them so)
         cofaces = cx._boundary_any(j + 1)
         Y = []
         for row in fact.Vinv[fact.rank:]:
@@ -414,7 +424,7 @@ def homology(cx: Complex, j: int) -> HomologyData:
             for i, v in row.items():
                 for c, s in cofaces[i].items():
                     y[c] = y.get(c, 0) + s * v
-            Y.append(_ascending(y))
+            Y.append({c: y[c] for c in sorted(y) if y[c]})
         fg = zlin.cokernel(Y, ambient=len(K), ncols=cx.n_simplices(j + 1))
         n = cx.n_simplices(j)
         gens = tuple(tuple(zlin.combine(fg.lift(e), K, n))
@@ -457,61 +467,56 @@ class CohomologyClass:
 
 
 class ZCohomology:
-    """H^j(X; Z) = ker delta / im delta presented by Smith normal form."""
+    """H^j(X; Z) = Hom(H_j, Z) + the sum of Z/d_i over the d_i > 1 of
+    U d_j V = S, read from that cached factorization and from `homology`.
+
+    Free generator t has period 1 on free homology generator t and 0 on
+    the others. Torsion generator i is row i of Vinv: the cochain with
+    w = V^T x = e_i, a cocycle since d_i times it is a coboundary.
+    """
 
     ring = RING_Z
 
     def __init__(self, cx: Complex, j: int):
         self.cx = cx
         self.degree = j
-        # the cocycle basis is the rows of U past the rank, from the
-        # factorization of d_{j+1}; only in degrees 0..dim+1 is C^j or
-        # C^{j-1} nonzero
-        self._W = coords = ()
-        if 0 <= j <= cx.dim + 1:
-            fact = _snf_boundary(cx, j + 1)
-            self._W, coords = fact.U[fact.rank:], fact.Uinv[fact.rank:]
-        # relations: the cocycle coordinates of delta of each basis
-        # (j-1)-cochain, i.e. of row r of d_j, read off column t of Uinv
-        # past the rank through the faces of each j-simplex
-        faces = cx.faces_with_signs(j)
-        Y = []
-        for col in coords:
-            y = {}
-            if faces:
-                for sigma, u in col.items():
-                    for r, s in faces[sigma]:
-                        y[r] = y.get(r, 0) + s * u
-            Y.append(_ascending(y))
-        self.fg = zlin.cokernel(Y, ambient=len(Y), ncols=cx.n_simplices(j - 1))
-        self.rank = self.fg.rank
-        self.torsion = self.fg.torsion
-        self.gen_cochains = tuple(self._materialize(self.fg.lift(e))
-                                  for e in _units(self.fg.n_coords))
-
-    def _materialize(self, wcoords) -> Cochain:
-        return _cochain(self.cx, RING_Z, self.degree, zlin.combine(
-            wcoords, self._W, self.cx.n_simplices(self.degree)))
+        fact = _snf_boundary(cx, j)
+        hom = homology(cx, j)
+        tors = _torsion_indices(fact)
+        self.rank = hom.free_count
+        self.torsion = tuple(fact.diag[i] for i in tors)
+        self.n_coords = self.rank + len(tors)
+        n = cx.n_simplices(j)
+        self.gen_cochains = (
+            *(hom.cochain_with_periods(e, RING_Z) for e in _units(self.rank)),
+            *(_cochain(cx, RING_Z, j, zlin.combine((1,), (fact.Vinv[i],), n))
+              for i in tors))
 
     def make(self, coords) -> CohomologyClass:
-        return CohomologyClass(self, self.fg.reduce(coords))
+        if len(coords) != self.n_coords:
+            raise ValueError("coordinate length mismatch")
+        r = self.rank
+        return CohomologyClass(self, (*coords[:r], *(
+            c % d for c, d in zip(coords[r:], self.torsion))))
 
     def zero_class(self) -> CohomologyClass:
-        return self.make(self.fg.zero())
+        return self.make((0,) * self.n_coords)
 
     def class_from_cocycle(self, coch: Cochain) -> CohomologyClass:
         if coch.ring != RING_Z or coch.degree != self.degree or coch.cx is not self.cx:
             raise RingError("expected an integral cocycle of the right degree")
         if any(_coboundary_num(coch)):
             raise ValueError("cochain is not a cocycle")
-        w = cocycle_coords(self.cx, self.degree, coch.num)
-        return self.make(self.fg.project(w))
+        return self.make(cocycle_coords(self.cx, self.degree, coch.num))
 
     def cochain_for(self, coords) -> Cochain:
-        return self._materialize(self.fg.lift(self.fg.reduce(coords)))
+        return _cochain(self.cx, RING_Z, self.degree, zlin.combine(
+            self.make(coords).coords, [g.num for g in self.gen_cochains],
+            self.cx.n_simplices(self.degree)))
 
     def describe(self) -> str:
-        return self.fg.describe()
+        parts = ["Z"] * self.rank + [f"Z/{d}" for d in self.torsion]
+        return " + ".join(parts) if parts else "0"
 
 
 class QCohomology:
@@ -599,12 +604,6 @@ class QmodZCohomology:
     def describe(self) -> str:
         parts = ["Q/Z"] * self.free_count + [f"Z/{d}" for d in self.torsion]
         return " + ".join(parts) if parts else "0"
-
-
-def _ascending(row: dict) -> dict:
-    """The nonzero entries of a sparse row, keys ascending, as
-    `zlin.smith_normal_form` needs them."""
-    return {i: row[i] for i in sorted(row) if row[i]}
 
 
 def _units(n):
@@ -782,7 +781,7 @@ def check_exactness(cx: Complex, k: int, rng=None) -> list[CheckResult]:
 
     # --- Bockstein: ker alpha = im r at H^{k-1}(Q)
     probs, wit = [], []
-    for e in _units(hz_prev.fg.n_coords):
+    for e in _units(hz_prev.n_coords):
         x = r_to_rational(hz_prev.make(e))
         if not alpha(x).is_zero():
             probs.append(("alpha(r(gen)) != 0", e))
@@ -837,7 +836,7 @@ def check_exactness(cx: Complex, k: int, rng=None) -> list[CheckResult]:
     # --- Bockstein: ker r = im B at H^k(Z)
     probs, wit = [], []
     for t, d in enumerate(hz_k.torsion):
-        e = [0] * hz_k.fg.n_coords
+        e = [0] * hz_k.n_coords
         e[hz_k.rank + t] = 1
         tors = hz_k.make(e)
         if not r_to_rational(tors).is_zero():
@@ -865,7 +864,7 @@ def check_exactness(cx: Complex, k: int, rng=None) -> list[CheckResult]:
 
     # --- de Rham: ker beta = im r at H^{k-1}(Q)
     probs, wit = [], []
-    for e in _units(hz_prev.fg.n_coords):
+    for e in _units(hz_prev.n_coords):
         x = r_to_rational(hz_prev.make(e))
         if not beta(x).is_zero():
             probs.append(("beta(r(gen)) != 0", e))

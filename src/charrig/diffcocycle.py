@@ -259,7 +259,7 @@ def sample_classes(cx: Complex, k: int, rng, count: int = 6) -> list[DiffClass]:
     hz = cohomology(cx, k, RING_Z)
     hqz = cohomology(cx, k - 1, RING_QMODZ)
     out = [zero_class(cx, k)]
-    for e in _units(hz.fg.n_coords):
+    for e in _units(hz.n_coords):
         out.append(preimage_of_class(cx, hz.make(e)))
     for i in range(hqz.n_coords):
         coords = [Fraction(0)] * hqz.n_coords
@@ -351,12 +351,12 @@ def verify_diagram(cx: Complex, k: int, rng, maps=None) -> list[CheckResult]:
                 probs.append(("lift succeeded despite delta2 obstruction",))
             except NotInImage:
                 wit.append({"obstructed": list(delta2(x).coords)})
-    for e in _units(hz.fg.n_coords):
+    for e in _units(hz.n_coords):
         pre = preimage_of_class(cx, hz.make(e))
         if delta2(pre) != hz.make(e):
             probs.append(("delta2 surjectivity preimage failed", e))
     results.append(check("diagonal.i2_delta2_exact", not probs,
-                         f"{len(thetas)} forms, {hz.fg.n_coords} classes",
+                         f"{len(thetas)} forms, {hz.n_coords} classes",
                          {"witnesses": wit[:4], "problems": probs}))
 
     # diagonal 2: 0 -> H^{k-1}(Q/Z) -> G^k -> integral forms -> 0

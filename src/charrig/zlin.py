@@ -7,10 +7,12 @@ solvability, kernels, cokernels and finitely generated abelian group
 presentations are derived. The factorization is sparse throughout: it
 takes its rows as dense sequences or as dicts from column index to
 nonzero int (the boundary operators and the relation matrices of the
-cohomology layer come as dicts), the working matrix and the four
+homology presentations come as dicts), the working matrix and the four
 transforms are dicts, so an elementary operation costs the nonzeros it
 touches. A group presentation (`cokernel`) reads only U and Uinv and
-factors without the column transforms.
+factors without the column transforms; the cohomology layer presents
+only homology this way, and reads integral cohomology from the
+factorization of the boundary operator itself.
 
 This module also owns exact vector pairing and combination: every pairing
 of a cochain with a chain goes through `vec_dot`, and every linear
@@ -93,14 +95,11 @@ class SNFResult:
     """
     shape: tuple[int, int]
     diag: tuple[int, ...]
+    rank: int  # the number of nonzero d_i
     U: list
     V: list | None
     Uinv: list
     Vinv: list | None
-
-    @property
-    def rank(self) -> int:
-        return sum(1 for d in self.diag if d != 0)
 
 
 def smith_normal_form(a, ncols: int | None = None, *,
@@ -267,8 +266,9 @@ def smith_normal_form(a, ncols: int | None = None, *,
             break
         diag.append(rows[t][t])
         t += 1
-    diag.extend([0] * (limit - len(diag)))
-    return SNFResult((m, n), tuple(diag), U, V, Uinv, Vinv)
+    rank = len(diag)
+    diag.extend([0] * (limit - rank))
+    return SNFResult((m, n), tuple(diag), rank, U, V, Uinv, Vinv)
 
 
 def kernel_basis(a, fact: SNFResult | None = None, ncols: int | None = None):

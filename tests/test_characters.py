@@ -18,9 +18,10 @@ from charrig.characters import (
     sample_cycles, verify_equivalence, verify_phi_good, zero_character,
 )
 from charrig.diffcocycle import (
-    class_equal, delta2, i1, i2, pullback, sample_classes,
+    class_equal, delta2, i1, i2, pullback, sample_classes, verify_diagram,
 )
-from charrig.simplicial import barycentric_subdivide
+from charrig.simplicial import barycentric_subdivide, complex_from_maximal
+from test_cochains import random_complexes
 
 
 @functools.lru_cache(maxsize=None)
@@ -221,3 +222,36 @@ def test_naturality_of_phi(cx):
                                  n_round_trips=6, maps=maps)
     names = {r.name: r.status for r in results}
     assert names.get("phi.naturality") == "pass"
+
+
+def _wedge(X, Y):
+    """X and Y glued at the last vertex of X and the first vertex of Y,
+    for complexes whose vertices are 0, 1, ..., n - 1."""
+    shift = X.n_simplices(0) - 1
+    simplices = {s for level in X.simplices for s in level}
+    simplices |= {tuple(v + shift for v in s) for level in Y.simplices
+                  for s in level}
+    return complex_from_maximal(f"{X.name}_v_{Y.name}", sorted(simplices),
+                                shift + Y.n_simplices(0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_complexes(), st.sampled_from([None, "rp2", "moore_z3"]),
+       st.integers(0, 2**32))
+def test_suites_pass_on_random_complexes_and_wedges(X, other, seed):
+    """Every check of the diagram and equivalence suites passes in every
+    degree 1..dim+1 on a random complex, or on its wedge with rp2 or
+    moore_z3 to bring in torsion, with the CLI's naturality maps; on
+    complexes of dimension at most 2 with at most 8 vertices, so do the
+    checks of `verify_phi_good` within one subdivision."""
+    from charrig.cli import _naturality_maps
+    if other:
+        X = _wedge(X, corpus.load(other))
+    maps = _naturality_maps(X)
+    for k in range(1, X.dim + 2):
+        results = (verify_diagram(X, k, random.Random(seed), maps=maps)
+                   + verify_equivalence(X, k, random.Random(seed), maps=maps))
+        if X.dim <= 2 and X.n_simplices(0) <= 8:
+            results += verify_phi_good(X, k, random.Random(seed), max_subdiv=1)
+        bad = [(r.name, r.witness) for r in results if r.status != "pass"]
+        assert not bad, (X.name, k, bad)

@@ -216,6 +216,23 @@ def test_phi_finishes_when_the_degree_has_only_the_zero_class(argv):
     assert trips["status"] == "pass" and trips["detail"] == "4 round trips"
 
 
+def test_phi_skips_cycles_the_surgery_cannot_split(tmp_path):
+    """A free triangle loop attached to a filled triangle: the doubled
+    loop among the sampled cycles has an edge with no coface, so the cycle
+    surgery cannot split it. The pseudomanifold-path check skips that pair
+    and names it, instead of failing the run as an input error."""
+    loop_and_disk = tmp_path / "loop_and_disk.json"
+    loop_and_disk.write_text(json.dumps({"name": "loop_and_disk", "simplices": [
+        [0], [1], [2], [3], [4], [0, 1], [1, 2], [0, 2], [2, 3], [2, 4],
+        [3, 4], [2, 3, 4]]}))
+    code, out, err = run_cli("phi", str(loop_and_disk), "--degree", "2",
+                             timeout=120)
+    assert code == 0, err
+    by_name = {c["name"]: c for c in parse_report(out)["checks"]}
+    path = by_name["phi.pseudomanifold_path"]
+    assert path["status"] == "pass" and path["witness"]["skipped"]
+
+
 @pytest.mark.parametrize("argv", [
     ["diagram", "t2", "--degree=-1"],
     ["phi", "t2", "--degree=-1"],

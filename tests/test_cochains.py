@@ -13,11 +13,11 @@ from sympy.matrices.normalforms import invariant_factors
 from charrig import corpus, zlin
 from charrig.cochains import (
     Cochain, QuotientForm, RingError, _mod1, alpha, basis_cochain, beta, bockstein,
-    ZCohomology, check_exactness, coboundary, cocycle_coords, cohomology,
+    check_exactness, coboundary, cocycle_coords, cohomology,
     cup, cup_int_qmodz, cycle_basis, cycle_periods, d_of_quotient, homology,
     integral_form_generators, is_integral_form, r_to_rational,
     s_class_of_form, solve_coboundary, unit_cochain, zero_cochain,
-    _coboundary_num, _snf_boundary,
+    _class_order, _coboundary_num, _snf_boundary,
 )
 from charrig.simplicial import (
     barycentric_subdivide, complex_from_maximal, load_complex,
@@ -348,14 +348,21 @@ def _coboundary_matrix(X, j):
 
 
 def _cocycle_rows(X, j):
-    """The cocycle basis: the rows of U past the rank in the factorization
-    of d_{j+1}, made dense."""
-    fact = _snf_boundary(X, j + 1)
-    return [[row.get(i, 0) for i in range(X.n_simplices(j))]
-            for row in fact.U[fact.rank:]]
+    """A Z-basis of the j-cocycles read from the factorization of d_j,
+    made dense: the rows of Vinv below the rank, then the free generators
+    of H^j(Z)."""
+    fact = _snf_boundary(X, j)
+    g = cohomology(X, j, "Z")
+    return ([[row.get(i, 0) for i in range(X.n_simplices(j))]
+             for row in fact.Vinv[:fact.rank]]
+            + [list(c.num) for c in g.gen_cochains[:g.rank]])
 
 
 def test_cocycle_basis_is_saturated_kernel(read_complex):
+    """The rows of Vinv below the rank of d_j and the free generators of
+    H^j(Z) form a saturated basis of ker delta^j, and `cocycle_coords`
+    reads each of them back: a unit vector on a torsion row or a free
+    generator, zero on a row with d_i = 1."""
     X = read_complex
     for j in range(X.dim + 1):
         W = _cocycle_rows(X, j)
@@ -369,9 +376,18 @@ def test_cocycle_basis_is_saturated_kernel(read_complex):
             assert (delta * Wm.T).is_zero_matrix, (X.name, j)
         # a saturated lattice: every invariant factor is 1
         assert [int(d) for d in invariant_factors(Wm)] == [1] * len(W)
-        # coordinates read back from Uinv invert the basis
-        for t, w in enumerate(W[:5]):
-            assert cocycle_coords(X, j, w) == [int(i == t) for i in range(len(W))]
+        fact = _snf_boundary(X, j)
+        g = cohomology(X, j, "Z")
+        units = fact.diag.count(1)
+        for i, w in enumerate(W):
+            if i < units:
+                t = None
+            elif i < fact.rank:
+                t = g.rank + i - units  # torsion coordinate
+            else:
+                t = i - fact.rank       # free coordinate
+            assert cocycle_coords(X, j, w) == \
+                [int(s == t) for s in range(g.n_coords)], (X.name, j, i)
 
 
 def test_cycle_periods_pair_with_the_cycle_basis(read_complex):
@@ -384,8 +400,8 @@ def test_cycle_periods_pair_with_the_cycle_basis(read_complex):
 
 
 def _cokernel_calls(X, j):
-    """(rows, ncols) of each relation matrix that `ZCohomology` and
-    `homology` pass to `zlin.cokernel` in degree j, each built afresh."""
+    """(rows, ncols) of each relation matrix that `homology` passes to
+    `zlin.cokernel` in degree j, built afresh."""
     seen = []
     real = zlin.cokernel
 
@@ -395,7 +411,6 @@ def _cokernel_calls(X, j):
 
     X._cache.pop(("homology", j), None)
     with mock.patch.object(zlin, "cokernel", spy):
-        ZCohomology(X, j)
         homology(X, j)
     return seen
 
@@ -413,20 +428,13 @@ def _relation_matrices(X, j):
 
 
 def _dense_relation_matrices(X, j):
-    """The same two matrices by the dense formulas: the cocycle coordinates
-    of every row of d_j, one dot product with each column of Uinv past the
-    rank, transposed; and the cycle coordinates of the boundary of every
-    (j+1)-simplex, one sum over its faces for each row of Vinv past the
-    rank."""
-    fu = _snf_boundary(X, j + 1)
-    cols = [[zlin.vec_dot(row, col) for col in fu.Uinv[fu.rank:]]
-            for row in X.boundary_matrix(j)]
-    zrel = [[col[t] for col in cols] for t in range(len(fu.U) - fu.rank)]
+    """The same matrix by the dense formula: the cycle coordinates of the
+    boundary of every (j+1)-simplex, one sum over its faces for each row
+    of Vinv past the rank."""
     fv = _snf_boundary(X, j)
     faces = X.faces_with_signs(j + 1)
-    hrel = [[sum(s * row.get(i, 0) for i, s in col) for col in faces]
-            for row in fv.Vinv[fv.rank:]]
-    return [zrel, hrel]
+    return [[[sum(s * row.get(i, 0) for i, s in col) for col in faces]
+             for row in fv.Vinv[fv.rank:]]]
 
 
 @functools.lru_cache(maxsize=None)
@@ -447,6 +455,40 @@ _FIXED_SPACES = list(corpus.CORPUS_NAMES) + [
 def test_relation_matrices_match_the_dense_formulas(X, data):
     j = data.draw(st.integers(0, X.dim + 1))
     assert _relation_matrices(X, j) == _dense_relation_matrices(X, j), j
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.sampled_from(_FIXED_SPACES).map(_fixed_space),
+                 random_complexes()), st.integers(0, 2**32))
+def test_integral_classes_round_trip_through_their_representatives(X, seed):
+    """In every degree of H^j(Z): the class of `cochain_for(c)` is
+    `make(c)`, also after adding delta b for a random integer b; each
+    torsion generator is a cocycle whose class has order d_i, with m times
+    it an integral coboundary only when d_i divides m; each free generator
+    is a cocycle with period 1 on its homology generator and 0 on the
+    others."""
+    rng = random.Random(seed)
+    for j in range(X.dim + 2):
+        g = cohomology(X, j, "Z")
+        hom = homology(X, j)
+        c = [rng.randrange(-4, 5) for _ in range(g.n_coords)]
+        x = g.cochain_for(c)
+        assert g.class_from_cocycle(x) == g.make(c), j
+        b = Cochain(X, "Z", j - 1, [rng.randrange(-3, 4)
+                                    for _ in range(X.n_simplices(j - 1))])
+        assert g.class_from_cocycle(x + coboundary(b)) == g.make(c), j
+        for t, d in enumerate(g.torsion):
+            gen = g.gen_cochains[g.rank + t]
+            assert coboundary(gen).is_zero(), (j, t)
+            assert _class_order(g.class_from_cocycle(gen)) == d, (j, t)
+            for m in range(1, d + 1):
+                solved = solve_coboundary(X, j - 1, gen.scale(m), integral=True)
+                assert (solved is not None) == (m == d), (j, t, m)
+        for t in range(g.rank):
+            gen = g.gen_cochains[t]
+            assert coboundary(gen).is_zero(), (j, t)
+            assert [gen.pair(z) for z in hom.gen_cycles] == \
+                [int(s == t) for s in range(len(hom.gen_cycles))], (j, t)
 
 
 def _transforms(f):
