@@ -101,12 +101,12 @@ def cmd_inspect(cx: Complex, args, jobs: int) -> Report:
                              cohomology(cx, j, ring).describe(), wit)
             tasks.append((f"H{j}{ring}", fn))
         def forms(j=j):
-            gens = integral_form_generators(cx, j)
-            bad = [t for t, g in enumerate(gens)
-                   if g.den != 1
-                   or not coboundary(g).is_zero()]
+            count, bad = 0, []
+            for count, g in enumerate(integral_form_generators(cx, j), 1):
+                if g.den != 1 or not coboundary(g).is_zero():
+                    bad.append(count - 1)
             return check(f"inspect.integral_forms_{j}", not bad,
-                         f"{len(gens)} generators (free classes + "
+                         f"{count} generators (free classes + "
                          f"integral coboundaries)",
                          {"not_closed_or_not_integral": bad} if bad else None)
         tasks.append((f"L{j}", forms))

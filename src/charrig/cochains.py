@@ -15,6 +15,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import floor, gcd, lcm
 
 from . import zlin
@@ -290,7 +291,10 @@ def cup_class_qmodz(a: "CohomologyClass", u: "CohomologyClass") -> "CohomologyCl
 # ascending dict per (j-1)-simplex (`Complex._boundary_any`) and factored
 # as it is; the transforms are sparse too (U and Vinv by rows, V and Uinv
 # by columns, see `zlin.SNFResult`): coordinates, periods, relation
-# matrices and solves read those rows and columns directly. The relation
+# matrices and solves read those rows and columns directly. Periods and
+# coboundary solves read V by rows (`SNFResult.V_rows`, built on the
+# first of them), so they cost the nonzeros of the cochain they are
+# given, not one pairing per column of V. The relation
 # matrix of H_j is ascending dict rows, and its
 # presentation (`zlin.cokernel`) is factored without column transforms,
 # since a presentation reads only U and Uinv. Only `cycle_basis` makes the
@@ -328,11 +332,20 @@ def n_cycles(cx: Complex, j: int) -> int:
 
 def cycle_periods(cx: Complex, j: int, num) -> list:
     """The pairings of the numerators `num` of a j-cochain with the cycle
-    basis, the columns of V past the rank."""
+    basis, the columns of V past the rank, summed over the rows of V where
+    `num` is nonzero."""
     if not 0 <= j <= cx.dim:
         return []
     fact = _snf_boundary(cx, j)
-    return [zlin.vec_dot(num, col) for col in fact.V[fact.rank:]]
+    r = fact.rank
+    rows = fact.V_rows
+    out = [0] * (fact.shape[1] - r)
+    for i in compress(range(len(num)), num):
+        x = num[i]
+        for t, v in rows[i].items():
+            if t >= r:
+                out[t - r] += x * v
+    return out
 
 
 def cycle_coords(cx: Complex, j: int, vec):
@@ -675,14 +688,15 @@ class QuotientForm:
 def integral_form_generators(cx: Complex, k: int):
     """A finite generating family of the integral forms in degree k, as Z
     cochains: free integral cohomology generators plus coboundaries of the
-    integer basis cochains."""
+    integer basis cochains. An iterator: each coboundary is made dense
+    when it is reached, so the family is never held at once."""
     hz = cohomology(cx, k, RING_Z)
-    gens = list(hz.gen_cochains[:hz.rank])
+    yield from hz.gen_cochains[:hz.rank]
     # the coboundary of the t-th basis (k-1)-cochain is row t of d_k
     n = cx.n_simplices(k)
-    gens.extend(_cochain(cx, RING_Z, k, zlin.combine((1,), (row,), n))
-                for row in cx._boundary_any(k) if row)
-    return gens
+    for row in cx._boundary_any(k):
+        if row:
+            yield _cochain(cx, RING_Z, k, zlin.combine((1,), (row,), n))
 
 
 # ---------------------------------------------------------------------------
@@ -887,13 +901,13 @@ def check_exactness(cx: Complex, k: int, rng=None) -> list[CheckResult]:
             samples.append(hq_prev.make([Fraction(0)] * i + [q]
                                         + [Fraction(0)] * (hq_prev.rank - 1 - i)))
     samples.append(hq_prev.zero_class())
-    shift = integral_form_generators(cx, k - 1)
+    shift = next(integral_form_generators(cx, k - 1), None)
     for idx, x in enumerate(samples):
         theta = beta(x)
         if not d_of_quotient(theta).is_zero():
             probs.append(("d(beta(x)) != 0", idx))
             continue
-        rep = theta.rep if not shift else theta.rep + shift[0].to_q()
+        rep = theta.rep if shift is None else theta.rep + shift.to_q()
         closed = QuotientForm(rep)
         back = beta(s_class_of_form(closed.rep))
         if back != closed:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .cochains import (
     RING_Q, RING_QMODZ, RING_Z,
@@ -377,14 +378,15 @@ def verify_diagram(cx: Complex, k: int, rng, maps=None) -> list[CheckResult]:
     forms = integral_form_generators(cx, k)
     n_prev = cx.n_simplices(k - 1) if k >= 1 else 0
     if n_prev:
-        forms = forms + [coboundary(basis_cochain(cx, RING_Q, k - 1, 0)
-                                    .scale(Fraction(1, 2)))]
-    for idx, om in enumerate(forms):
+        forms = chain(forms, [coboundary(basis_cochain(cx, RING_Q, k - 1, 0)
+                                         .scale(Fraction(1, 2)))])
+    n_forms = 0
+    for n_forms, om in enumerate(forms, 1):
         pre = preimage_of_form(cx, om)
         if delta1(pre) != om.to_q():
-            probs.append(("delta1 surjectivity preimage failed", idx))
+            probs.append(("delta1 surjectivity preimage failed", n_forms - 1))
     results.append(check("diagonal.i1_delta1_exact", not probs,
-                         f"{len(forms)} integral forms",
+                         f"{n_forms} integral forms",
                          {"witnesses": wit[:4], "problems": probs}))
 
     # face: i1 . alpha = i2 . beta on H^{k-1}(Q)

@@ -438,13 +438,38 @@ def _local_homology_witness(base: Complex, tower, d: int, rho: int,
     return incl.push_chain(d + 1, sol)
 
 
+def _carried_cells(base: Complex, tower) -> dict:
+    """For `tower` = subdivision_tower(base, n): per base simplex (d, i),
+    the simplices of the top complex whose base carrier it is, as one
+    index list per dimension. The carrier maps of the levels are composed
+    once per tower and the result is cached on the base."""
+    key = ("carried_cells", len(tower))
+    if key not in base._cache:
+        carrier = [[(d, i) for i in range(base.n_simplices(d))]
+                   for d in range(base.dim + 1)]
+        for sd in tower:
+            carrier = [[carrier[cd][ci] for cd, ci in level]
+                       for level in sd.carrier]
+        cells = {}
+        for d, level in enumerate(carrier):
+            for i, c in enumerate(level):
+                cells.setdefault(c, [[] for _ in carrier])[d].append(i)
+        base._cache[key] = cells
+    return base._cache[key]
+
+
 def _carrier_subcomplex(base: Complex, tower, d: int, idx: int) -> Subcomplex:
-    """All sd^2 simplices carried inside the closed d-simplex `idx`."""
+    """All simplices of the top of `tower` carried inside the closed
+    d-simplex `idx`: those whose base carrier is a face of it."""
+    cells = _carried_cells(base, tower)
+    top = tower[-1].complex if tower else base
+    included = [set() for _ in range(top.dim + 1)]
     closed = subcomplex_from_simplices(base, [base.simplices[d][idx]])
-    K = closed
-    for sd in tower:
-        K = _transport_subcomplex(K, sd)
-    return K
+    for fd, faces in enumerate(closed.included):
+        for fi in faces:
+            for cd, ids in enumerate(cells[fd, fi]):
+                included[cd].update(ids)
+    return Subcomplex(top, included)
 
 
 def normalize_cycle(base: Complex, d: int, vec):

@@ -14,6 +14,12 @@ factors without the column transforms; the cohomology layer presents
 only homology this way, and reads integral cohomology from the
 factorization of the boundary operator itself.
 
+Solves cost what their right side touches. A factorization indexes V by
+rows on first use (`SNFResult.V_rows`), so V^T b is summed over the
+nonzero entries of b only; the division by the diagonal and the final
+combination run over the nonzero coordinates, as sparse dicts. A
+factorization that is never solved against never builds the index.
+
 This module also owns exact vector pairing and combination: every pairing
 of a cochain with a chain goes through `vec_dot`, and every linear
 combination of rows through `combine`. Both skip zero terms, since chain
@@ -24,6 +30,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import compress
 from math import gcd, lcm
 
 
@@ -49,10 +57,13 @@ def vec_dot(u, v):
 
 def combine(coeffs, rows, n: int) -> list:
     """sum of coeffs[t] * rows[t] as a length-n list, over the nonzero
-    coefficients and the nonzero row entries; rows may be sparse dicts.
-    Coefficients or rows past the shorter of the two lists are ignored."""
+    coefficients and the nonzero row entries; rows may be sparse dicts,
+    and coeffs a sparse dict {t: c_t}. Dense coefficients or rows past
+    the shorter of the two lists are ignored."""
     out = [0] * n
-    for c, row in zip(coeffs, rows):
+    terms = (((c, rows[t]) for t, c in coeffs.items())
+             if isinstance(coeffs, dict) else zip(coeffs, rows))
+    for c, row in terms:
         if c:
             for i, x in _entries(row):
                 if x:
@@ -92,6 +103,11 @@ class SNFResult:
     factorization and are read-only after return. A factorization made
     without column transforms (`smith_normal_form(..., col_transforms=False)`,
     as `cokernel` makes it) leaves V and Vinv as None.
+
+    `V_rows` is V by rows, V_rows[i] a dict ascending in the column
+    index: built on first read and kept, it costs as much memory as V
+    again, and lets a solve or a period reading visit only the rows of V
+    where its input is nonzero.
     """
     shape: tuple[int, int]
     diag: tuple[int, ...]
@@ -100,6 +116,14 @@ class SNFResult:
     V: list | None
     Uinv: list
     Vinv: list | None
+
+    @cached_property
+    def V_rows(self) -> list:
+        rows = [{} for _ in range(self.shape[1])]
+        for j, col in enumerate(self.V):
+            for i, x in col.items():
+                rows[i][j] = x
+        return rows
 
 
 def smith_normal_form(a, ncols: int | None = None, *,
@@ -298,15 +322,6 @@ class FgAbelianGroup:
     def n_coords(self) -> int:
         return self.rank + len(self.torsion)
 
-    def order(self):
-        """Group order, or None when infinite."""
-        if self.rank:
-            return None
-        o = 1
-        for d in self.torsion:
-            o *= d
-        return o
-
     def reduce(self, coords):
         coords = list(coords)
         if len(coords) != self.n_coords:
@@ -322,9 +337,6 @@ class FgAbelianGroup:
     def lift(self, coords):
         """An ambient representative of the class with the given coordinates."""
         return combine(self.reduce(coords), self.gen_lift, self.ambient)
-
-    def zero(self) -> tuple:
-        return (0,) * self.n_coords
 
     def describe(self) -> str:
         parts = ["Z"] * self.rank + [f"Z/{d}" for d in self.torsion]
@@ -363,21 +375,20 @@ def cokernel(a, ambient: int | None = None, fact: SNFResult | None = None,
 # ---------------------------------------------------------------------------
 # solves through a Smith factorization
 
-def _divide_by_diag(fact: SNFResult, c, integral: bool):
-    """Integers y and e > 0 with d_t y_t = e c_t for t below the rank, for
-    an integer vector c; e = 1 for an integral solve. None when c is
-    nonzero past the rank or, for an integral solve, some d_t does not
-    divide c_t."""
-    r = fact.rank
-    if any(c[r:]):
+def _divide_by_diag(fact: SNFResult, c: dict, integral: bool):
+    """Integers y_t and e > 0 with d_t y_t = e c_t, for the nonzero entries
+    {t: c_t} of an integer vector c; y is a dict over the same t, and
+    e = 1 for an integral solve. None when some c_t past the rank is
+    nonzero or, for an integral solve, some d_t does not divide c_t."""
+    r, diag = fact.rank, fact.diag
+    if any(t >= r for t in c):
         return None
-    pairs = list(zip(c, fact.diag[:r]))
     if integral:
-        if any(ct % d for ct, d in pairs):
+        if any(ct % diag[t] for t, ct in c.items()):
             return None
-        return [ct // d for ct, d in pairs], 1
-    e = lcm(*(d // gcd(ct, d) for ct, d in pairs))
-    return [ct * e // d for ct, d in pairs], e
+        return {t: ct // diag[t] for t, ct in c.items()}, 1
+    e = lcm(*(diag[t] // gcd(ct, diag[t]) for t, ct in c.items()))
+    return {t: ct * e // diag[t] for t, ct in c.items()}, e
 
 
 def _solve(fact: SNFResult, b, integral: bool):
@@ -389,8 +400,8 @@ def _solve(fact: SNFResult, b, integral: bool):
     q = lcm(*(v.denominator for v in b))
     if integral and q != 1:
         return None
-    sol = _divide_by_diag(
-        fact, [int(vec_dot(b, row) * q) for row in fact.U], integral)
+    ub = ((t, int(vec_dot(b, row) * q)) for t, row in enumerate(fact.U))
+    sol = _divide_by_diag(fact, {t: ct for t, ct in ub if ct}, integral)
     if sol is None:
         return None
     y, e = sol
@@ -402,11 +413,19 @@ def solve_transposed(fact: SNFResult, b, integral: bool):
     """Integers x and e > 0 with A^T x = e b, for an integer vector b, from
     the factorization U A V = S of A itself, so A^T = Vinv^T S^T Uinv^T:
     S^T y = V^T b and x = U^T y. e = 1 when `integral`; None when there
-    is no solution (over Z when `integral`, else over Q)."""
+    is no solution (over Z when `integral`, else over Q). V^T b is summed
+    over the rows of V where b is nonzero, and x over the rows of U where
+    y is nonzero."""
     m, n = fact.shape
     if len(b) != n:
         raise ShapeError(f"rhs length {len(b)} does not match {n} columns")
-    sol = _divide_by_diag(fact, [vec_dot(b, col) for col in fact.V], integral)
+    rows = fact.V_rows
+    w = {}
+    for i in compress(range(n), b):
+        bi = b[i]
+        for t, v in rows[i].items():
+            w[t] = w.get(t, 0) + bi * v
+    sol = _divide_by_diag(fact, {t: wt for t, wt in w.items() if wt}, integral)
     if sol is None:
         return None
     y, e = sol

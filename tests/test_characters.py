@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from charrig import corpus, zlin
 from charrig.cochains import (
     Cochain, _mod1, basis_cochain, bockstein, coboundary, cohomology,
-    cycle_basis, cycle_coords, zero_cochain,
+    cycle_basis, cycle_coords, integral_form_generators, zero_cochain,
 )
 from charrig.characters import (
     Character, NotACycle, char_i1, char_i2, char_pullback,
@@ -20,7 +20,9 @@ from charrig.characters import (
 from charrig.diffcocycle import (
     class_equal, delta2, i1, i2, pullback, sample_classes, verify_diagram,
 )
-from charrig.simplicial import barycentric_subdivide, complex_from_maximal
+from charrig.simplicial import (
+    barycentric_subdivide, complex_from_maximal, load_complex,
+)
 from test_cochains import random_complexes
 
 
@@ -255,3 +257,23 @@ def test_suites_pass_on_random_complexes_and_wedges(X, other, seed):
             results += verify_phi_good(X, k, random.Random(seed), max_subdiv=1)
         bad = [(r.name, r.witness) for r in results if r.status != "pass"]
         assert not bad, (X.name, k, bad)
+
+
+def test_degree_2_suites_make_fewer_vec_dots_than_form_generators(monkeypatch):
+    """Both suites solve for a preimage of every integral form generator,
+    which has two or three nonzeros. Solves and periods read V by rows
+    from those nonzeros, so a degree-2 pass of either suite on sd1(t2)
+    makes fewer `zlin.vec_dot` calls than there are generators, where one
+    per column of V for each generator made 14720 and 34010."""
+    X = barycentric_subdivide(load_complex(corpus.resolve("t2"))).complex
+    n_gens = sum(1 for _ in integral_form_generators(X, 2))
+    assert n_gens == 127
+    calls = []
+    real = zlin.vec_dot
+    monkeypatch.setattr(zlin, "vec_dot",
+                        lambda u, v: calls.append(1) or real(u, v))
+    for suite in (verify_diagram, verify_equivalence):
+        calls.clear()
+        results = suite(X, 2, random.Random(0))
+        assert all(r.status == "pass" for r in results)
+        assert len(calls) < n_gens, (suite.__name__, len(calls))

@@ -240,7 +240,7 @@ def test_qmodz_roundtrip_through_perturbed_cocycles(cx):
 def test_integral_form_generators_are_integral(corpus_complex):
     X = corpus_complex
     for k in range(X.dim + 2):
-        gens = integral_form_generators(X, k)
+        gens = list(integral_form_generators(X, k))
         for om in gens:
             assert is_integral_form(om)
         # b_k free classes plus one coboundary per (k-1)-simplex that is a
