@@ -203,10 +203,6 @@ def basis_cochain(cx: Complex, ring: str, degree: int, i: int) -> Cochain:
     return _cochain(cx, ring, degree, vals)
 
 
-def unit_cochain(cx: Complex) -> Cochain:
-    return _cochain(cx, RING_Z, 0, (1,) * cx.n_simplices(0))
-
-
 def _coboundary_num(x: Cochain) -> list:
     """Numerators of delta x over x.den, not reduced: the alternating sum
     over face positions, each position one C-level map over the simplices."""
@@ -297,9 +293,10 @@ def cup_class_qmodz(a: "CohomologyClass", u: "CohomologyClass") -> "CohomologyCl
 # given, not one pairing per column of V. The relation
 # matrix of H_j is ascending dict rows, and its
 # presentation (`zlin.cokernel`) is factored without column transforms,
-# since a presentation reads only U and Uinv. Only `cycle_basis` makes the
-# cycles dense, for callers outside the cohomology layer, and the
-# coboundary reads the per-position face lists of `Complex.face_columns`.
+# since a presentation reads only U and Uinv. The cycle basis is never
+# made dense: every reader, `geometry` included, walks the sparse columns
+# V[rank:] of the factorization of d_j. The coboundary reads the
+# per-position face lists of `Complex.face_columns`.
 
 
 def _snf_boundary(cx: Complex, j: int) -> zlin.SNFResult:
@@ -307,18 +304,6 @@ def _snf_boundary(cx: Complex, j: int) -> zlin.SNFResult:
     if key not in cx._cache:
         mat = cx._boundary_any(j) if j >= 0 else []
         cx._cache[key] = zlin.smith_normal_form(mat, ncols=cx.n_simplices(j))
-    return cx._cache[key]
-
-
-def cycle_basis(cx: Complex, j: int):
-    """Columns forming a Z-basis of the j-cycles Z_j = ker boundary_j."""
-    key = ("cycle_basis", j)
-    if key not in cx._cache:
-        if 0 <= j <= cx.dim:
-            cx._cache[key] = tuple(tuple(col) for col in
-                                   zlin.kernel_basis([], fact=_snf_boundary(cx, j)))
-        else:
-            cx._cache[key] = ()
     return cx._cache[key]
 
 

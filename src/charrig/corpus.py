@@ -54,11 +54,26 @@ def load_cycle(name: str, cx: Complex):
     want = doc.get("complex")
     if want is not None and want != cx.name:
         raise ParseError(f"cycle file targets complex {want!r}, got {cx.name!r}")
-    d = doc["degree"]
+    d, chain = doc["degree"], doc["chain"]
+    if not _is_int(d) or not 0 <= d <= cx.dim:
+        raise ParseError(f"cycle file {path}: degree {d!r} is not an "
+                         f"integer in 0..{cx.dim}")
+    if not isinstance(chain, list):
+        raise ParseError(f"cycle file {path}: 'chain' is not a list")
     vec = [0] * cx.n_simplices(d)
-    for simplex, coef in doc["chain"]:
+    for entry in chain:
+        if not (isinstance(entry, list) and len(entry) == 2
+                and isinstance(entry[0], list) and len(entry[0]) == d + 1
+                and all(map(_is_int, entry[0])) and _is_int(entry[1])):
+            raise ParseError(f"cycle file {path}: chain entry {entry!r} is "
+                             f"not a [{d}-simplex, integer] pair")
+        simplex, coef = entry
         try:
-            vec[cx.simplex_index(tuple(simplex))] += int(coef)
+            vec[cx.simplex_index(tuple(simplex))] += coef
         except KeyError as e:
             raise ParseError(f"cycle file {path}: {e.args[0]}") from None
     return d, vec
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)

@@ -199,11 +199,8 @@ def is_pseudomanifold(P: Pseudomanifold) -> bool:
         if set(cx.simplices[r]) != covered[r]:
             return False
     if d >= 1:
-        counts = [0] * cx.n_simplices(d - 1)
-        for col in cx.faces_with_signs(d):
-            for r, _ in col:
-                counts[r] += 1
-        if any(c != 2 for c in counts):
+        # row r of the boundary operator holds the cofaces of face r
+        if any(len(row) != 2 for row in cx._boundary_any(d)):
             return False
         if not cx.is_cycle(d, P.fundamental_cycle):
             return False
@@ -322,9 +319,8 @@ class SplitResult(_TowerTransport):
 def split_cycle(base: Complex, d: int, vec) -> SplitResult:
     """Replace every coefficient-n cell of a d-cycle (n > 1) by n parallel
     copies routed through sectors of the second barycentric subdivision,
-    homologous inside the closed star of the cell. Needs d < dim."""
-    if d >= base.dim:
-        raise DimensionError("splitting needs cycles below the top dimension")
+    homologous inside the closed star of the cell. Needs d < dim, unless
+    the cycle already has unit coefficients and is returned as it is."""
     if not base.is_cycle(d, vec):
         raise ValueError("input chain is not a cycle")
     return _split_chain(base, d, vec)
@@ -336,6 +332,8 @@ def _split_chain(base: Complex, d: int, vec) -> SplitResult:
     if all(abs(c) <= 1 for c in vec):
         return SplitResult(base, 0, [], base, d, list(vec), list(vec),
                            [0] * base.n_simplices(d + 1))
+    if d >= base.dim:
+        raise DimensionError("splitting needs cycles below the top dimension")
     if d > 1:
         raise GeometryBudgetExceeded(
             "parallel-copy routing is implemented for cells of dimension <= 1")
@@ -346,13 +344,13 @@ def _split_chain(base: Complex, d: int, vec) -> SplitResult:
         z2 = sd.subdivide_chain(d, z2)
     z_out = list(z2)
     b1 = [0] * Y.n_simplices(d + 1)
-    cofaces = _coface_table(base, d)
+    cofaces = base._boundary_any(d + 1)
     for i, coef in enumerate(vec):
         n = abs(coef)
         if n <= 1:
             continue
         sign = 1 if coef > 0 else -1
-        slots = cofaces[i]
+        slots = list(cofaces[i])
         if len(slots) < n - 1:
             raise GeometryBudgetExceeded(
                 f"cell {base.simplices[d][i]} has {len(slots)} cofaces, "
@@ -384,14 +382,6 @@ def _split_chain(base: Complex, d: int, vec) -> SplitResult:
     if large:
         raise InvariantError("split left a large coefficient", {"simplices": large})
     return SplitResult(base, 2, tower, Y, d, list(z2), z_out, b1)
-
-
-def _coface_table(base: Complex, d: int):
-    out = [[] for _ in range(base.n_simplices(d))]
-    for j, col in enumerate(base.faces_with_signs(d + 1)):
-        for r, _ in col:
-            out[r].append(j)
-    return out
 
 
 def _parallel_copy(base: Complex, tower, d: int, cell: int, rho: int):
@@ -474,15 +464,8 @@ def _carrier_subcomplex(base: Complex, tower, d: int, idx: int) -> Subcomplex:
 
 def normalize_cycle(base: Complex, d: int, vec):
     """Split then resolve: the full cycle-to-pseudomanifold pipeline.
-    Returns (SplitResult, Pseudomanifold). Splitting needs d < dim, but a
-    cycle that already has unit coefficients skips it in any dimension."""
-    if all(abs(c) <= 1 for c in vec):
-        if not base.is_cycle(d, vec):
-            raise ValueError("input chain is not a cycle")
-        sr = SplitResult(base, 0, [], base, d, list(vec), list(vec),
-                         [0] * base.n_simplices(d + 1))
-    else:
-        sr = split_cycle(base, d, vec)
+    Returns (SplitResult, Pseudomanifold)."""
+    sr = split_cycle(base, d, vec)
     pm = resolve_cycle(sr.complex, d, sr.cycle)
     return sr, pm
 
@@ -550,18 +533,21 @@ def bound_in_good_neighborhood(P: Pseudomanifold, base: Complex, tower,
 
 
 def _normalize_top_chain(cx: Complex, k: int, w):
-    """Shift by top-cycle multiples so coefficients land in {-1, 0, 1}."""
-    from .cochains import cycle_basis
+    """Shift by top-cycle multiples so coefficients land in {-1, 0, 1}:
+    w - t F, then w + t F, for each cycle-basis column F (the sparse
+    columns of V past the rank) and each value t of w."""
+    from .cochains import _snf_boundary
     if all(abs(c) <= 1 for c in w):
         return w
-    for F in cycle_basis(cx, k):
+    fact = _snf_boundary(cx, k)
+    for F in fact.V[fact.rank:]:
         for t in sorted(set(w)):
-            cand = [c - t * f for c, f in zip(w, F)]
-            if all(abs(c) <= 1 for c in cand):
-                return cand
-            cand = [c + t * f for c, f in zip(w, F)]
-            if all(abs(c) <= 1 for c in cand):
-                return cand
+            for s in (-t, t):
+                cand = list(w)
+                for i, f in F.items():
+                    cand[i] += s * f
+                if all(abs(c) <= 1 for c in cand):
+                    return cand
     return w
 
 
@@ -570,27 +556,20 @@ def _greedy_collapse(cx: Complex):
     left). A certificate of how far the neighborhood deflates, reported
     alongside the direct cohomology check, never instead of it."""
     alive = [set(range(cx.n_simplices(d))) for d in range(cx.dim + 1)]
-    cofaces: list[dict] = [dict() for _ in range(cx.dim + 1)]
-    for d in range(1, cx.dim + 1):
-        for i, col in enumerate(cx.faces_with_signs(d)):
-            for r, _ in col:
-                cofaces[d - 1].setdefault(r, set()).add(i)
+    # cofaces[d][i]: the cofaces of d-simplex i, row i of the boundary
+    # operator on (d+1)-chains
+    cofaces = [cx._boundary_any(d + 1) for d in range(cx.dim)]
     pairs = 0
     progress = True
     while progress:
         progress = False
         for d in range(cx.dim - 1, -1, -1):
             for i in sorted(alive[d]):
-                up = {j for j in cofaces[d].get(i, ()) if j in alive[d + 1]}
+                up = [j for j in cofaces[d][i] if j in alive[d + 1]]
                 if len(up) == 1:
-                    j = up.pop()
-                    higher = False
-                    if d + 2 <= cx.dim:
-                        for jj in cofaces[d + 1].get(j, ()):
-                            if jj in alive[d + 2]:
-                                higher = True
-                                break
-                    if higher:
+                    j = up[0]
+                    if d + 2 <= cx.dim and any(
+                            jj in alive[d + 2] for jj in cofaces[d + 1][j]):
                         continue
                     alive[d].discard(i)
                     alive[d + 1].discard(j)

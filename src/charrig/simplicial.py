@@ -262,10 +262,6 @@ class Subcomplex:
     def vertex_set(self):
         return frozenset(self.parent.simplices[0][i][0] for i in self.included[0])
 
-    def simplex_lists(self):
-        return [sorted(self.parent.simplices[d][i] for i in level)
-                for d, level in enumerate(self.included)]
-
     def contains(self, d: int, idx: int) -> bool:
         return d < len(self.included) and idx in self.included[d]
 
@@ -372,17 +368,6 @@ class SimplicialMap:
             self._columns[j] = tuple(cols)
         return self._columns[j]
 
-    def induced_chain_map(self, j: int):
-        """Dense matrix of the induced map on j-chains."""
-        rows = self.target.n_simplices(j)
-        cols = self.source.n_simplices(j)
-        mat = [[0] * cols for _ in range(rows)]
-        if cols:
-            for c, entry in enumerate(self.chain_columns(j)):
-                if entry is not None:
-                    mat[entry[0]][c] = entry[1]
-        return mat
-
     def push_chain(self, j: int, vec):
         out = [0] * self.target.n_simplices(j)
         for c, coef in enumerate(vec):
@@ -412,17 +397,6 @@ class SimplicialMap:
                         return False
         return True
 
-    def compose(self, inner: "SimplicialMap") -> "SimplicialMap":
-        """self after inner (inner.target must be self.source)."""
-        if inner.target is not self.source:
-            raise MismatchError("maps do not compose")
-        vm = tuple(self.vertex_map[w] for w in inner.vertex_map)
-        return SimplicialMap(inner.source, self.target, vm)
-
-
-def identity_map(cx: Complex) -> SimplicialMap:
-    return SimplicialMap(cx, cx, range(cx.vertex_count))
-
 
 # ---------------------------------------------------------------------------
 # barycentric subdivision
@@ -432,10 +406,11 @@ class Subdivision:
 
     `complex` is the subdivided complex; new vertex i corresponds to the old
     simplex `vertex_carrier[i]` (a (dim, index) pair). `carrier[j][i]` is the
-    smallest old simplex containing new j-simplex i. `chain_map(j)` is the
-    subdivision chain map C_j(old) -> C_j(new), and `last_vertex` is the
-    simplicial map new -> old sending each barycenter to the top vertex of
-    its simplex; the two compose to the identity on old chains.
+    smallest old simplex containing new j-simplex i. `subdivide_chain(j, vec)`
+    applies the subdivision chain map C_j(old) -> C_j(new), and
+    `last_vertex` is the simplicial map new -> old sending each barycenter
+    to the top vertex of its simplex; the two compose to the identity on
+    old chains.
     """
 
     def __init__(self, base: Complex):
@@ -509,11 +484,6 @@ class Subdivision:
             out = tuple((i, par * v) for i, v in sorted(acc.items()) if v)
         self._sd_cols[key] = out
         return out
-
-    def chain_map(self, j: int):
-        """Sparse columns of sd: per old j-simplex, tuple of (new idx, sign)."""
-        return tuple(self._sd_simplex(j, i)
-                     for i in range(self.base.n_simplices(j)))
 
     def subdivide_chain(self, j: int, vec):
         out = [0] * self.complex.n_simplices(j)

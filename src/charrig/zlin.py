@@ -3,8 +3,9 @@
 Everything here works with arbitrary-precision Python ints and Fractions;
 no floating point is used anywhere. The central routine is a Smith normal
 form with unimodular transforms (and their inverses), from which integer
-solvability, kernels, cokernels and finitely generated abelian group
-presentations are derived. The factorization is sparse throughout: it
+solvability, cokernels and finitely generated abelian group presentations
+are derived; a kernel basis is the columns of V past the rank, read
+sparse where it is needed. The factorization is sparse throughout: it
 takes its rows as dense sequences or as dicts from column index to
 nonzero int (the boundary operators and the relation matrices of the
 homology presentations come as dicts), the working matrix and the four
@@ -293,15 +294,6 @@ def smith_normal_form(a, ncols: int | None = None, *,
     rank = len(diag)
     diag.extend([0] * (limit - rank))
     return SNFResult((m, n), tuple(diag), rank, U, V, Uinv, Vinv)
-
-
-def kernel_basis(a, fact: SNFResult | None = None, ncols: int | None = None):
-    """Columns form a Z-basis of ker(a); returned as a list of columns."""
-    if fact is None:
-        fact = smith_normal_form(a, ncols=ncols)
-    n = fact.shape[1]
-    # the columns of V past the rank, made dense
-    return [combine((1,), (col,), n) for col in fact.V[fact.rank:]]
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 import pytest
 
-from charrig import corpus
+from charrig import corpus, zlin
+from charrig.cochains import _snf_boundary
 
 CORPUS = list(corpus.CORPUS_NAMES)
 SURFACES = ["s2", "t2", "rp2", "klein"]
@@ -16,3 +17,13 @@ def cx():
 @pytest.fixture(scope="session", params=CORPUS)
 def corpus_complex(request):
     return corpus.load(request.param)
+
+
+def cycle_basis(X, j):
+    """The Z-basis of the j-cycles that the library reads, the columns of
+    V past the rank of the cached factorization of boundary_j, made dense
+    as tuples; empty outside 0..dim."""
+    fact = _snf_boundary(X, j)
+    n = X.n_simplices(j)
+    return tuple(tuple(zlin.combine((1,), (col,), n))
+                 for col in fact.V[fact.rank:])

@@ -9,20 +9,22 @@ from hypothesis import given, settings, strategies as st
 from charrig import corpus, zlin
 from charrig.cochains import (
     Cochain, _mod1, basis_cochain, bockstein, coboundary, cohomology,
-    cycle_basis, cycle_coords, integral_form_generators, zero_cochain,
+    cycle_coords, integral_form_generators, zero_cochain,
 )
 from charrig.characters import (
     Character, NotACycle, char_i1, char_i2, char_pullback,
     character_from_holonomies, delta2_via_lift, evaluate_via_normalization,
-    is_character, make_character, phi_direct, phi_good, phi_inverse,
-    sample_cycles, verify_equivalence, verify_phi_good, zero_character,
+    is_character, phi_direct, phi_good, phi_inverse,
+    sample_cycles, verify_equivalence, verify_phi_good,
 )
 from charrig.diffcocycle import (
     class_equal, delta2, i1, i2, pullback, sample_classes, verify_diagram,
+    zero_class,
 )
 from charrig.simplicial import (
     barycentric_subdivide, complex_from_maximal, load_complex,
 )
+from conftest import cycle_basis
 from test_cochains import random_complexes
 
 
@@ -67,7 +69,7 @@ def test_evaluate_through_the_lift_is_the_basis_formula(name, rnd):
 
 def test_is_character_examples(cx):
     s1 = cx("s1")
-    zc = zero_character(s1, 1)
+    zc = phi_direct(zero_class(s1, 1))
     assert is_character(s1, 1, zc.f_values, zc.omega)
     # a valid degree-1 pair on the triangle, built by the solver
     ch = character_from_holonomies(
@@ -78,16 +80,15 @@ def test_is_character_examples(cx):
     assert not is_character(s1, 1, ch.f_values, bad)
 
 
-def test_make_character_rejects_bad_data(cx):
+def test_is_character_rejects_bad_data(cx):
     s1 = cx("s1")
-    with pytest.raises(ValueError):
-        make_character(s1, 2, [Fraction(1, 3)],
-                       basis_cochain(s1, "Q", 1, 0).scale(Fraction(1, 2)))
+    assert not is_character(s1, 2, [Fraction(1, 3)],
+                            basis_cochain(s1, "Q", 1, 0).scale(Fraction(1, 2)))
 
 
 def test_delta2_via_lift_zero_character(cx):
     t2 = cx("t2")
-    assert delta2_via_lift(zero_character(t2, 2)).is_zero()
+    assert delta2_via_lift(phi_direct(zero_class(t2, 2))).is_zero()
 
 
 def test_delta2_via_lift_detects_period_class(cx):
@@ -144,7 +145,10 @@ def test_equivalence_suite(corpus_complex):
     X = corpus_complex
     for k in range(1, X.dim + 2):
         results = verify_equivalence(X, k, random.Random(0), n_round_trips=8)
-        bad = [(r.name, r.witness) for r in results if r.status != "pass"]
+        bad = [(r.name, r.witness) for r in results if r.status != "pass"
+               and not (r.name == "phi.pseudomanifold_path"
+                        and r.status == "skipped" and r.witness["skipped"]
+                        and not r.witness["problems"])]
         assert not bad, (X.name, k, bad)
 
 
@@ -245,7 +249,9 @@ def test_suites_pass_on_random_complexes_and_wedges(X, other, seed):
     degree 1..dim+1 on a random complex, or on its wedge with rp2 or
     moore_z3 to bring in torsion, with the CLI's naturality maps; on
     complexes of dimension at most 2 with at most 8 vertices, so do the
-    checks of `verify_phi_good` within one subdivision."""
+    checks of `verify_phi_good` within one subdivision. The one exception
+    is `phi.pseudomanifold_path`, which is skipped, naming the pairs, when
+    the surgery can split none of the sampled cycles it would compare."""
     from charrig.cli import _naturality_maps
     if other:
         X = _wedge(X, corpus.load(other))
@@ -255,7 +261,10 @@ def test_suites_pass_on_random_complexes_and_wedges(X, other, seed):
                    + verify_equivalence(X, k, random.Random(seed), maps=maps))
         if X.dim <= 2 and X.n_simplices(0) <= 8:
             results += verify_phi_good(X, k, random.Random(seed), max_subdiv=1)
-        bad = [(r.name, r.witness) for r in results if r.status != "pass"]
+        bad = [(r.name, r.witness) for r in results if r.status != "pass"
+               and not (r.name == "phi.pseudomanifold_path"
+                        and r.status == "skipped" and r.witness["skipped"]
+                        and not r.witness["problems"])]
         assert not bad, (X.name, k, bad)
 
 

@@ -219,8 +219,9 @@ def test_phi_finishes_when_the_degree_has_only_the_zero_class(argv):
 def test_phi_skips_cycles_the_surgery_cannot_split(tmp_path):
     """A free triangle loop attached to a filled triangle: the doubled
     loop among the sampled cycles has an edge with no coface, so the cycle
-    surgery cannot split it. The pseudomanifold-path check skips that pair
-    and names it, instead of failing the run as an input error."""
+    surgery cannot split it. The pseudomanifold-path check skips the two
+    pairs with that cycle and names them, instead of failing the run as an
+    input error; it still compares the pair with a boundary, so it passes."""
     loop_and_disk = tmp_path / "loop_and_disk.json"
     loop_and_disk.write_text(json.dumps({"name": "loop_and_disk", "simplices": [
         [0], [1], [2], [3], [4], [0, 1], [1, 2], [0, 2], [2, 3], [2, 4],
@@ -230,7 +231,25 @@ def test_phi_skips_cycles_the_surgery_cannot_split(tmp_path):
     assert code == 0, err
     by_name = {c["name"]: c for c in parse_report(out)["checks"]}
     path = by_name["phi.pseudomanifold_path"]
-    assert path["status"] == "pass" and path["witness"]["skipped"]
+    assert path["status"] == "pass" and path["witness"]["skipped"] == [0, 1]
+
+
+def test_phi_path_is_skipped_when_it_compares_no_pair(tmp_path):
+    """A filled triangle and two isolated vertices in degree 1: at this
+    seed the sampled pairs are doubled 0-cycles on an isolated vertex,
+    which has no coface to split along, and zero cycles. The path compared
+    nothing, so it is skipped rather than passed; the run still exits 0."""
+    disk_and_points = tmp_path / "disk_and_points.json"
+    disk_and_points.write_text(json.dumps({
+        "name": "disk_and_points", "simplices": [[0], [1, 2, 3], [4], [5]]}))
+    code, out, err = run_cli("phi", str(disk_and_points), "--degree", "1",
+                             "--seed", "5")
+    assert code == 0, err
+    checks = parse_report(out)["checks"]
+    path = [c for c in checks if c["name"] == "phi.pseudomanifold_path"][0]
+    assert path["status"] == "skipped"
+    assert path["witness"] == {"problems": [], "skipped": [0, 2]}
+    assert all(c["status"] == "pass" for c in checks if c is not path)
 
 
 @pytest.mark.parametrize("argv", [
@@ -292,6 +311,25 @@ def test_exit_code_on_cycle_naming_missing_simplex(tmp_path):
     assert code == 2
     assert err.startswith("input error:") and "(0, 9)" in err
     assert "Traceback" not in err and out == ""
+
+
+@pytest.mark.parametrize("doc", [
+    # non-integer coefficients: once truncated to the fundamental cycle
+    {"degree": 1, "chain": [[[0, 1], 1.5], [[1, 2], 1.5], [[0, 2], -1.5]]},
+    {"degree": 1, "chain": [[[0, 1], True], [[1, 2], 1], [[0, 2], -1]]},
+    {"degree": 1, "chain": 5},
+    {"degree": 1, "chain": [[[0, 1]]]},
+    {"degree": 1, "chain": [[[0, 1, 2], 1]]},
+    {"degree": "x", "chain": []},
+    {"degree": 7, "chain": []},
+    {"degree": -1, "chain": []},
+])
+def test_exit_code_on_malformed_cycle_file(tmp_path, doc):
+    bad = tmp_path / "bad_cycle.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run_cli("pseudo", "s1", "--cycle", str(bad))
+    assert code == 2 and out == ""
+    assert err.startswith("input error:") and "Traceback" not in err
 
 
 def test_exit_code_on_doubled_top_dimensional_cycle(tmp_path):

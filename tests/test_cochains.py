@@ -14,14 +14,15 @@ from charrig import corpus, zlin
 from charrig.cochains import (
     Cochain, QuotientForm, RingError, _mod1, alpha, basis_cochain, beta, bockstein,
     check_exactness, coboundary, cocycle_coords, cohomology,
-    cup, cup_int_qmodz, cycle_basis, cycle_periods, d_of_quotient, homology,
+    cup, cup_int_qmodz, cycle_periods, d_of_quotient, homology,
     integral_form_generators, is_integral_form, r_to_rational,
-    s_class_of_form, solve_coboundary, unit_cochain, zero_cochain,
+    s_class_of_form, solve_coboundary, zero_cochain,
     _class_order, _coboundary_num, _snf_boundary,
 )
 from charrig.simplicial import (
     barycentric_subdivide, complex_from_maximal, load_complex,
 )
+from conftest import cycle_basis
 
 
 def oracle_cohomology(X, j):
@@ -106,7 +107,7 @@ def test_cup_unital_and_associative(cx):
     rng = random.Random(1)
     for name in ("rp2", "t2"):
         X = cx(name)
-        one = unit_cochain(X).to_q()
+        one = Cochain(X, "Q", 0, [1] * X.n_simplices(0))
         y = Cochain(X, "Q", 1, tuple(Fraction(rng.randrange(-4, 5), 2)
                                      for _ in range(X.n_simplices(1))))
         assert cup(one, y).values == y.values

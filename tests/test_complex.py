@@ -7,10 +7,10 @@ from sympy import Matrix
 from charrig.simplicial import (
     Complex, DegreeError, DuplicateError, FaceClosureError, ParseError,
     SimplicialMap, barycentric_subdivide, closed_star_neighborhood,
-    complex_from_maximal, identity_map, parse_complex,
-    subcomplex_from_simplices,
+    complex_from_maximal, parse_complex, subcomplex_from_simplices,
 )
 from charrig.cochains import cohomology, homology
+from conftest import cycle_basis
 
 
 def test_parse_triangle_circle():
@@ -113,7 +113,6 @@ def test_last_vertex_section_of_subdivision(cx):
 
 
 def test_subdivided_fundamental_cycle(cx):
-    from charrig.cochains import cycle_basis
     s1 = cx("s1")
     sd = barycentric_subdivide(s1)
     z = cycle_basis(s1, 1)[0]
@@ -136,7 +135,8 @@ def test_closed_star_of_vertex(cx):
     s1 = cx("s1")
     K = subcomplex_from_simplices(s1, [(0,)])
     star = closed_star_neighborhood(s1, K)
-    lists = star.simplex_lists()
+    lists = [sorted(s1.simplices[d][i] for i in level)
+             for d, level in enumerate(star.included)]
     assert lists[0] == [(0,), (1,), (2,)]
     assert lists[1] == [(0, 1), (0, 2)]
 
@@ -167,29 +167,42 @@ def test_star_in_twice_subdivided_torus_loses_top_cohomology(cx):
     assert cohomology(ucx, 2, "Z").describe() == "0"
 
 
-def test_induced_chain_map_identity_and_constant(cx):
+def _unit_chains(X, j):
+    for i in range(X.n_simplices(j)):
+        vec = [0] * X.n_simplices(j)
+        vec[i] = 1
+        yield vec
+
+
+def test_push_chain_identity_and_constant(cx):
     s1 = cx("s1")
     pt = cx("point")
-    assert identity_map(s1).induced_chain_map(1) == [[1, 0, 0], [0, 1, 0],
-                                                      [0, 0, 1]]
+    ident = SimplicialMap(s1, s1, range(s1.vertex_count))
     const = SimplicialMap(s1, pt, [0, 0, 0])
-    mat = const.induced_chain_map(1)
-    assert all(all(v == 0 for v in row) for row in mat)
+    for j in (0, 1):
+        for e in _unit_chains(s1, j):
+            assert ident.push_chain(j, e) == e
+            # a vertex goes to the point, an edge degenerates
+            assert const.push_chain(j, e) == ([1] if j == 0 else [])
 
 
-def test_induced_chain_map_commutes_with_boundary(cx):
+def test_push_chain_commutes_with_boundary(cx):
+    """boundary . phi_* = phi_* . boundary on every unit chain, for a
+    degree-two map of the circle and for `last_vertex` of s2 and t2."""
     s1 = cx("s1")
-    sd = barycentric_subdivide(s1)
-    phi = SimplicialMap(sd.complex, s1, [0, 2, 1, 1, 2, 0])
-    for j in range(1, 2):
-        lhs = Matrix(s1.boundary_matrix(j)) * Matrix(phi.induced_chain_map(j))
-        rhs = Matrix(phi.induced_chain_map(j - 1)) * \
-            Matrix(sd.complex.boundary_matrix(j))
-        assert lhs == rhs
+    maps = [SimplicialMap(barycentric_subdivide(s1).complex, s1,
+                          [0, 2, 1, 1, 2, 0])]
+    maps += [barycentric_subdivide(cx(name)).last_vertex
+             for name in ("s2", "t2")]
+    for phi in maps:
+        X, Y = phi.source, phi.target
+        for j in range(1, X.dim + 1):
+            for e in _unit_chains(X, j):
+                assert Y.boundary_of_chain(j, phi.push_chain(j, e)) == \
+                    phi.push_chain(j - 1, X.boundary_of_chain(j, e)), (Y.name, j)
 
 
 def test_degree_two_circle_map(cx):
-    from charrig.cochains import cycle_basis
     s1 = cx("s1")
     sd = barycentric_subdivide(s1)
     phi = SimplicialMap(sd.complex, s1, [0, 2, 1, 1, 2, 0])

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from charrig import corpus
-from charrig.cochains import cohomology, cycle_basis, homology
+from charrig.cochains import cohomology, homology
 from charrig.geometry import (
     BoundResult, DimensionError, GeometryBudgetExceeded, NotNullHomologous,
     Pseudomanifold, bound_in_good_neighborhood, cohomology_vanishes_above,
@@ -13,8 +13,9 @@ from charrig.geometry import (
     normalize_cycle, resolve_cycle, split_cycle, verify_normalization,
 )
 from charrig.simplicial import (
-    complex_from_maximal, identity_map, subcomplex_from_simplices,
+    SimplicialMap, complex_from_maximal, subcomplex_from_simplices,
 )
+from conftest import cycle_basis
 
 
 def test_good_neighborhood_of_vertex_is_cone(corpus_complex):
@@ -55,7 +56,7 @@ def test_is_pseudomanifold_examples(cx):
     assert is_pseudomanifold(pm)
     # same induced orientation on a shared edge: boundary cells break it
     strip = complex_from_maximal("strip", [(0, 1, 2), (1, 2, 3)])
-    bad = Pseudomanifold(strip, identity_map(strip), (1, -1))
+    bad = Pseudomanifold(strip, SimplicialMap(strip, strip, range(4)), (1, -1))
     assert not is_pseudomanifold(bad)
     # disjoint circles: the condition is local
     two = complex_from_maximal(
@@ -63,7 +64,7 @@ def test_is_pseudomanifold_examples(cx):
     fund = []
     for s in two.simplices[1]:
         fund.append(1 if s in ((0, 1), (1, 2), (3, 4), (4, 5)) else -1)
-    pm2 = Pseudomanifold(two, identity_map(two), tuple(fund))
+    pm2 = Pseudomanifold(two, SimplicialMap(two, two, range(6)), tuple(fund))
     assert is_pseudomanifold(pm2)
 
 

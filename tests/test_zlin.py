@@ -249,9 +249,16 @@ def test_solve_integer_unsolvable_confirmed_by_enumeration(a, braw):
     assert not solvable
 
 
+def kernel_basis(a):
+    """The columns of V past the rank, made dense: the kernel basis the
+    library reads (as the cycle basis of a boundary operator)."""
+    f = zlin.smith_normal_form(a)
+    return [[col.get(i, 0) for i in range(f.shape[1])] for col in f.V[f.rank:]]
+
+
 def test_kernel_basis_examples():
-    assert zlin.kernel_basis([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == []
-    assert zlin.kernel_basis([[0, 0], [0, 0]]) == [[1, 0], [0, 1]]
+    assert kernel_basis([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == []
+    assert kernel_basis([[0, 0], [0, 0]]) == [[1, 0], [0, 1]]
 
 
 def test_kernel_basis_spans_and_is_exact():
@@ -259,7 +266,7 @@ def test_kernel_basis_spans_and_is_exact():
     for _ in range(40):
         m, n = rng.randrange(1, 6), rng.randrange(1, 6)
         a = [[rng.randrange(-4, 5) for _ in range(n)] for _ in range(m)]
-        K = zlin.kernel_basis(a)
+        K = kernel_basis(a)
         for col in K:
             assert all(v == 0 for v in matvec(a, col))
         # rank-nullity over Q
