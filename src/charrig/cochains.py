@@ -290,10 +290,12 @@ def cup_class_qmodz(a: "CohomologyClass", u: "CohomologyClass") -> "CohomologyCl
 # matrices and solves read those rows and columns directly. Periods and
 # coboundary solves read V by rows (`SNFResult.V_rows`, built on the
 # first of them), so they cost the nonzeros of the cochain they are
-# given, not one pairing per column of V. The relation
-# matrix of H_j is ascending dict rows, and its
-# presentation (`zlin.cokernel`) is factored without column transforms,
-# since a presentation reads only U and Uinv. The cycle basis is never
+# given, not one pairing per column of V. Each transform is built on
+# its first read (`zlin.SNFResult`): a boundary factorization never
+# builds Uinv, and builds U only when a coboundary is solved. The
+# relation matrix of H_j is ascending dict rows, and its presentation
+# (`zlin.cokernel`) reads only U and Uinv, so its V and Vinv are never
+# built. The cycle basis is never
 # made dense: every reader, `geometry` included, walks the sparse columns
 # V[rank:] of the factorization of d_j. The coboundary reads the
 # per-position face lists of `Complex.face_columns`.

@@ -278,6 +278,20 @@ def test_caches_hold_no_dense_matrices():
         assert dense == [], (cx.name, dense)
 
 
+def test_inspect_builds_no_row_transform_of_a_boundary():
+    """`inspect` on sd1(t2) reads V and Vinv of each cached boundary
+    factorization but never solves against one, so none builds U or
+    Uinv."""
+    X = barycentric_subdivide(load_complex(corpus.resolve("t2"))).complex
+    cli.cmd_inspect(X, argparse.Namespace(seed=0, max_subdiv=2), 1)
+    facts = {key[1]: v for key, v in X._cache.items()
+             if key[0] == "snf_boundary"}
+    assert sorted(facts) == list(range(X.dim + 3))
+    built = {j: sorted({"U", "Uinv"} & set(f.__dict__))
+             for j, f in facts.items()}
+    assert built == {j: [] for j in facts}
+
+
 def test_timings_per_task_outside_the_hash():
     """Every task's wall time is reported under its name; the canonical
     hash is the pinned one."""

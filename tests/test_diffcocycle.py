@@ -41,28 +41,39 @@ def test_cocycle_invariants_enforced(cx):
 @settings(max_examples=8, deadline=None)
 @given(data=st.data())
 def test_cocycle_identities_checked_over_common_denominators(cx, name, k, data):
-    """(c, h, omega) with omega = delta h + c is accepted for a rational h
-    with mixed denominators and any integral cocycle c; moving one value
-    of omega by 1/d, or c off the cocycles, is refused."""
+    """(c, h, omega) with omega = delta h + c is accepted for any integral
+    cocycle c and a rational h, drawn with mixed denominators or built as
+    z/2 + y/3 for a cocycle z with an odd value and y with values 1 or 2
+    (so h has denominator 6 and omega 1 or 3); moving any value of omega
+    by 1/d or by one numerator, or c off the cocycles, is refused."""
     X = cx(name)
     n_prev, n_k = X.n_simplices(k - 1), X.n_simplices(k)
     ints = st.lists(st.integers(-3, 3), min_size=n_prev, max_size=n_prev)
     dens = st.lists(st.integers(1, 6), min_size=n_prev, max_size=n_prev)
-    h = Cochain(X, "Q", k - 1, [Fraction(p, q) for p, q in
-                                zip(data.draw(ints), data.draw(dens))])
+    drawn = Cochain(X, "Q", k - 1, [Fraction(p, q) for p, q in
+                                    zip(data.draw(ints), data.draw(dens))])
+    z = sum(cohomology(X, k - 1, "Z").gen_cochains,
+            zero_cochain(X, "Z", k - 1))
+    if k >= 2:
+        z = z + coboundary(basis_cochain(X, "Z", k - 2, 0))
+    y = Cochain(X, "Z", k - 1, data.draw(st.lists(
+        st.integers(1, 2), min_size=n_prev, max_size=n_prev)))
+    sixths = z.to_q().scale(Fraction(1, 2)) + y.to_q().scale(Fraction(1, 3))
+    assert sixths.den == 6 and coboundary(sixths).den in (1, 3)
     c = coboundary(Cochain(X, "Z", k - 1, data.draw(ints)))
     for g in cohomology(X, k, "Z").gen_cochains:
         c = c + g.scale(data.draw(st.integers(-2, 2)))
-    omega = coboundary(h) + c.to_q()
-    DifferentialCocycle(c, h, omega)
+    for h in (drawn, sixths):
+        omega = coboundary(h) + c.to_q()
+        DifferentialCocycle(c, h, omega)
+        for d in (data.draw(st.integers(1, 6)), omega.den):
+            for e in range(n_k):
+                with pytest.raises(ValueError, match="delta h != omega - c"):
+                    DifferentialCocycle(c, h, omega + basis_cochain(
+                        X, "Q", k, e).scale(Fraction(1, d)))
     if not n_k:
         return
-    e = data.draw(st.integers(0, n_k - 1))
-    d = data.draw(st.integers(1, 6))
-    with pytest.raises(ValueError, match="delta h != omega - c"):
-        DifferentialCocycle(c, h, omega + basis_cochain(X, "Q", k, e).scale(
-            Fraction(1, d)))
-    off = c + basis_cochain(X, "Z", k, e)
+    off = c + basis_cochain(X, "Z", k, data.draw(st.integers(0, n_k - 1)))
     if not coboundary(off).is_zero():
         with pytest.raises(ValueError, match="c is not a cocycle"):
             DifferentialCocycle(off, h, coboundary(h) + off.to_q())

@@ -73,17 +73,95 @@ def test_snf_matches_independent_oracle(a):
     assert [d for d in f.diag if d] == expected
 
 
+def key_orders(fact):
+    """The four transforms with the key order of every dict."""
+    return [[list(vec) for vec in vecs]
+            for vecs in (fact.U, fact.V, fact.Uinv, fact.Vinv)]
+
+
 @settings(max_examples=60, deadline=None)
 @given(small_matrices())
 def test_dict_rows_and_row_only_factorization_match_dense_rows(a):
-    """Ascending dict rows give the factorization of the dense rows; without
-    column transforms, the same diag, U and Uinv."""
+    """Ascending dict rows give the factorization of the dense rows, dict
+    key order included. A factorization read only for U and Uinv, as
+    `cokernel` reads it, builds neither V nor Vinv; read later, they are
+    those of the full factorization."""
     f = zlin.smith_normal_form(a)
     rows = [as_dict(r) for r in a]
     g = zlin.smith_normal_form(rows, ncols=len(a[0]))
     assert (g.diag, g.U, g.V, g.Uinv, g.Vinv) == (f.diag, f.U, f.V, f.Uinv, f.Vinv)
-    h = zlin.smith_normal_form(rows, ncols=len(a[0]), col_transforms=False)
-    assert (h.diag, h.U, h.V, h.Uinv, h.Vinv) == (f.diag, f.U, None, f.Uinv, None)
+    assert key_orders(g) == key_orders(f)
+    h = zlin.smith_normal_form(rows, ncols=len(a[0]))
+    assert (h.diag, h.U, h.Uinv) == (f.diag, f.U, f.Uinv)
+    assert "V" not in h.__dict__ and "Vinv" not in h.__dict__
+    assert (h.V, h.Vinv) == (f.V, f.Vinv)
+
+
+def unit_matrices_with_one_larger_entry(max_dim=7):
+    """Matrices with entries in {-1, 0, 1} and one entry of ±2 or ±3, like
+    the boundary operators and relation matrices: unit pivots clear most
+    of the block, and the larger entry can leave a non-unit pivot."""
+    def place(shape):
+        m, n = shape
+        return st.tuples(
+            st.lists(st.lists(st.sampled_from((-1, 0, 0, 1)), min_size=n,
+                              max_size=n), min_size=m, max_size=m),
+            st.integers(0, m - 1), st.integers(0, n - 1),
+            st.sampled_from((2, 3, -2, -3)))
+
+    def build(drawn):
+        a, i, j, v = drawn
+        a[i][j] = v
+        return a
+    return st.tuples(st.integers(1, max_dim), st.integers(1, max_dim)) \
+        .flatmap(place).map(build)
+
+
+TRANSFORM_ORDERS = [("U", "Uinv", "V", "Vinv"), ("V", "Vinv", "U", "Uinv"),
+                    ("Vinv", "U", "V", "Uinv"), ("Uinv", "Vinv", "V", "U")]
+
+
+def check_transforms_in_order(a, order, dict_rows):
+    """Read the transforms of a fresh factorization in `order`; sympy checks
+    U a V = S, U Uinv = I and Vinv V = I, and each read builds exactly
+    the transform read."""
+    m, n = len(a), len(a[0])
+    rows = [as_dict(r) for r in a] if dict_rows else a
+    f = zlin.smith_normal_form(rows, ncols=n)
+    for k, name in enumerate(order):
+        getattr(f, name)
+        assert set(order[:k + 1]) == {x for x in order if x in f.__dict__}
+    U, V, Uinv, Vinv = dense(f)
+    S = Matrix.zeros(m, n)
+    for i, d in enumerate(f.diag):
+        S[i, i] = d
+    assert Matrix(U) * Matrix(a) * Matrix(V) == S
+    assert Matrix(U) * Matrix(Uinv) == eye(m)
+    assert Matrix(Vinv) * Matrix(V) == eye(n)
+    return f
+
+
+@settings(max_examples=80, deadline=None)
+@given(unit_matrices_with_one_larger_entry(),
+       st.sampled_from(TRANSFORM_ORDERS), st.booleans())
+def test_transforms_built_on_first_read_in_any_order(a, order, dict_rows):
+    f = check_transforms_in_order(a, order, dict_rows)
+    expected = [int(d) for d in invariant_factors(Matrix(a)) if d != 0]
+    assert [d for d in f.diag if d] == expected
+
+
+@pytest.mark.parametrize("order", TRANSFORM_ORDERS)
+def test_unit_and_euclid_pivots_in_one_factorization(order):
+    """The first pivot is a unit; the rest of the block holds no unit, so
+    the next pivot, 2, runs the Euclid loop and the divisibility sweep
+    against the 3 and the other 2."""
+    a = [[1, -1, 0, 0],
+         [1, 1, 0, 0],
+         [0, 0, 2, 0],
+         [0, 0, 0, 3]]
+    f = check_transforms_in_order(a, order, dict_rows=False)
+    assert f.diag == (1, 1, 2, 6)
+    assert f.diag == tuple(int(d) for d in invariant_factors(Matrix(a)))
 
 
 def test_snf_examples():
