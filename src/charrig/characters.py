@@ -24,7 +24,7 @@ from .cochains import (
 )
 from .diffcocycle import (
     DiffClass, class_equal, delta1, delta2, i1 as dc_i1, i2 as dc_i2,
-    lift_through_i2, make_class, pullback, sample_classes,
+    lift_through_i2, pullback, sample_classes,
 )
 from .geometry import (
     GeometryBudgetExceeded, GoodNeighborhood, good_neighborhood_of_cycle,
@@ -138,15 +138,15 @@ def delta2_via_lift(ch: Character, strategy: str = "floor") -> CohomologyClass:
 
 def phi_direct(x: DiffClass) -> Character:
     """Character read off the h component on the cycle basis."""
-    h = x.rep.h
+    h = x.h
     f = cycle_periods(x.cx, x.degree - 1, h.num)
-    return Character(x.cx, x.degree, f, h.den, x.rep.omega)
+    return Character(x.cx, x.degree, f, h.den, x.omega)
 
 
-def phi_inverse(ch: Character, strategy: str = "floor") -> DiffClass:
+def phi_inverse(ch: Character) -> DiffClass:
     """Differential class with phi_direct equal to the given character."""
-    T, c = _lift_and_cocycle(ch, strategy)
-    return make_class(c, T, ch.omega)
+    T, c = _lift_and_cocycle(ch, "floor")
+    return DiffClass(c, T, ch.omega)
 
 
 def phi_good(x: DiffClass, z, max_subdiv: int = 2) -> Fraction:

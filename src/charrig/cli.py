@@ -62,7 +62,7 @@ def _run_tasks(rep: Report, tasks):
 # (ring, degree offset, attribute) of the groups whose free rank or torsion
 # must equal those of H^j in each ring, by the universal coefficient theorem:
 # rank H^j(Z) = rank H^j(Q) = free rank of H^j(Q/Z), and torsion H^j(Q/Z) =
-# torsion H^{j+1}(Z). Q/Z groups keep their free rank in `rank`.
+# torsion H^{j+1}(Z).
 _UCT_PARTNERS = {
     RING_Z: ((RING_Q, 0, "rank"), (RING_QMODZ, -1, "torsion")),
     RING_Q: ((RING_Z, 0, "rank"), (RING_QMODZ, 0, "rank")),

@@ -364,7 +364,7 @@ def cocycle_coords(cx: Complex, j: int, values) -> list:
     torsion index i of d_j (see `ZCohomology`)."""
     fact = _snf_boundary(cx, j)
     hom = homology(cx, j)
-    return ([zlin.vec_dot(values, z) for z in hom.gen_cycles[:hom.free_count]]
+    return ([zlin.vec_dot(values, z) for z in hom.gen_cycles[:hom.rank]]
             + [zlin.vec_dot(values, fact.V[i]) for i in _torsion_indices(fact)])
 
 
@@ -388,7 +388,7 @@ class HomologyData:
     gen_cycles: tuple            # ambient chain vectors, free gens then torsion
 
     @property
-    def free_count(self):
+    def rank(self):
         return self.fg.rank
 
     @property
@@ -483,7 +483,7 @@ class ZCohomology:
         fact = _snf_boundary(cx, j)
         hom = homology(cx, j)
         tors = _torsion_indices(fact)
-        self.rank = hom.free_count
+        self.rank = hom.rank
         self.torsion = tuple(fact.diag[i] for i in tors)
         self.n_coords = self.rank + len(tors)
         n = cx.n_simplices(j)
@@ -515,8 +515,7 @@ class ZCohomology:
             self.cx.n_simplices(self.degree)))
 
     def describe(self) -> str:
-        parts = ["Z"] * self.rank + [f"Z/{d}" for d in self.torsion]
-        return " + ".join(parts) if parts else "0"
+        return zlin.describe_group("Z", self.rank, self.torsion)
 
 
 class QCohomology:
@@ -528,7 +527,7 @@ class QCohomology:
         self.cx = cx
         self.degree = j
         self.hom = homology(cx, j)
-        self.rank = self.hom.free_count
+        self.rank = self.hom.rank
         self.torsion = ()
         self.free_cycles = self.hom.gen_cycles[:self.rank]
 
@@ -550,7 +549,7 @@ class QCohomology:
         return self.hom.cochain_with_periods(coords, RING_Q)
 
     def describe(self) -> str:
-        return " + ".join(["Q"] * self.rank) if self.rank else "0"
+        return zlin.describe_group("Q", self.rank, self.torsion)
 
 
 class QmodZCohomology:
@@ -567,20 +566,19 @@ class QmodZCohomology:
         self.cx = cx
         self.degree = j
         self.hom = homology(cx, j)
-        self.free_count = self.hom.free_count
+        self.rank = self.hom.rank  # number of divisible (Q/Z) factors
         self.torsion = self.hom.torsion
-        self.rank = self.free_count  # number of divisible (Q/Z) factors
 
     @property
     def n_coords(self):
-        return self.free_count + len(self.torsion)
+        return self.rank + len(self.torsion)
 
     def make(self, coords) -> CohomologyClass:
         coords = [_mod1(c) for c in coords]
         if len(coords) != self.n_coords:
             raise ValueError("coordinate length mismatch")
         for t, d in enumerate(self.torsion):
-            v = coords[self.free_count + t]
+            v = coords[self.rank + t]
             if d % v.denominator:
                 raise ValueError(
                     f"torsion coordinate {v} incompatible with factor {d}")
@@ -602,8 +600,7 @@ class QmodZCohomology:
                                              RING_QMODZ)
 
     def describe(self) -> str:
-        parts = ["Q/Z"] * self.free_count + [f"Z/{d}" for d in self.torsion]
-        return " + ".join(parts) if parts else "0"
+        return zlin.describe_group("Q/Z", self.rank, self.torsion)
 
 
 def _units(n):
@@ -803,7 +800,7 @@ def check_exactness(cx: Complex, k: int, rng=None) -> list[CheckResult]:
 
     # --- Bockstein: ker B = im alpha at H^{k-1}(Q/Z)
     probs, wit = [], []
-    for i in range(hqz_prev.free_count):
+    for i in range(hqz_prev.rank):
         for q in fracs:
             coords = [Fraction(0)] * hqz_prev.n_coords
             coords[i] = q
@@ -820,17 +817,17 @@ def check_exactness(cx: Complex, k: int, rng=None) -> list[CheckResult]:
     for t, d in enumerate(hqz_prev.torsion):
         for m in range(1, d):
             coords = [Fraction(0)] * hqz_prev.n_coords
-            coords[hqz_prev.free_count + t] = Fraction(m, d)
+            coords[hqz_prev.rank + t] = Fraction(m, d)
             img = bockstein(hqz_prev.make(coords))
             if img.is_zero():
                 probs.append(("B vanishes on a nonzero torsion dual", t, m))
         coords = [Fraction(0)] * hqz_prev.n_coords
-        coords[hqz_prev.free_count + t] = Fraction(1, d)
+        coords[hqz_prev.rank + t] = Fraction(1, d)
         ordr = _class_order(bockstein(hqz_prev.make(coords)))
         if ordr != d:
             probs.append(("B(torsion dual) has order", t, ordr, "expected", d))
     results.append(check("bockstein.ker_B_eq_im_alpha", not probs,
-                         f"{hqz_prev.free_count} divisible factors, "
+                         f"{hqz_prev.rank} divisible factors, "
                          f"{len(hqz_prev.torsion)} torsion duals",
                          {"witnesses": wit[:4], "problems": probs}))
 
@@ -854,7 +851,7 @@ def check_exactness(cx: Complex, k: int, rng=None) -> list[CheckResult]:
             probs.append(("constructed Bockstein preimage misses the class", t))
         else:
             wit.append({"torsion_index": t, "order": d})
-    for i in range(hqz_prev.free_count):
+    for i in range(hqz_prev.rank):
         coords = [Fraction(0)] * hqz_prev.n_coords
         coords[i] = Fraction(1, 2)
         if not r_to_rational(bockstein(hqz_prev.make(coords))).is_zero():

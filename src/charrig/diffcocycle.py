@@ -1,14 +1,15 @@
-"""Differential cocycles (c, h, omega) and their classes.
+"""Differential cohomology classes, each held by its validated cocycle
+(c, h, omega).
 
 A degree-k differential cocycle is an integral k-cocycle c, a rational
 (k-1)-cochain h and a rational k-cochain omega with delta h = omega - c;
-omega is then closed with integral periods. Two cocycles represent the
-same class when omega agrees exactly and (c, h) differ by
-(delta b, -b + delta s) for an integral b and rational s. The four
-structure maps i1, i2, delta1, delta2 and pullback make the classes the
-engine's model of the character functor. Equality is decided by
-curvature and periods, as in the equivalence with characters (see
-`_decide_equivalence`).
+omega is then closed with integral periods. `DiffClass` is that triple
+and refuses any other. Two cocycles represent the same class when omega
+agrees exactly and (c, h) differ by (delta b, -b + delta s) for an
+integral b and rational s. The four structure maps i1, i2, delta1,
+delta2 and pullback make the classes the engine's model of the
+character functor. Equality is decided by curvature and periods, as in
+the equivalence with characters (see `_decide_equivalence`).
 """
 from __future__ import annotations
 
@@ -33,11 +34,16 @@ class NotInImage(InvariantError):
     witnessed by the degree of the solve and c."""
 
 
-@dataclass(frozen=True)
-class DifferentialCocycle:
+@dataclass(frozen=True, eq=False)
+class DiffClass:
+    """A differential cohomology class, held by its validated cocycle
+    (c, h, omega). Unhashable, and == is identity: equality of classes
+    is `class_equal`."""
     c: Cochain
     h: Cochain
     omega: Cochain
+
+    __hash__ = None
 
     def __post_init__(self):
         c, h, omega = self.c, self.h, self.omega
@@ -65,61 +71,33 @@ class DifferentialCocycle:
     def degree(self) -> int:
         return self.c.degree
 
-
-class DiffClass:
-    """A differential cohomology class, held by one representative."""
-
-    __hash__ = None
-
-    def __init__(self, rep: DifferentialCocycle):
-        self.rep = rep
-
-    @property
-    def cx(self) -> Complex:
-        return self.rep.cx
-
-    @property
-    def degree(self) -> int:
-        return self.rep.degree
-
     def __add__(self, other: "DiffClass") -> "DiffClass":
-        a, b = self.rep, other.rep
-        return DiffClass(DifferentialCocycle(a.c + b.c, a.h + b.h, a.omega + b.omega))
+        return DiffClass(self.c + other.c, self.h + other.h,
+                         self.omega + other.omega)
 
     def __sub__(self, other: "DiffClass") -> "DiffClass":
         return self + (-other)
 
     def __neg__(self) -> "DiffClass":
-        r = self.rep
-        return DiffClass(DifferentialCocycle(-r.c, -r.h, -r.omega))
+        return DiffClass(-self.c, -self.h, -self.omega)
 
     def scale(self, n: int) -> "DiffClass":
-        r = self.rep
-        return DiffClass(DifferentialCocycle(r.c.scale(n), r.h.scale(n), r.omega.scale(n)))
-
-    def equal(self, other: "DiffClass") -> bool:
-        return class_equal(self, other)
+        return DiffClass(self.c.scale(n), self.h.scale(n), self.omega.scale(n))
 
     def __repr__(self):
         return f"DiffClass(deg {self.degree} on {self.cx.name})"
 
 
-def make_class(c: Cochain, h: Cochain, omega: Cochain) -> DiffClass:
-    return DiffClass(DifferentialCocycle(c, h, omega))
-
-
 def zero_class(cx: Complex, k: int) -> DiffClass:
-    return make_class(zero_cochain(cx, RING_Z, k),
-                      zero_cochain(cx, RING_Q, k - 1),
-                      zero_cochain(cx, RING_Q, k))
+    return DiffClass(zero_cochain(cx, RING_Z, k),
+                     zero_cochain(cx, RING_Q, k - 1),
+                     zero_cochain(cx, RING_Q, k))
 
 
 def coboundary_shift(x: DiffClass, b: Cochain, s: Cochain) -> DiffClass:
     """The representative changed by the coboundary of (b, s); same class."""
-    r = x.rep
-    return make_class(r.c + coboundary(b),
-                      r.h - b.to_q() + coboundary(s),
-                      r.omega)
+    return DiffClass(x.c + coboundary(b), x.h - b.to_q() + coboundary(s),
+                     x.omega)
 
 
 def _decide_equivalence(x: DiffClass, y: DiffClass, want_witness: bool):
@@ -136,12 +114,12 @@ def _decide_equivalence(x: DiffClass, y: DiffClass, want_witness: bool):
         raise MismatchError("classes live on different complexes or degrees")
     cx = x.cx
     k = x.degree
-    if x.rep.omega != y.rep.omega:
+    if x.omega != y.omega:
         return None
-    b0 = solve_coboundary(cx, k - 1, x.rep.c - y.rep.c, integral=True)
+    b0 = solve_coboundary(cx, k - 1, x.c - y.c, integral=True)
     if b0 is None:
         return None
-    v = (x.rep.h - y.rep.h) + b0.to_q()
+    v = (x.h - y.h) + b0.to_q()
     periods = cycle_periods(cx, k - 1, v.num)
     if any(p % v.den for p in periods):
         return None
@@ -185,41 +163,41 @@ def i1_of_cocycle(rep: Cochain) -> DiffClass:
     if dh.den != 1:
         raise ValueError("representative is not a cocycle mod 1")
     c = _cochain(rep.cx, RING_Z, dh.degree, [-v for v in dh.num])
-    return make_class(c, h, zero_cochain(rep.cx, RING_Q, dh.degree))
+    return DiffClass(c, h, zero_cochain(rep.cx, RING_Q, dh.degree))
 
 
 def i2(theta: QuotientForm) -> DiffClass:
     """Inclusion of forms modulo integral forms."""
     h = theta.rep
-    return make_class(zero_cochain(h.cx, RING_Z, h.degree + 1), h, coboundary(h))
+    return DiffClass(zero_cochain(h.cx, RING_Z, h.degree + 1), h,
+                     coboundary(h))
 
 
 def delta1(x: DiffClass) -> Cochain:
     """The curvature component; an integral form, constant on classes."""
-    return x.rep.omega
+    return x.omega
 
 
 def delta2(x: DiffClass) -> CohomologyClass:
     """The characteristic class [c] in H^k(Z); constant on classes."""
-    return cohomology(x.cx, x.degree, RING_Z).class_from_cocycle(x.rep.c)
+    return cohomology(x.cx, x.degree, RING_Z).class_from_cocycle(x.c)
 
 
 def pullback(phi: SimplicialMap, x: DiffClass) -> DiffClass:
     """Componentwise cochain pullback along a simplicial map."""
     if x.cx is not phi.target:
         raise MismatchError("class does not live on the map's target")
-    r = x.rep
-    return make_class(r.c.pullback(phi), r.h.pullback(phi),
-                      r.omega.pullback(phi))
+    return DiffClass(x.c.pullback(phi), x.h.pullback(phi),
+                     x.omega.pullback(phi))
 
 
 def lift_through_i2(x: DiffClass) -> QuotientForm:
     """The unique quotient form with i2(theta) = x; needs delta2(x) = 0."""
-    b = solve_coboundary(x.cx, x.degree - 1, x.rep.c, integral=True)
+    b = solve_coboundary(x.cx, x.degree - 1, x.c, integral=True)
     if b is None:
         raise NotInImage("delta2 obstruction: c is not an integral coboundary",
-                         {"degree": x.degree - 1, "cochain": x.rep.c.serialize()})
-    return QuotientForm(x.rep.h + b.to_q())
+                         {"degree": x.degree - 1, "cochain": x.c.serialize()})
+    return QuotientForm(x.h + b.to_q())
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +206,7 @@ def lift_through_i2(x: DiffClass) -> QuotientForm:
 def preimage_of_class(cx: Complex, zclass: CohomologyClass) -> DiffClass:
     """A differential class with delta2 equal to the given integral class."""
     c = zclass.group.cochain_for(zclass.coords)
-    return make_class(c, zero_cochain(cx, RING_Q, c.degree - 1), c.to_q())
+    return DiffClass(c, zero_cochain(cx, RING_Q, c.degree - 1), c.to_q())
 
 
 def preimage_of_form(cx: Complex, omega: Cochain) -> DiffClass:
@@ -247,7 +225,7 @@ def preimage_of_form(cx: Complex, omega: Cochain) -> DiffClass:
         raise InvariantError(
             "preimage of a form: omega - c has no periods but is not exact",
             {"degree": k - 1, "cochain": rest.serialize()})
-    return make_class(c, h, omega)
+    return DiffClass(c, h, omega)
 
 
 # ---------------------------------------------------------------------------
@@ -264,10 +242,10 @@ def sample_classes(cx: Complex, k: int, rng, count: int = 6) -> list[DiffClass]:
         out.append(preimage_of_class(cx, hz.make(e)))
     for i in range(hqz.n_coords):
         coords = [Fraction(0)] * hqz.n_coords
-        if i < hqz.free_count:
+        if i < hqz.rank:
             coords[i] = Fraction(1, 2 + i)
         else:
-            coords[i] = Fraction(1, hqz.torsion[i - hqz.free_count])
+            coords[i] = Fraction(1, hqz.torsion[i - hqz.rank])
         out.append(i1(hqz.make(coords)))
     n_prev = cx.n_simplices(k - 1) if k >= 1 else 0
     if n_prev:
@@ -306,7 +284,7 @@ def sample_quotient_forms(cx: Complex, k: int, rng, count: int = 3):
 def sample_qmodz_classes(cx: Complex, j: int, rng, count: int = 3):
     g = cohomology(cx, j, RING_QMODZ)
     out = [g.zero_class()]
-    for i in range(g.free_count):
+    for i in range(g.rank):
         coords = [Fraction(0)] * g.n_coords
         coords[i] = Fraction(1, 2)
         out.append(g.make(coords))
@@ -315,7 +293,7 @@ def sample_qmodz_classes(cx: Complex, j: int, rng, count: int = 3):
         out.append(g.make(coords2))
     for t, d in enumerate(g.torsion):
         coords = [Fraction(0)] * g.n_coords
-        coords[g.free_count + t] = Fraction(1, d)
+        coords[g.rank + t] = Fraction(1, d)
         out.append(g.make(coords))
     return out
 
@@ -370,7 +348,7 @@ def verify_diagram(cx: Complex, k: int, rng, maps=None) -> list[CheckResult]:
             probs.append(("i1 injectivity violated", list(map(str, u.coords))))
     for x in sample_classes(cx, k, rng, count=4):
         if delta1(x).is_zero():
-            u = hqz_prev.class_from_cocycle(x.rep.h.mod1())
+            u = hqz_prev.class_from_cocycle(x.h.mod1())
             if not class_equal(i1(u), x):
                 probs.append(("flat class outside the image of i1",))
             else:

@@ -17,8 +17,8 @@ from .cochains import (
     QuotientForm, cup, cup_class_qmodz, cup_integral_classes, solve_coboundary,
 )
 from .diffcocycle import (
-    DiffClass, class_equal, delta1, delta2, i1, i2, make_class, pullback,
-    sample_classes, zero_class,
+    DiffClass, class_equal, delta1, delta2, i1, i2, pullback, sample_classes,
+    zero_class,
 )
 from .report import CheckResult, check
 from .simplicial import Complex, MismatchError
@@ -30,10 +30,9 @@ def star(x: DiffClass, y: DiffClass) -> DiffClass:
     if x.cx is not y.cx:
         raise MismatchError("factors live on different complexes")
     k = x.degree
-    c = cup(x.rep.c, y.rep.c)
-    h = cup(x.rep.c, y.rep.h).scale((-1) ** k) + cup(x.rep.h, y.rep.omega)
-    omega = cup(x.rep.omega, y.rep.omega)
-    return make_class(c, h, omega)
+    c = cup(x.c, y.c)
+    h = cup(x.c, y.h).scale((-1) ** k) + cup(x.h, y.omega)
+    return DiffClass(c, h, cup(x.omega, y.omega))
 
 
 def _flip_star(x: DiffClass, y: DiffClass) -> DiffClass:
@@ -90,8 +89,7 @@ def verify_ring_axioms(cx: Complex, degrees, rng, maps=None) -> list[CheckResult
         z = xs[(idx + 2) % len(xs)]
         left = star(star(x, y), z)
         right = star(x, star(y, z))
-        if left.rep.c != right.rep.c or left.rep.h != right.rep.h \
-                or left.rep.omega != right.rep.omega:
+        if left.c != right.c or left.h != right.h or left.omega != right.omega:
             probs.append(("associator is nonzero at cochain level", idx))
     results.append(check("ring.associativity", not probs,
                          "representative-level identity", {"problems": probs}))

@@ -355,6 +355,13 @@ def smith_normal_form(a, ncols: int | None = None) -> SNFResult:
     return SNFResult((m, n), tuple(diag), rank, row_log, col_log)
 
 
+def describe_group(free: str, rank: int, torsion) -> str:
+    """A group as `rank` copies of the factor `free` (Z, Q or Q/Z), then
+    Z/d for each torsion factor d, joined by " + "; "0" when trivial."""
+    parts = [free] * rank + [f"Z/{d}" for d in torsion]
+    return " + ".join(parts) if parts else "0"
+
+
 @dataclass(frozen=True)
 class FgAbelianGroup:
     """Finitely generated abelian group Z^rank + sum of Z/d_i.
@@ -390,8 +397,7 @@ class FgAbelianGroup:
         return combine(self.reduce(coords), self.gen_lift, self.ambient)
 
     def describe(self) -> str:
-        parts = ["Z"] * self.rank + [f"Z/{d}" for d in self.torsion]
-        return " + ".join(parts) if parts else "0"
+        return describe_group("Z", self.rank, self.torsion)
 
 
 def cokernel(a, ambient: int | None = None, fact: SNFResult | None = None,

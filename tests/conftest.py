@@ -1,7 +1,16 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from charrig import corpus, zlin
 from charrig.cochains import _snf_boundary
+
+# The CLI tests run `python -m charrig.cli` in child processes: give them
+# the src/ that the `pythonpath` setting of pyproject.toml gives pytest.
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (
+    str(Path(__file__).resolve().parent.parent / "src"),
+    os.environ.get("PYTHONPATH"))))
 
 CORPUS = list(corpus.CORPUS_NAMES)
 SURFACES = ["s2", "t2", "rp2", "klein"]

@@ -134,10 +134,10 @@ def test_phi_inverse_holonomy_character(cx):
     s1 = cx("s1")
     ch = character_from_holonomies(s1, 2, [Fraction(1, 3)])
     x = phi_inverse(ch)
-    assert x.rep.c.values == ()  # no 2-simplices on the circle
-    assert x.rep.omega.values == ()
+    assert x.c.values == ()  # no 2-simplices on the circle
+    assert x.omega.values == ()
     z = cycle_basis(s1, 1)[0]
-    assert x.rep.h.pair(z) % 1 == Fraction(1, 3)
+    assert x.h.pair(z) % 1 == Fraction(1, 3)
     assert phi_direct(x) == ch
 
 
@@ -174,10 +174,10 @@ def test_phi_good_boundary_formula(cx):
     vec = [0] * s2.n_simplices(2)
     vec[0] = 1
     bnd = s2.boundary_of_chain(2, vec)
-    expected = (Fraction(x.rep.omega.values[0]) -
-                int(Fraction(x.rep.omega.values[0]))) % 1
+    expected = (Fraction(x.omega.values[0]) -
+                int(Fraction(x.omega.values[0]))) % 1
     got = phi_good(x, bnd)
-    assert (got - x.rep.omega.values[0]).denominator == 1
+    assert (got - x.omega.values[0]).denominator == 1
 
 
 def test_pseudomanifold_path_agreement(cx):

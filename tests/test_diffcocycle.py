@@ -12,10 +12,9 @@ from charrig.cochains import (
     is_integral_form, zero_cochain,
 )
 from charrig.diffcocycle import (
-    DifferentialCocycle, NotInImage, class_equal, coboundary_shift, delta1,
-    delta2, equivalence_witness, i1, i2, lift_through_i2, make_class,
-    preimage_of_class, preimage_of_form, pullback, sample_classes,
-    verify_diagram, zero_class,
+    DiffClass, NotInImage, class_equal, coboundary_shift, delta1, delta2,
+    equivalence_witness, i1, i2, lift_through_i2, preimage_of_class,
+    preimage_of_form, pullback, sample_classes, verify_diagram, zero_class,
 )
 from charrig.simplicial import (
     SimplicialMap, barycentric_subdivide, closed_star_neighborhood,
@@ -31,10 +30,20 @@ def test_cocycle_invariants_enforced(cx):
     s1 = cx("s1")
     # delta h = 0 but omega - c != 0: construction must refuse
     with pytest.raises(ValueError):
-        DifferentialCocycle(
-            basis_cochain(s1, "Z", 1, 0),
-            zero_cochain(s1, "Q", 0),
-            zero_cochain(s1, "Q", 1))
+        DiffClass(basis_cochain(s1, "Z", 1, 0), zero_cochain(s1, "Q", 0),
+                  zero_cochain(s1, "Q", 1))
+
+
+def test_class_is_unhashable_and_equal_only_by_identity(cx):
+    """== never compares components, so it cannot stand in for
+    class_equal; a class is not hashable."""
+    s1 = cx("s1")
+    x = zero_class(s1, 1)
+    y = DiffClass(x.c, x.h, x.omega)
+    with pytest.raises(TypeError):
+        hash(x)
+    assert x == x and x != y and not (x == y)
+    assert class_equal(x, y)
 
 
 @pytest.mark.parametrize("name,k", DEGREES)
@@ -65,18 +74,18 @@ def test_cocycle_identities_checked_over_common_denominators(cx, name, k, data):
         c = c + g.scale(data.draw(st.integers(-2, 2)))
     for h in (drawn, sixths):
         omega = coboundary(h) + c.to_q()
-        DifferentialCocycle(c, h, omega)
+        DiffClass(c, h, omega)
         for d in (data.draw(st.integers(1, 6)), omega.den):
             for e in range(n_k):
                 with pytest.raises(ValueError, match="delta h != omega - c"):
-                    DifferentialCocycle(c, h, omega + basis_cochain(
+                    DiffClass(c, h, omega + basis_cochain(
                         X, "Q", k, e).scale(Fraction(1, d)))
     if not n_k:
         return
     off = c + basis_cochain(X, "Z", k, data.draw(st.integers(0, n_k - 1)))
     if not coboundary(off).is_zero():
         with pytest.raises(ValueError, match="c is not a cocycle"):
-            DifferentialCocycle(off, h, coboundary(h) + off.to_q())
+            DiffClass(off, h, coboundary(h) + off.to_q())
 
 
 def test_class_equal_under_coboundary_shifts(cx):
@@ -96,8 +105,8 @@ def test_class_equal_under_coboundary_shifts(cx):
             assert w is not None
             wb, ws = w
             # the witness satisfies the defining identities exactly
-            assert (x.rep.c - y.rep.c).values == coboundary(wb).values
-            assert (x.rep.h - y.rep.h).values == \
+            assert (x.c - y.c).values == coboundary(wb).values
+            assert (x.h - y.h).values == \
                 (coboundary(ws) - wb.to_q()).values
 
 
@@ -106,8 +115,7 @@ def test_distinct_holonomies_are_distinct_classes(cx):
 
     def hol(q):
         h = Cochain(s1, "Q", 0, (q, q, q))
-        return make_class(zero_cochain(s1, "Z", 1), h,
-                          zero_cochain(s1, "Q", 1))
+        return DiffClass(zero_cochain(s1, "Z", 1), h, zero_cochain(s1, "Q", 1))
 
     assert not class_equal(hol(Fraction(1, 3)), hol(Fraction(1, 2)))
     assert class_equal(hol(Fraction(1, 3)), hol(Fraction(1, 3)))

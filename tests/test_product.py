@@ -88,7 +88,7 @@ def test_commutativity_defect_is_the_curvature(cx):
     # if the curvatures did agree, the classes would too: verified by
     # patching rhs's curvature artificially and asserting the c/h data is
     # then equivalent -- i.e. the defect is the *only* obstruction
-    from charrig.diffcocycle import make_class
+    from charrig.diffcocycle import DiffClass
     from charrig.cochains import coboundary, zero_cochain
     from charrig import zlin
     sol = zlin.solve_rational(
@@ -97,7 +97,7 @@ def test_commutativity_defect_is_the_curvature(cx):
     assert sol is not None
     from charrig.cochains import Cochain
     eta = Cochain(t2, "Q", 1, tuple(sol))
-    patched = make_class(rhs.rep.c, rhs.rep.h + eta, rhs.rep.omega + defect)
+    patched = DiffClass(rhs.c, rhs.h + eta, rhs.omega + defect)
     assert class_equal(lhs, patched)
 
 
