@@ -14,7 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 
+from . import zlin
 from .cochains import (
     RING_Q, RING_QMODZ, RING_Z,
     Cochain, CohomologyClass, NotACycle, QuotientForm,
@@ -56,8 +58,10 @@ class Character:
             raise ValueError(
                 f"degree-{self.degree} character needs {expected} values "
                 f"on the cycle basis, got {len(self.f_num)}")
-        num, den = _normal_form(RING_QMODZ, self.f_num, self.f_den)
-        object.__setattr__(self, "f_num", num)
+        f = self.f_num
+        nonzero = {t: f[t] for t in compress(range(expected), f)}
+        num, den = _normal_form(RING_QMODZ, nonzero, self.f_den)
+        object.__setattr__(self, "f_num", tuple(zlin.dense(num, expected)))
         object.__setattr__(self, "f_den", den)
 
     @property
@@ -139,7 +143,7 @@ def delta2_via_lift(ch: Character, strategy: str = "floor") -> CohomologyClass:
 def phi_direct(x: DiffClass) -> Character:
     """Character read off the h component on the cycle basis."""
     h = x.h
-    f = cycle_periods(x.cx, x.degree - 1, h.num)
+    f = cycle_periods(h)
     return Character(x.cx, x.degree, f, h.den, x.omega)
 
 
@@ -197,7 +201,7 @@ def char_i1(u: CohomologyClass) -> Character:
     """H^{k-1}(Q/Z) included as the flat characters."""
     rep = u.group.cochain_for(u.coords)
     cx = rep.cx
-    f = cycle_periods(cx, rep.degree, rep.num)
+    f = cycle_periods(rep)
     return Character(cx, rep.degree + 1, f, rep.den,
                      zero_cochain(cx, RING_Q, rep.degree + 1))
 
@@ -205,7 +209,7 @@ def char_i1(u: CohomologyClass) -> Character:
 def char_i2(theta: QuotientForm) -> Character:
     """Forms modulo integral forms included by integration mod 1."""
     rep = theta.rep
-    f = cycle_periods(rep.cx, rep.degree, rep.num)
+    f = cycle_periods(rep)
     return Character(rep.cx, rep.degree + 1, f, rep.den, coboundary(rep))
 
 
@@ -215,7 +219,7 @@ def char_pullback(phi: SimplicialMap, ch: Character) -> Character:
     if ch.cx is not phi.target:
         raise MismatchError("character does not live on the map's target")
     T = ch._lift.pullback(phi)
-    f = cycle_periods(phi.source, T.degree, T.num)
+    f = cycle_periods(T)
     return Character(phi.source, ch.degree, f, T.den, ch.omega.pullback(phi))
 
 

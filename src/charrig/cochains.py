@@ -2,9 +2,11 @@
 two long exact sequences feeding the character diagram.
 
 Coefficient conventions: "R" is realized as Q and "R/Z" as Q/Z. A cochain
-holds integer numerators over one positive common denominator, in the
-normal form given in `Cochain`, so sums, coboundaries, cup products and
-pairings are integer operations with at most one division at the end.
+holds its nonzero integer numerators, a dict from simplex index, over one
+positive common denominator, in the normal form given in `Cochain`, so
+sums, coboundaries, cup products and pairings are integer operations on
+the nonzeros with at most one division at the end. Only `Cochain.values`
+spells a cochain out densely.
 H^j(Q/Z) is presented as Hom(H_j, Q/Z): an element is its tuple of
 evaluations on a fixed homology generator basis (free generators first,
 then one coordinate per torsion factor), and a representative cocycle is
@@ -12,10 +14,8 @@ synthesized on demand.
 """
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
 from math import floor, gcd, lcm
 
 from . import zlin
@@ -52,16 +52,16 @@ def _over_common_denominator(values):
 # cochains
 
 class Cochain:
-    """A degree-j cochain taking the value num[i] / den on the i-th
-    j-simplex.
+    """A degree-j cochain taking the value num.get(i, 0) / den on the i-th
+    j-simplex: `num` is a dict from simplex index to nonzero int.
 
-    Normal form, which every operation keeps: den = 1 over Z; over Q,
-    den > 0 and gcd(den, num[0], num[1], ...) = 1; over Q/Z also
-    0 <= num[i] < den, so each value is its representative in [0, 1).
-    `Cochain(cx, ring, degree, values)` takes ints or Fractions, and
-    `values` gives them back (Fractions over Q and Q/Z). Two cochains are
-    equal when they live on the same complex object with the same ring,
-    degree and normal form; cochains are not hashable.
+    Normal form, which every operation keeps: num holds no zero; den = 1
+    over Z; over Q, den > 0 and gcd(den, *num.values()) = 1; over Q/Z
+    also 0 < num[i] < den, so each value is its representative in [0, 1).
+    `Cochain(cx, ring, degree, values)` takes one int or Fraction per
+    simplex, and `values` gives them back (Fractions over Q and Q/Z). Two
+    cochains are equal when they live on the same complex object with the
+    same ring, degree and normal form; cochains are not hashable.
     """
 
     __slots__ = ("cx", "ring", "degree", "num", "den")
@@ -78,14 +78,15 @@ class Cochain:
         num, den = _over_common_denominator(
             [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values])
         self.cx, self.ring, self.degree = cx, ring, degree
-        self.num, self.den = _normal_form(ring, num, den)
+        self.num, self.den = _normal_form(ring, dict(enumerate(num)), den)
 
     @property
     def values(self) -> tuple:
-        """The values: ints over Z, Fractions over Q and Q/Z."""
+        """The values, one per simplex: ints over Z, Fractions otherwise."""
+        num = zlin.dense(self.num, self.cx.n_simplices(self.degree))
         if self.ring == RING_Z:
-            return self.num
-        return tuple(Fraction(v, self.den) for v in self.num)
+            return tuple(num)
+        return tuple(Fraction(v, self.den) for v in num)
 
     def __eq__(self, other):
         if not isinstance(other, Cochain):
@@ -99,7 +100,7 @@ class Cochain:
                 f"{self.num} / {self.den})")
 
     def is_zero(self) -> bool:
-        return not any(self.num)
+        return not self.num
 
     def _add_scaled(self, other: "Cochain", sign: int) -> "Cochain":
         """self + sign * other over the least common denominator."""
@@ -110,7 +111,7 @@ class Cochain:
         den = lcm(self.den, other.den)
         a, b = den // self.den, sign * (den // other.den)
         return _cochain(self.cx, self.ring, self.degree,
-                        [a * x + b * y for x, y in zip(self.num, other.num)], den)
+                        zlin.combine((a, b), (self.num, other.num)), den)
 
     def __add__(self, other):
         return self._add_scaled(other, 1)
@@ -120,7 +121,7 @@ class Cochain:
 
     def __neg__(self):
         return _cochain(self.cx, self.ring, self.degree,
-                        [-v for v in self.num], self.den)
+                        {i: -v for i, v in self.num.items()}, self.den)
 
     def scale(self, c):
         """c times the cochain, for an int or Fraction c; an int over Z and
@@ -129,12 +130,14 @@ class Cochain:
         if self.ring != RING_Q and q != 1:
             raise RingError(f"cannot scale a {self.ring} cochain by a non-integer")
         return _cochain(self.cx, self.ring, self.degree,
-                        [p * v for v in self.num], self.den * q)
+                        {i: p * v for i, v in self.num.items()}, self.den * q)
 
     def pair(self, chain_vec):
-        """Evaluate on a chain coefficient vector: an int over Z, a Fraction
-        over Q, a Fraction in [0, 1) over Q/Z."""
-        total = zlin.vec_dot(self.num, chain_vec)
+        """Evaluate on a chain coefficient vector, one entry per simplex: an
+        int over Z, a Fraction over Q, a Fraction in [0, 1) over Q/Z."""
+        if len(chain_vec) != self.cx.n_simplices(self.degree):
+            raise zlin.ShapeError("chain and cochain lengths differ")
+        total = zlin.vec_dot(chain_vec, self.num)
         if self.ring == RING_Z:
             return total
         if self.ring == RING_QMODZ:
@@ -154,39 +157,48 @@ class Cochain:
         """phi^* of the cochain along a simplicial map into its complex."""
         if self.cx is not phi.target:
             raise MismatchError("cochain does not live on the map's target")
-        return _cochain(phi.source, self.ring, self.degree,
-                        phi.pull_values(self.degree, self.num), self.den)
+        get = self.num.get
+        num = {}
+        for c, entry in enumerate(phi.chain_columns(self.degree)):
+            if entry is not None:
+                v = get(entry[0])
+                if v:
+                    num[c] = entry[1] * v
+        return _cochain(phi.source, self.ring, self.degree, num, self.den)
 
     def serialize(self) -> dict:
         vals = {}
         den = self.den
-        for i, v in enumerate(self.num):
-            if v:
-                key = ",".join(map(str, self.cx.simplices[self.degree][i]))
-                g = gcd(v, den)
-                vals[key] = f"{v // g}/{den // g}"
+        for i, v in sorted(self.num.items()):
+            key = ",".join(map(str, self.cx.simplices[self.degree][i]))
+            g = gcd(v, den)
+            vals[key] = f"{v // g}/{den // g}"
         return {"ring": self.ring, "degree": self.degree, "values": vals}
 
 
-def _normal_form(ring: str, num, den: int):
-    """(num, den) in the normal form of `Cochain`, for integers num and
-    den > 0: reduced mod den over Q/Z, then one gcd pass; a RingError when
-    a Z cochain is not integral."""
+def _normal_form(ring: str, num: dict, den: int):
+    """(num, den) in the normal form of `Cochain`, for a dict num of
+    integers and den > 0, as a new dict: zeros dropped and values reduced
+    mod den over Q/Z, then one gcd pass; a RingError when a Z cochain is
+    not integral."""
     if ring == RING_QMODZ:
-        num = [v % den for v in num]
+        num = {i: r for i, v in num.items() if (r := v % den)}
+    else:
+        num = {i: v for i, v in num.items() if v}
     if den != 1:
-        g = gcd(den, *num)
+        g = gcd(den, *num.values())
         if g != 1:
-            num = [v // g for v in num]
+            num = {i: v // g for i, v in num.items()}
             den //= g
         if ring == RING_Z and den != 1:
             raise RingError("non-integer value in a Z cochain")
-    return tuple(num), den
+    return num, den
 
 
 def _cochain(cx: Complex, ring: str, degree: int, num, den: int = 1) -> Cochain:
-    """The trusted constructor: integer numerators over a positive
-    denominator, brought to normal form, with no further validation."""
+    """The trusted constructor: a dict of integer numerators over a
+    positive denominator, brought to normal form (a new dict, so `num` may
+    be a cached row), with no further validation."""
     x = object.__new__(Cochain)
     x.cx, x.ring, x.degree = cx, ring, degree
     x.num, x.den = _normal_form(ring, num, den)
@@ -194,32 +206,26 @@ def _cochain(cx: Complex, ring: str, degree: int, num, den: int = 1) -> Cochain:
 
 
 def zero_cochain(cx: Complex, ring: str, degree: int) -> Cochain:
-    return _cochain(cx, ring, degree, (0,) * cx.n_simplices(degree))
+    return _cochain(cx, ring, degree, {})
 
 
 def basis_cochain(cx: Complex, ring: str, degree: int, i: int) -> Cochain:
-    vals = [0] * cx.n_simplices(degree)
-    vals[i] = 1
-    return _cochain(cx, ring, degree, vals)
+    """The cochain with value 1 on simplex i and 0 elsewhere."""
+    if not 0 <= i < cx.n_simplices(degree):
+        raise IndexError(f"no {degree}-simplex {i} on {cx.name}")
+    return _cochain(cx, ring, degree, {i: 1})
 
 
-def _coboundary_num(x: Cochain) -> list:
-    """Numerators of delta x over x.den, not reduced: the alternating sum
-    over face positions, each position one C-level map over the simplices."""
-    j = x.degree + 1
-    cols = x.cx.face_columns(j)
-    if not cols:
-        return [0] * x.cx.n_simplices(j)
-    get = x.num.__getitem__
-    out = map(get, cols[0])
-    for i in range(1, len(cols)):
-        out = map(operator.sub if i % 2 else operator.add, out,
-                  map(get, cols[i]))
-    return list(out)
+def _coboundary_num(x: Cochain) -> dict:
+    """The nonzero numerators of delta x over x.den, not reduced: the sum
+    of x_i times row i of the cached sparse d_{j+1}, which holds the
+    cofaces of simplex i with their signs."""
+    return zlin.combine(x.num, x.cx._boundary_any(x.degree + 1))
 
 
 def coboundary(x: Cochain) -> Cochain:
-    """delta x = x applied to boundaries; Q/Z values are reduced mod 1."""
+    """delta x = x applied to boundaries, summed over the nonzeros of x;
+    Q/Z values are reduced mod 1."""
     return _cochain(x.cx, x.ring, x.degree + 1, _coboundary_num(x), x.den)
 
 
@@ -232,16 +238,15 @@ def cup(x: Cochain, y: Cochain) -> Cochain:
     ring = RING_Z if (x.ring == RING_Z and y.ring == RING_Z) else RING_Q
     cx = x.cx
     k, l = x.degree, y.degree
-    n = cx.n_simplices(k + l)
-    out = [0] * n
-    if n and k >= 0 and l >= 0:
+    out = {}
+    if x.num and y.num and k + l <= cx.dim:
         front_index = cx.index[k]
         back_index = cx.index[l]
-        xs, ys = x.num, y.num
+        xs, ys = x.num.get, y.num.get
         for c, s in enumerate(cx.simplices[k + l]):
-            a = xs[front_index[s[:k + 1]]]
+            a = xs(front_index[s[:k + 1]])
             if a:
-                b = ys[back_index[s[k:]]]
+                b = ys(back_index[s[k:]])
                 if b:
                     out[c] = a * b
     return _cochain(cx, ring, k + l, out, x.den * y.den)
@@ -297,8 +302,8 @@ def cup_class_qmodz(a: "CohomologyClass", u: "CohomologyClass") -> "CohomologyCl
 # (`zlin.cokernel`) reads only U and Uinv, so its V and Vinv are never
 # built. The cycle basis is never
 # made dense: every reader, `geometry` included, walks the sparse columns
-# V[rank:] of the factorization of d_j. The coboundary reads the
-# per-position face lists of `Complex.face_columns`.
+# V[rank:] of the factorization of d_j. The coboundary reads the rows of
+# the same cached d_{j+1}: row i holds the signed cofaces of simplex i.
 
 
 def _snf_boundary(cx: Complex, j: int) -> zlin.SNFResult:
@@ -317,21 +322,21 @@ def n_cycles(cx: Complex, j: int) -> int:
     return fact.shape[1] - fact.rank
 
 
-def cycle_periods(cx: Complex, j: int, num) -> list:
-    """The pairings of the numerators `num` of a j-cochain with the cycle
-    basis, the columns of V past the rank, summed over the rows of V where
-    `num` is nonzero."""
+def cycle_periods(x: Cochain) -> list:
+    """The pairings of the numerators of a j-cochain with the cycle basis,
+    the columns of V past the rank, summed over the rows of V where the
+    cochain is nonzero."""
+    cx, j = x.cx, x.degree
     if not 0 <= j <= cx.dim:
         return []
     fact = _snf_boundary(cx, j)
     r = fact.rank
     rows = fact.V_rows
     out = [0] * (fact.shape[1] - r)
-    for i in compress(range(len(num)), num):
-        x = num[i]
+    for i, xi in x.num.items():
         for t, v in rows[i].items():
             if t >= r:
-                out[t - r] += x * v
+                out[t - r] += xi * v
     return out
 
 
@@ -347,10 +352,10 @@ def cochain_on_cycle_basis(cx: Complex, j: int, num, ring: str,
                            den: int = 1) -> Cochain:
     """The j-cochain with the values num[t] / den on the cycle basis that
     vanishes on the rest of the Smith-adapted basis of C_j: the sum of
-    num[t] times row rank + t of Vinv, over den."""
+    num[t] times row rank + t of Vinv, over den. `num` is a sequence or a
+    sparse dict over the cycle basis."""
     fact = _snf_boundary(cx, j)
-    return _cochain(cx, ring, j, zlin.combine(
-        num, fact.Vinv[fact.rank:], cx.n_simplices(j)), den)
+    return _cochain(cx, ring, j, zlin.combine(num, fact.Vinv[fact.rank:]), den)
 
 
 def _torsion_indices(fact: zlin.SNFResult) -> range:
@@ -358,14 +363,15 @@ def _torsion_indices(fact: zlin.SNFResult) -> range:
     return range(fact.diag.count(1), fact.rank)
 
 
-def cocycle_coords(cx: Complex, j: int, values) -> list:
-    """Unreduced coordinates in H^j(Z) of a j-cocycle: its periods on the
-    free homology generators, then its pairing with column i of V for each
-    torsion index i of d_j (see `ZCohomology`)."""
+def cocycle_coords(cx: Complex, j: int, num: dict) -> list:
+    """Unreduced coordinates in H^j(Z) of a j-cocycle with numerators num:
+    its periods on the free homology generators, then its pairing with
+    column i of V for each torsion index i of d_j (see `ZCohomology`)."""
     fact = _snf_boundary(cx, j)
     hom = homology(cx, j)
-    return ([zlin.vec_dot(values, z) for z in hom.gen_cycles[:hom.rank]]
-            + [zlin.vec_dot(values, fact.V[i]) for i in _torsion_indices(fact)])
+    return ([zlin.vec_dot(z, num) for z in hom.gen_cycles[:hom.rank]]
+            + [sum(num.get(r, 0) * v for r, v in fact.V[i].items())
+               for i in _torsion_indices(fact)])
 
 
 def solve_coboundary(cx: Complex, j: int, b: Cochain, integral: bool):
@@ -403,7 +409,7 @@ class HomologyData:
         ones may be left out); a cocycle when they define a homomorphism
         H_j -> ring: zero on torsion over Z and Q, in (1/d)Z over Q/Z."""
         num, den = _over_common_denominator(coords)
-        psi = zlin.combine(num, self.fg._proj_rows, self.fg.ambient)
+        psi = zlin.combine(num, self.fg._proj_rows)
         return cochain_on_cycle_basis(self.cx, self.degree, psi, ring, den)
 
 
@@ -427,7 +433,7 @@ def homology(cx: Complex, j: int) -> HomologyData:
             Y.append({c: y[c] for c in sorted(y) if y[c]})
         fg = zlin.cokernel(Y, ambient=len(K), ncols=cx.n_simplices(j + 1))
         n = cx.n_simplices(j)
-        gens = tuple(tuple(zlin.combine(fg.lift(e), K, n))
+        gens = tuple(tuple(zlin.dense(zlin.combine(fg.lift(e), K), n))
                      for e in _units(fg.n_coords))
         cx._cache[key] = HomologyData(cx, j, fg, gens)
     return cx._cache[key]
@@ -486,11 +492,9 @@ class ZCohomology:
         self.rank = hom.rank
         self.torsion = tuple(fact.diag[i] for i in tors)
         self.n_coords = self.rank + len(tors)
-        n = cx.n_simplices(j)
         self.gen_cochains = (
             *(hom.cochain_with_periods(e, RING_Z) for e in _units(self.rank)),
-            *(_cochain(cx, RING_Z, j, zlin.combine((1,), (fact.Vinv[i],), n))
-              for i in tors))
+            *(_cochain(cx, RING_Z, j, fact.Vinv[i]) for i in tors))
 
     def make(self, coords) -> CohomologyClass:
         if len(coords) != self.n_coords:
@@ -505,14 +509,13 @@ class ZCohomology:
     def class_from_cocycle(self, coch: Cochain) -> CohomologyClass:
         if coch.ring != RING_Z or coch.degree != self.degree or coch.cx is not self.cx:
             raise RingError("expected an integral cocycle of the right degree")
-        if any(_coboundary_num(coch)):
+        if _coboundary_num(coch):
             raise ValueError("cochain is not a cocycle")
         return self.make(cocycle_coords(self.cx, self.degree, coch.num))
 
     def cochain_for(self, coords) -> Cochain:
         return _cochain(self.cx, RING_Z, self.degree, zlin.combine(
-            self.make(coords).coords, [g.num for g in self.gen_cochains],
-            self.cx.n_simplices(self.degree)))
+            self.make(coords).coords, [g.num for g in self.gen_cochains]))
 
     def describe(self) -> str:
         return zlin.describe_group("Z", self.rank, self.torsion)
@@ -541,7 +544,7 @@ class QCohomology:
         if coch.ring not in (RING_Z, RING_Q) or coch.degree != self.degree \
                 or coch.cx is not self.cx:
             raise RingError("expected a rational cocycle of the right degree")
-        if any(_coboundary_num(coch)):
+        if _coboundary_num(coch):
             raise ValueError("cochain is not a cocycle")
         return self.make(tuple(coch.pair(z) for z in self.free_cycles))
 
@@ -591,7 +594,7 @@ class QmodZCohomology:
         if coch.ring != RING_QMODZ or coch.degree != self.degree \
                 or coch.cx is not self.cx:
             raise RingError("expected a Q/Z cochain of the right degree")
-        if any(v % coch.den for v in _coboundary_num(coch)):
+        if any(v % coch.den for v in _coboundary_num(coch).values()):
             raise ValueError("cochain is not a cocycle mod 1")
         return self.make(tuple(coch.pair(z) for z in self.hom.gen_cycles))
 
@@ -632,10 +635,10 @@ def is_integral_form(omega: Cochain) -> bool:
     """Closed with integer evaluation on every integer cycle."""
     if omega.ring not in (RING_Z, RING_Q):
         raise RingError("integral forms are rational cochains")
-    if any(_coboundary_num(omega)):
+    if _coboundary_num(omega):
         return False
     return omega.den == 1 or not any(
-        p % omega.den for p in cycle_periods(omega.cx, omega.degree, omega.num))
+        p % omega.den for p in cycle_periods(omega))
 
 
 class QuotientForm:
@@ -672,15 +675,14 @@ class QuotientForm:
 def integral_form_generators(cx: Complex, k: int):
     """A finite generating family of the integral forms in degree k, as Z
     cochains: free integral cohomology generators plus coboundaries of the
-    integer basis cochains. An iterator: each coboundary is made dense
-    when it is reached, so the family is never held at once."""
+    integer basis cochains. An iterator: each coboundary is built when it
+    is reached, so the family is never held at once."""
     hz = cohomology(cx, k, RING_Z)
     yield from hz.gen_cochains[:hz.rank]
     # the coboundary of the t-th basis (k-1)-cochain is row t of d_k
-    n = cx.n_simplices(k)
     for row in cx._boundary_any(k):
         if row:
-            yield _cochain(cx, RING_Z, k, zlin.combine((1,), (row,), n))
+            yield _cochain(cx, RING_Z, k, row)
 
 
 # ---------------------------------------------------------------------------
@@ -702,7 +704,8 @@ def bockstein_of_cocycle(rep: Cochain, strategy: str = "floor") -> CohomologyCla
     if strategy == "floor":
         num = rep.num
     elif strategy == "centered":
-        num = [v if 2 * v <= rep.den else v - rep.den for v in rep.num]
+        num = {i: v if 2 * v <= rep.den else v - rep.den
+               for i, v in rep.num.items()}
     else:
         raise ValueError(f"unknown lift strategy {strategy!r}")
     c = coboundary(_cochain(rep.cx, RING_Q, rep.degree, num, rep.den))

@@ -56,11 +56,12 @@ class DiffClass:
             raise ValueError("component degrees must be (k, k-1, k)")
         # both identities as integer comparisons over the denominators:
         # delta c = 0, and delta h = omega - c, cross-multiplied
-        if any(_coboundary_num(c)):
+        if _coboundary_num(c):
             raise ValueError("c is not a cocycle")
         hd, od = h.den, omega.den
-        if any(dh * od != (w - ci * od) * hd for dh, w, ci
-               in zip(_coboundary_num(h), omega.num, c.num)):
+        dh, w, ci = _coboundary_num(h), omega.num, c.num
+        if any(dh.get(i, 0) * od != (w.get(i, 0) - ci.get(i, 0) * od) * hd
+               for i in {*dh, *w, *ci}):
             raise ValueError("delta h != omega - c")
 
     @property
@@ -120,7 +121,7 @@ def _decide_equivalence(x: DiffClass, y: DiffClass, want_witness: bool):
     if b0 is None:
         return None
     v = (x.h - y.h) + b0.to_q()
-    periods = cycle_periods(cx, k - 1, v.num)
+    periods = cycle_periods(v)
     if any(p % v.den for p in periods):
         return None
     if not want_witness:
@@ -162,7 +163,7 @@ def i1_of_cocycle(rep: Cochain) -> DiffClass:
     dh = coboundary(h)
     if dh.den != 1:
         raise ValueError("representative is not a cocycle mod 1")
-    c = _cochain(rep.cx, RING_Z, dh.degree, [-v for v in dh.num])
+    c = _cochain(rep.cx, RING_Z, dh.degree, (-dh).num)
     return DiffClass(c, h, zero_cochain(rep.cx, RING_Q, dh.degree))
 
 
@@ -217,7 +218,7 @@ def preimage_of_form(cx: Complex, omega: Cochain) -> DiffClass:
         raise ValueError("delta1 preimages exist only for integral forms")
     omega = omega.to_q()
     k = omega.degree
-    periods = [p // omega.den for p in cycle_periods(cx, k, omega.num)]
+    periods = [p // omega.den for p in cycle_periods(omega)]
     c = cochain_on_cycle_basis(cx, k, periods, RING_Z)
     rest = omega - c.to_q()
     h = solve_coboundary(cx, k - 1, rest, integral=False)

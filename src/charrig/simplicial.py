@@ -108,16 +108,6 @@ class Complex:
             self._cache[key] = tuple(out)
         return self._cache[key]
 
-    def face_columns(self, j: int):
-        """The faces of the j-simplices by position: entry i lists, for each
-        j-simplex in order, the index of the face that omits vertex i, which
-        enters the boundary with sign (-1)^i. Empty unless 1 <= j <= dim."""
-        key = ("face_columns", j)
-        if key not in self._cache:
-            self._cache[key] = tuple(zip(*(
-                tuple(r for r, _ in col) for col in self.faces_with_signs(j))))
-        return self._cache[key]
-
     def boundary_matrix(self, j: int):
         """Dense matrix of the boundary operator C_j -> C_{j-1}, built
         afresh on each call from the sparse rows of `_boundary_any`.
@@ -378,7 +368,8 @@ class SimplicialMap:
         return out
 
     def pull_values(self, j: int, values):
-        """Transpose action on cochain value vectors."""
+        """Transpose action on dense vectors indexed by target simplices
+        (`geometry` restricts chains to a subcomplex with it)."""
         out = [0] * self.source.n_simplices(j)
         if 0 <= j <= self.source.dim:
             for c, entry in enumerate(self.chain_columns(j)):

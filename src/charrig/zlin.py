@@ -27,16 +27,16 @@ factorization that is never solved against never builds the index.
 
 This module also owns exact vector pairing and combination: every pairing
 of a cochain with a chain goes through `vec_dot`, and every linear
-combination of rows through `combine`. Both skip zero terms, since chain
-vectors and coefficient lists are mostly zero, and both take the sparse
-side as a dict.
+combination of sparse rows through `combine`, which returns the sparse
+sum; `dense` spells a sparse vector out where a chain or a coordinate
+vector is wanted. Both skip zero terms, since chain vectors and
+coefficient lists are mostly zero.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress
 from math import gcd, lcm
 
 
@@ -60,19 +60,22 @@ def vec_dot(u, v):
     return sum(u[i] * x for i, x in _entries(v) if x)
 
 
-def combine(coeffs, rows, n: int) -> list:
-    """sum of coeffs[t] * rows[t] as a length-n list, over the nonzero
-    coefficients and the nonzero row entries; rows may be sparse dicts,
-    and coeffs a sparse dict {t: c_t}. Dense coefficients or rows past
-    the shorter of the two lists are ignored."""
-    out = [0] * n
-    terms = (((c, rows[t]) for t, c in coeffs.items())
-             if isinstance(coeffs, dict) else zip(coeffs, rows))
-    for c, row in terms:
+def combine(coeffs, rows) -> dict:
+    """sum of coeffs[t] * rows[t] over the nonzero coefficients, as a
+    sparse dict free of zeros; the rows are sparse dicts, and coeffs a
+    dense sequence or a sparse dict {t: c_t}."""
+    out = {}
+    for t, c in _entries(coeffs):
         if c:
-            for i, x in _entries(row):
-                if x:
-                    out[i] += c * x
+            _axpy(out, rows[t], c)
+    return out
+
+
+def dense(v: dict, n: int) -> list:
+    """The sparse vector v as a length-n list."""
+    out = [0] * n
+    for i, x in v.items():
+        out[i] = x
     return out
 
 
@@ -394,7 +397,7 @@ class FgAbelianGroup:
 
     def lift(self, coords):
         """An ambient representative of the class with the given coordinates."""
-        return combine(self.reduce(coords), self.gen_lift, self.ambient)
+        return dense(combine(self.reduce(coords), self.gen_lift), self.ambient)
 
     def describe(self) -> str:
         return describe_group("Z", self.rank, self.torsion)
@@ -462,31 +465,28 @@ def _solve(fact: SNFResult, b, integral: bool):
     if sol is None:
         return None
     y, e = sol
-    x = combine(y, fact.V, n)
+    x = dense(combine(y, fact.V), n)
     return x if integral else [Fraction(v, e * q) for v in x]
 
 
-def solve_transposed(fact: SNFResult, b, integral: bool):
-    """Integers x and e > 0 with A^T x = e b, for an integer vector b, from
-    the factorization U A V = S of A itself, so A^T = Vinv^T S^T Uinv^T:
-    S^T y = V^T b and x = U^T y. e = 1 when `integral`; None when there
-    is no solution (over Z when `integral`, else over Q). V^T b is summed
-    over the rows of V where b is nonzero, and x over the rows of U where
-    y is nonzero."""
-    m, n = fact.shape
-    if len(b) != n:
-        raise ShapeError(f"rhs length {len(b)} does not match {n} columns")
+def solve_transposed(fact: SNFResult, b: dict, integral: bool):
+    """Integers x and e > 0 with A^T x = e b, for an integer vector b given
+    as a sparse dict {i: b_i} over the columns of A, from the factorization
+    U A V = S of A itself, so A^T = Vinv^T S^T Uinv^T: S^T y = V^T b and
+    x = U^T y. x is a sparse dict free of zeros; e = 1 when `integral`;
+    None when there is no solution (over Z when `integral`, else over Q).
+    V^T b is summed over the rows of V where b is nonzero, and x over the
+    rows of U where y is nonzero."""
     rows = fact.V_rows
     w = {}
-    for i in compress(range(n), b):
-        bi = b[i]
+    for i, bi in b.items():
         for t, v in rows[i].items():
             w[t] = w.get(t, 0) + bi * v
     sol = _divide_by_diag(fact, {t: wt for t, wt in w.items() if wt}, integral)
     if sol is None:
         return None
     y, e = sol
-    return combine(y, fact.U, m), e
+    return combine(y, fact.U), e
 
 
 def solve_integer(a, b, fact: SNFResult | None = None, ncols: int | None = None):

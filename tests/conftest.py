@@ -34,5 +34,4 @@ def cycle_basis(X, j):
     as tuples; empty outside 0..dim."""
     fact = _snf_boundary(X, j)
     n = X.n_simplices(j)
-    return tuple(tuple(zlin.combine((1,), (col,), n))
-                 for col in fact.V[fact.rank:])
+    return tuple(tuple(zlin.dense(col, n)) for col in fact.V[fact.rank:])

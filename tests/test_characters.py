@@ -58,8 +58,9 @@ def test_evaluate_through_the_lift_is_the_basis_formula(name, rnd):
         K = cycle_basis(X, k - 1)
         ch = character_from_holonomies(
             X, k, [Fraction(rnd.randrange(12), 12) for _ in K])
-        z = zlin.combine([rnd.randrange(-3, 4) for _ in K], K,
-                         X.n_simplices(k - 1))
+        coeffs = [rnd.randrange(-3, 4) for _ in K]
+        z = [sum(c * g[i] for c, g in zip(coeffs, K))
+             for i in range(X.n_simplices(k - 1))]
         a = [rnd.randrange(-2, 3) for _ in range(X.n_simplices(k))]
         if a:
             z = [p + q for p, q in zip(z, X.boundary_of_chain(k, a))]
@@ -124,7 +125,7 @@ def test_phi_direct_unwinds_i2(cx):
     ch = phi_direct(i2(th))
     K = cycle_basis(t2, 1)
     for z, val in zip(K, ch.f_values):
-        assert val == (th_rep.pair(z) - int(th_rep.pair(z))) % 1 or True
+        assert val == th_rep.pair(z) % 1
         assert (val - th_rep.pair(z)).denominator == 1
     assert ch.omega.values == coboundary(th_rep).values
     assert ch == char_i2(th)
@@ -214,7 +215,7 @@ def test_char_pullback_is_the_value_on_pushed_cycles(corpus_complex):
             for x in sample_classes(X, k, random.Random(k), count=3):
                 ch = phi_direct(x)
                 T = ch._lift
-                f = [zlin.vec_dot(T.num, phi.push_chain(k - 1, list(z)))
+                f = [zlin.vec_dot(phi.push_chain(k - 1, list(z)), T.num)
                      for z in cycle_basis(phi.source, k - 1)]
                 expect = Character(phi.source, k, f, T.den,
                                    ch.omega.pullback(phi))

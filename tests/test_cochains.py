@@ -10,14 +10,14 @@ from hypothesis import given, settings, strategies as st
 from sympy import Matrix
 from sympy.matrices.normalforms import invariant_factors
 
-from charrig import corpus, zlin
+from charrig import cli, corpus, zlin
 from charrig.cochains import (
     Cochain, QuotientForm, RingError, _mod1, alpha, basis_cochain, beta, bockstein,
     check_exactness, coboundary, cocycle_coords, cohomology,
     cup, cup_int_qmodz, cycle_periods, d_of_quotient, homology,
     integral_form_generators, is_integral_form, r_to_rational,
     s_class_of_form, solve_coboundary, zero_cochain,
-    _class_order, _coboundary_num, _snf_boundary,
+    _class_order, _snf_boundary,
 )
 from charrig.simplicial import (
     barycentric_subdivide, complex_from_maximal, load_complex,
@@ -356,7 +356,7 @@ def _cocycle_rows(X, j):
     g = cohomology(X, j, "Z")
     return ([[row.get(i, 0) for i in range(X.n_simplices(j))]
              for row in fact.Vinv[:fact.rank]]
-            + [list(c.num) for c in g.gen_cochains[:g.rank]])
+            + [list(c.values) for c in g.gen_cochains[:g.rank]])
 
 
 def test_cocycle_basis_is_saturated_kernel(read_complex):
@@ -387,7 +387,7 @@ def test_cocycle_basis_is_saturated_kernel(read_complex):
                 t = g.rank + i - units  # torsion coordinate
             else:
                 t = i - fact.rank       # free coordinate
-            assert cocycle_coords(X, j, w) == \
+            assert cocycle_coords(X, j, dict(enumerate(w))) == \
                 [int(s == t) for s in range(g.n_coords)], (X.name, j, i)
 
 
@@ -396,7 +396,7 @@ def test_cycle_periods_pair_with_the_cycle_basis(read_complex):
     rng = random.Random(3)
     for j in range(-1, X.dim + 2):
         num = [rng.randrange(-5, 6) for _ in range(X.n_simplices(j))]
-        assert cycle_periods(X, j, num) == \
+        assert cycle_periods(Cochain(X, "Z", j, num)) == \
             [zlin.vec_dot(num, z) for z in cycle_basis(X, j)], (X.name, j)
 
 
@@ -424,7 +424,7 @@ def _relation_matrices(X, j):
     for a, ncols in _cokernel_calls(X, j):
         for r in a:
             assert list(r) == sorted(r) and all(r.values()), r
-        out.append([zlin.combine((1,), (r,), ncols) for r in a])
+        out.append([zlin.dense(r, ncols) for r in a])
     return out
 
 
@@ -508,7 +508,7 @@ def test_sparse_and_row_only_factorizations_match_the_dense_one(X, data):
     j = data.draw(st.integers(0, X.dim + 1))
     mats = [(X._boundary_any(j), X.n_simplices(j))] + _cokernel_calls(X, j)
     for rows, ncols in mats:
-        dense = [zlin.combine((1,), (r,), ncols) for r in rows]
+        dense = [zlin.dense(r, ncols) for r in rows]
         full = zlin.smith_normal_form(dense, ncols=ncols)
         assert _transforms(zlin.smith_normal_form(rows, ncols=ncols)) == \
             _transforms(full), j
@@ -528,8 +528,9 @@ def test_sparse_and_row_only_factorizations_match_the_dense_one(X, data):
 @given(st.one_of(st.sampled_from(_FIXED_SPACES).map(_fixed_space),
                  random_complexes()), st.data())
 def test_coboundary_kernel_is_the_signed_face_sum(X, data):
-    """`_coboundary_num` is sum_i (-1)^i x(face_i) over `faces_with_signs`
-    in degrees -1..dim+1, over Z, Q and Q/Z."""
+    """The values of `coboundary`, summed over the rows of the cached
+    sparse boundary, are sum_i (-1)^i x(face_i) over `faces_with_signs`,
+    made dense, in degrees -1..dim+1, over Z, Q and Q/Z (mod 1)."""
     j = data.draw(st.integers(-1, X.dim + 1))
     rng = random.Random(data.draw(st.integers(0, 2**32)))
     faces = X.faces_with_signs(j + 1)
@@ -537,9 +538,12 @@ def test_coboundary_kernel_is_the_signed_face_sum(X, data):
                       ("QmodZ", rng.randrange(1, 7))):
         x = Cochain(X, ring, j, [Fraction(rng.randrange(-9, 10), den)
                                  for _ in range(X.n_simplices(j))])
-        expected = ([sum(s * x.num[r] for r, s in col) for col in faces]
+        a = x.values
+        expected = ([sum(s * a[r] for r, s in col) for col in faces]
                     if faces else [0] * X.n_simplices(j + 1))
-        assert _coboundary_num(x) == expected, (ring, j)
+        dx = coboundary(x)
+        _assert_normal_form(dx)
+        assert list(dx.values) == _reduced(ring, expected), (ring, j)
 
 
 def _solvable(delta, b):
@@ -642,19 +646,24 @@ _FRACTIONS = st.tuples(st.integers(-36, 36), st.integers(1, 12)).map(
 
 
 def _values(draw, X, ring, degree):
+    """One value per simplex, about half of them zero, as cochains are
+    sparse."""
     n = X.n_simplices(degree)
-    return draw(st.lists(_INTS if ring == "Z" else _FRACTIONS,
-                         min_size=n, max_size=n))
+    entry = st.one_of(st.just(0), _INTS if ring == "Z" else _FRACTIONS)
+    return draw(st.lists(entry, min_size=n, max_size=n))
 
 
 def _assert_normal_form(x):
-    assert x.den >= 1 and all(type(v) is int for v in x.num)
+    """Nonzero int numerators keyed by simplex indices, over one den."""
+    assert type(x.num) is dict and x.den >= 1
+    assert all(type(v) is int and v != 0 for v in x.num.values())
+    assert all(i in range(x.cx.n_simplices(x.degree)) for i in x.num)
     if x.ring == "Z":
         assert x.den == 1
     else:
-        assert gcd(x.den, *x.num) == 1
+        assert gcd(x.den, *x.num.values()) == 1
     if x.ring == "QmodZ":
-        assert all(0 <= v < x.den for v in x.num)
+        assert all(0 < v < x.den for v in x.num.values())
 
 
 @pytest.mark.parametrize("name", PROPERTY_SPACES)
@@ -747,11 +756,13 @@ def test_cup_matches_fraction_values(name, data):
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
 def test_pullback_matches_fraction_values(name, data):
-    """phi^* x along the last-vertex map of the subdivision is x evaluated
-    on the pushed-forward simplices, as Fractions (mod 1 over Q/Z)."""
+    """phi^* x along each map the CLI checks naturality along (the
+    last-vertex map of the subdivision and a star inclusion) is x
+    evaluated on the pushed-forward simplices, as Fractions (mod 1 over
+    Q/Z)."""
     X = _space(name)
     ring = data.draw(st.sampled_from(RINGS))
-    phi = barycentric_subdivide(X).last_vertex
+    phi = data.draw(st.sampled_from(cli._naturality_maps(X)))
     j = data.draw(st.integers(0, X.dim))
     a = _values(data.draw, X, ring, j)
     y = Cochain(X, ring, j, a).pullback(phi)
@@ -777,4 +788,23 @@ def test_cochain_construction_errors(cx):
         Cochain(s1, "Q", 0, (0, 0))
     with pytest.raises(RingError):
         basis_cochain(s1, "Z", 0, 0).scale(Fraction(1, 2))
-    assert Cochain(s1, "Z", 0, (Fraction(4, 2), 0, 0)).num == (2, 0, 0)
+    assert Cochain(s1, "Z", 0, (Fraction(4, 2), 0, 0)).num == {0: 2}
+
+
+def test_basis_cochain_rejects_an_index_outside_the_simplices(cx):
+    """A negative or too large index is no simplex, not a key of num."""
+    s1 = cx("s1")
+    assert basis_cochain(s1, "Z", 0, 2).values == (0, 0, 1)
+    for i in (-1, 3):
+        with pytest.raises(IndexError):
+            basis_cochain(s1, "Z", 0, i)
+
+
+def test_pair_rejects_a_chain_of_the_wrong_length(cx):
+    """pair reads the chain at the cochain's nonzeros only, yet a chain
+    of another length is refused."""
+    x = basis_cochain(cx("s1"), "Q", 0, 0)
+    assert x.pair([1, 0, 0]) == 1
+    for chain in ([1, 0], [1, 0, 0, 0]):
+        with pytest.raises(zlin.ShapeError):
+            x.pair(chain)

@@ -9,8 +9,9 @@ every corpus complex, `diagram` and `phi` at degrees 1 and 2 on s1, s2,
 t2 and rp2 and at degree 2 on klein and moore_z3, `ring 1,1` on t2 and
 moore_z3, `pseudo` on every shipped cycle, and on first barycentric
 subdivisions (sd1) `inspect` of t2, rp2, klein and moore_z3, `diagram 1`
-and `phi 1`, `phi 2` of s2, and on second subdivisions (sd2) `inspect` of
-t2 and moore_z3 and `diagram 2` and `phi 2` of t2, all at seed 0. A
+and `phi 1`, `phi 2` of s2, on second subdivisions (sd2) `inspect` of
+t2 and moore_z3 and `diagram 2` and `phi 2` of t2, and on third
+subdivisions (sd3) `inspect` of t2 and moore_z3, all at seed 0. A
 change that is meant to alter reports regenerates the table from the
 repository root:
 
@@ -28,6 +29,7 @@ SUITE_SPACES = ("s1", "s2", "t2", "rp2")
 DEGREE2_SPACES = ("klein", "moore_z3")
 SD1_INSPECT = ("t2", "rp2", "klein", "moore_z3")
 SD2_INSPECT = ("t2", "moore_z3")
+SD3_INSPECT = ("t2", "moore_z3")
 
 
 def _operations():
@@ -56,6 +58,8 @@ def _operations():
         yield f"inspect sd2({name})", name, 2, cli.cmd_inspect, {}
     yield "phi sd2(t2) 2", "t2", 2, cli.cmd_phi, {"degree": 2}
     yield "diagram sd2(t2) 2", "t2", 2, cli.cmd_diagram, {"degree": 2}
+    for name in SD3_INSPECT:
+        yield f"inspect sd3({name})", name, 3, cli.cmd_inspect, {}
 
 
 def current_hashes() -> dict:

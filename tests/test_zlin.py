@@ -240,12 +240,12 @@ def test_solve_transposed_agrees_with_solving_the_transpose(a, seed):
     b0 = [int(v) for v in matvec(at, x0)]
     for b in (b0, [rng.randrange(-3, 4) for _ in range(len(at))]):
         for integral in (True, False):
-            sol = zlin.solve_transposed(fact, b, integral)
+            sol = zlin.solve_transposed(fact, as_dict(b), integral)
             expected = zlin.solve_integer(at, b) if integral \
                 else zlin.solve_rational(at, b)
             assert (sol is None) == (expected is None)
             if sol is not None:
-                x, e = sol
+                x, e = zlin.dense(sol[0], len(a)), sol[1]
                 assert e >= 1 and (e == 1 or not integral)
                 assert all(isinstance(v, int) for v in x)
                 assert matvec(at, x) == [e * v for v in b]
@@ -295,8 +295,11 @@ def test_row_index_and_sparse_solve_match_the_dense_formula(a, seed):
     single[rng.randrange(n)] = rng.choice((-2, -1, 1, 3))
     for b in (solvable, [rng.randrange(-3, 4) for _ in range(n)], single):
         for integral in (True, False):
-            assert zlin.solve_transposed(fact, b, integral) == \
-                _dense_solve_transposed(fact, b, integral)
+            sol = zlin.solve_transposed(fact, as_dict(b), integral)
+            if sol is not None:
+                assert all(sol[0].values())
+                sol = zlin.dense(sol[0], m), sol[1]
+            assert sol == _dense_solve_transposed(fact, b, integral)
 
 
 def test_solve_integer_examples():
@@ -424,15 +427,17 @@ def test_vec_dot_is_the_dense_dot(uv):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 5).flatmap(lambda n: st.tuples(
-    st.just(n), _sparse_vectors(st.integers(0, 4)),
-    st.lists(_sparse_vectors(st.just(n)), max_size=4))))
+@given(st.integers(0, 5).flatmap(
+    lambda n: st.lists(_sparse_vectors(st.just(n)), max_size=4).flatmap(
+        lambda rows: st.tuples(st.just(n), _sparse_vectors(st.just(len(rows))),
+                               st.just(rows)))))
 def test_combine_is_the_dense_linear_combination(case):
-    """sum_t coeffs[t] * rows[t], with the rows dense or as sparse dicts;
-    coefficients or rows past the shorter of the two lists are ignored, as
-    the solves through a factorization rely on."""
+    """sum_t coeffs[t] * rows[t] over sparse dict rows, with the
+    coefficients dense or a sparse dict, is a dict free of zeros that
+    `dense` spells out as the dense linear combination."""
     n, coeffs, rows = case
     expected = [sum(c * row[i] for c, row in zip(coeffs, rows))
                 for i in range(n)]
-    assert zlin.combine(coeffs, rows, n) == expected
-    assert zlin.combine(coeffs, [as_dict(r) for r in rows], n) == expected
+    for cs in (coeffs, as_dict(coeffs)):
+        got = zlin.combine(cs, [as_dict(r) for r in rows])
+        assert all(got.values()) and zlin.dense(got, n) == expected
