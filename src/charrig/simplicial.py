@@ -323,7 +323,12 @@ def _sort_sign(seq):
 
 
 class SimplicialMap:
-    """Vertex map carrying every source simplex onto a target simplex."""
+    """Vertex map carrying every source simplex onto a target simplex.
+
+    `subdivision` is the `Subdivision` whose `last_vertex` map this is,
+    and None for every other map."""
+
+    subdivision = None
 
     def __init__(self, source: Complex, target: Complex, vertex_map):
         self.source = source
@@ -401,7 +406,17 @@ class Subdivision:
     applies the subdivision chain map C_j(old) -> C_j(new), and
     `last_vertex` is the simplicial map new -> old sending each barycenter
     to the top vertex of its simplex; the two compose to the identity on
-    old chains.
+    old chains, lambda_# Sd_# = id.
+
+    `pull_cochain` is Sd^*, the transpose of the subdivision chain map:
+    (Sd^* x)(sigma) = x(Sd_# sigma). Transposing lambda_# Sd_# = id gives
+    Sd^* lambda^* = id on cochains, and Sd_# lambda_# is chain homotopic
+    to the identity (Munkres, Elements of Algebraic Topology, 17-18), so
+    lambda^* and Sd^* are inverse isomorphisms on cohomology in every
+    ring. Sd^* commutes with the coboundary, since Sd_# commutes with the
+    boundary. The map `last_vertex` records its subdivision, so a check
+    of naturality along it can decide a comparison on sd K by pulling
+    both sides back to K, whose groups are already built.
     """
 
     def __init__(self, base: Complex):
@@ -447,6 +462,7 @@ class Subdivision:
             for d in range(self.complex.dim + 1))
         lv = tuple(base.simplices[d][i][-1] for (d, i) in self.vertex_carrier)
         self.last_vertex = SimplicialMap(self.complex, base, lv)
+        self.last_vertex.subdivision = self
         self._sd_cols: dict = {}
 
     def new_vertex(self, d: int, idx: int) -> int:
@@ -475,6 +491,24 @@ class Subdivision:
             out = tuple((i, par * v) for i, v in sorted(acc.items()) if v)
         self._sd_cols[key] = out
         return out
+
+    def pull_cochain(self, x):
+        """Sd^* x on the base complex for a cochain x on the subdivided
+        one: its value on base simplex sigma is x(Sd_# sigma), summed over
+        the cached `_sd_simplex` columns. A new j-simplex lies in Sd_# of
+        its carrier only, and only when that carrier has dimension j, so
+        the sum visits the carriers of the nonzeros of x."""
+        from .cochains import _cochain
+        if x.cx is not self.complex:
+            raise MismatchError("cochain does not live on the subdivision")
+        j = x.degree
+        get = x.num.get
+        num = {}
+        for d, i in {self.carrier[j][ni] for ni in x.num}:
+            if d == j:
+                num[i] = sum(sign * get(ni, 0)
+                             for ni, sign in self._sd_simplex(j, i))
+        return _cochain(self.base, x.ring, j, num, x.den)
 
     def subdivide_chain(self, j: int, vec):
         out = [0] * self.complex.n_simplices(j)

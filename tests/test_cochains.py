@@ -270,6 +270,38 @@ def random_complexes(draw):
     return complex_from_maximal("random", sorted(tops), n)
 
 
+def _apex_join(X, count):
+    """X joined to `count` new apexes, numbered after its vertices so every
+    joined simplex stays increasing: the cone for one apex, the
+    suspension for two."""
+    n = X.vertex_count
+    tops = [s + (a,) for a in range(n, n + count)
+            for level in X.simplices for s in level]
+    return complex_from_maximal(("cone", "suspension")[count - 1], tops,
+                                n + count)
+
+
+@st.composite
+def cones_and_suspensions(draw):
+    """The cone or the suspension of a random complex."""
+    return _apex_join(draw(random_complexes()), draw(st.sampled_from([1, 2])))
+
+
+@settings(max_examples=20, deadline=None)
+@given(random_complexes())
+def test_cones_are_acyclic_and_suspensions_shift_degree(X):
+    """The joins are what they are named: the cone of X has the integral
+    cohomology of a point, and H^{j+1} of the suspension is the reduced
+    H^j(X)."""
+    cone, susp = _apex_join(X, 1), _apex_join(X, 2)
+    groups = [(cohomology(cone, j, "Z").rank, cohomology(cone, j, "Z").torsion)
+              for j in range(cone.dim + 2)]
+    assert groups == [(1, ())] + [(0, ())] * (cone.dim + 1)
+    for j in range(X.dim + 1):
+        g, h = cohomology(X, j, "Z"), cohomology(susp, j + 1, "Z")
+        assert (h.rank, h.torsion) == (g.rank - (j == 0), g.torsion), j
+
+
 @settings(max_examples=40, deadline=None)
 @given(random_complexes())
 def test_random_complexes_match_oracle_and_are_exact(X):
@@ -776,6 +808,35 @@ def test_pullback_matches_fraction_values(name, data):
         expect.append(sum(p * q for p, q in zip(a, pushed)))
     assert (y.cx, y.ring, y.degree) == (phi.source, ring, j)
     assert list(y.values) == _reduced(ring, expect)
+
+
+@pytest.mark.parametrize("name", PROPERTY_SPACES)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_pull_cochain_is_the_transpose_of_subdivision(name, data):
+    """Sd^* x on K is x evaluated on the subdivided simplices, as
+    Fractions (mod 1 over Q/Z); it commutes with the coboundary, and
+    Sd^* lambda^* is the identity on cochains of K."""
+    X = _space(name)
+    sd = barycentric_subdivide(X)
+    Y = sd.complex
+    ring = data.draw(st.sampled_from(RINGS))
+    j = data.draw(st.integers(0, X.dim))
+    a = _values(data.draw, Y, ring, j)
+    x = Cochain(Y, ring, j, a)
+    y = sd.pull_cochain(x)
+    _assert_normal_form(y)
+    n = X.n_simplices(j)
+    expect = []
+    for i in range(n):
+        unit = [0] * n
+        unit[i] = 1
+        expect.append(sum(p * q for p, q in zip(a, sd.subdivide_chain(j, unit))))
+    assert (y.cx, y.ring, y.degree) == (X, ring, j)
+    assert list(y.values) == _reduced(ring, expect)
+    assert sd.pull_cochain(coboundary(x)) == coboundary(y)
+    b = Cochain(X, ring, j, _values(data.draw, X, ring, j))
+    assert sd.pull_cochain(b.pullback(sd.last_vertex)) == b
 
 
 def test_cochain_construction_errors(cx):

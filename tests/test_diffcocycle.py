@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from charrig.cochains import (
     Cochain, QuotientForm, basis_cochain, bockstein, coboundary, cohomology,
-    is_integral_form, zero_cochain,
+    is_integral_form, zero_cochain, _units,
 )
 from charrig.diffcocycle import (
     DiffClass, NotInImage, class_equal, coboundary_shift, delta1, delta2,
@@ -20,7 +20,8 @@ from charrig.simplicial import (
     SimplicialMap, barycentric_subdivide, closed_star_neighborhood,
     subcomplex_from_simplices,
 )
-from conftest import cycle_basis
+from conftest import CORPUS, cycle_basis
+from test_cochains import cones_and_suspensions, random_complexes
 
 DEGREES = [("s1", 1), ("s1", 2), ("s2", 1), ("s2", 2), ("rp2", 1),
            ("rp2", 2), ("t2", 1), ("t2", 2), ("klein", 2), ("moore_z3", 2)]
@@ -350,13 +351,15 @@ def test_failed_integral_lift_is_a_finding_with_a_witness(monkeypatch, capsys):
 
 
 def test_suites_make_no_dense_cycle_or_cocycle_basis():
-    """Cold exactness, diagram and equivalence suites, naturality maps
-    included, read cycles and cocycles straight from the sparse Smith
-    transforms: no complex, the sd1 source of `last_vertex` included,
-    caches a dense cycle or cocycle basis."""
+    """Cold exactness, diagram, equivalence and ring suites, naturality
+    maps included, read cycles and cocycles straight from the sparse Smith
+    transforms: no complex caches a dense cycle or cocycle basis. The sd1
+    source of `last_vertex` factors no boundary at all: every comparison
+    on it is decided on the base complex through Sd^*."""
     from charrig import cli, corpus
     from charrig.characters import verify_equivalence
     from charrig.cochains import check_exactness
+    from charrig.product import verify_ring_axioms
     from charrig.simplicial import load_complex
     complexes, sd1 = [], []
     for name in ("t2", "rp2", "klein"):
@@ -368,7 +371,140 @@ def test_suites_make_no_dense_cycle_or_cocycle_basis():
             check_exactness(X, k, random.Random(0))
             verify_diagram(X, k, random.Random(0), maps=maps)
             verify_equivalence(X, k, random.Random(0), maps=maps)
+        verify_ring_axioms(X, (1, 1), random.Random(0), maps=maps)
     dense = [(Y.name, key) for Y in complexes for key in Y._cache
              if key[0] in ("cycle_basis", "cocycle_basis")]
     assert not dense, dense
-    assert all(("snf_boundary", 1) in Y._cache for Y in sd1)
+    factored = [(Y.name, key) for Y in sd1 for key in Y._cache
+                if key[0] == "snf_boundary"]
+    assert not factored, factored
+
+
+# ---------------------------------------------------------------------------
+# naturality along last_vertex, decided on the base complex through Sd^*
+
+def _assert_on_base_decisions_agree(K, rng):
+    """Along lambda: sd K -> K, each decision made on K through Sd^*
+    (`class_equal_on_source`, `is_pullback_class`, `char_pullback_is`)
+    gives the answer of the factoring one on sd K (`class_equal` there,
+    `pullback_class`, equality of `char_pullback` results), on a true pair
+    and on false pairs. The true pair is lambda^* x and a coboundary
+    shift of it. A false pair adds i1(u) for a nonzero u, or i2 of a
+    cochain that Sd^* kills but whose coboundary is nonzero, or, for the
+    characteristic class, a nonzero integral class; a Q/Z cocycle moved by
+    a nonzero class is no pullback of the class it came from."""
+    from charrig.characters import char_pullback, char_pullback_is, phi_direct
+    from charrig.diffcocycle import (
+        class_equal_on_source, is_pullback_class, pullback_class,
+        sample_qmodz_classes)
+    sd = barycentric_subdivide(K)
+    lam, S = sd.last_vertex, sd.complex
+    for k in range(1, K.dim + 2):
+        flat = [u for u in sample_qmodz_classes(S, k - 1, rng)
+                if not u.is_zero()][:1]
+        # half a (k-1)-cochain on a simplex that lies in no Sd_# sigma but
+        # has a coface: Sd^* kills it and its coboundary, so only the
+        # comparison of the forms on sd K tells the pair apart
+        invisible = [basis_cochain(S, "Q", k - 1, i).scale(Fraction(1, 2))
+                     for i in range(S.n_simplices(k - 1))
+                     if sd.carrier[k - 1][i][0] != k - 1
+                     and S._boundary_any(k)[i]][:1]
+        hz = cohomology(K, k, "Z")
+        shifts = [hz.make(e) for e in _units(hz.n_coords)]
+        for x in sample_classes(K, k, rng, count=3):
+            y = pullback(lam, x)
+            b = Cochain(S, "Z", k - 1, [rng.randrange(-2, 3)
+                                        for _ in range(S.n_simplices(k - 1))])
+            s = Cochain(S, "Q", k - 2, [Fraction(rng.randrange(-3, 4), 3)
+                                        for _ in range(S.n_simplices(k - 2))])
+            pairs = [(coboundary_shift(y, b, s), True)]
+            pairs += [(y + i1(u), False) for u in flat]
+            pairs += [(y + i2(QuotientForm(t)), False) for t in invisible]
+            ch = phi_direct(x)
+            for z, equal in pairs:
+                assert class_equal(y, z) is equal
+                assert class_equal_on_source(lam, y, z) is equal
+                assert (char_pullback(lam, ch) == phi_direct(z)) is equal
+                assert char_pullback_is(lam, ch, z) is equal
+            d2 = delta2(x)
+            assert delta2(y) == pullback_class(lam, d2)
+            assert is_pullback_class(lam, d2, y.c)
+            for other in (d2 + e for e in shifts):
+                assert delta2(y) != pullback_class(lam, other)
+                assert not is_pullback_class(lam, other, y.c)
+        for u in sample_qmodz_classes(K, k - 1, rng):
+            rep = u.cocycle().pullback(lam)
+            assert is_pullback_class(lam, u, rep)
+            for v in flat:
+                wrong = rep + v.cocycle()
+                assert (pullback_class(lam, u) == cohomology(
+                    S, k - 1, "QmodZ").class_from_cocycle(wrong)) is False
+                assert not is_pullback_class(lam, u, wrong)
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_on_base_decisions_agree_with_factoring_on_sd1(name):
+    from charrig import corpus
+    from charrig.simplicial import load_complex
+    _assert_on_base_decisions_agree(load_complex(corpus.resolve(name)),
+                                    random.Random(0))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.one_of(random_complexes(), cones_and_suspensions()),
+       st.integers(0, 2**32))
+def test_on_base_decisions_agree_with_factoring_on_random_complexes(X, seed):
+    _assert_on_base_decisions_agree(X, random.Random(seed))
+
+
+def test_planted_pullback_defect_fails_every_naturality_check(monkeypatch):
+    """A class pullback along last_vertex that adds half of a pulled-back
+    free integral generator to h, a closed cochain that is not exact mod
+    1, moves every pulled-back class by a nonzero flat class. The three
+    naturality checks, which decide on the base complex, each fail and
+    name the map in their witness; the star inclusion stays clean."""
+    from charrig import characters, cli, corpus, diffcocycle, product
+    from charrig.characters import verify_equivalence
+    from charrig.product import verify_ring_axioms
+    from charrig.simplicial import load_complex
+    X = load_complex(corpus.resolve("t2"))
+    maps = cli._naturality_maps(X)
+    real = diffcocycle.pullback
+
+    def planted(phi, x):
+        y = real(phi, x)
+        if phi is not maps[0]:
+            return y
+        gen = cohomology(X, x.degree - 1, "Z").gen_cochains[0]
+        half = gen.pullback(phi).to_q().scale(Fraction(1, 2))
+        return DiffClass(y.c, y.h + half, y.omega)
+
+    for module in (diffcocycle, characters, product):
+        monkeypatch.setattr(module, "pullback", planted)
+    results = (verify_diagram(X, 2, random.Random(0), maps=maps)
+               + verify_equivalence(X, 2, random.Random(0), maps=maps)
+               + verify_ring_axioms(X, (1, 1), random.Random(0), maps=maps))
+    by_name = {r.name: r for r in results}
+    for name in ("naturality.transformations_commute", "phi.naturality",
+                 "ring.naturality"):
+        r = by_name[name]
+        assert r.status == "fail", name
+        problems = r.witness["problems"]
+        assert problems and {p[-1] for p in problems} == {0}, (name, problems)
+
+
+def test_cold_cli_runs_factor_no_boundary_of_the_subdivision():
+    """`diagram`, `phi` and `ring`, run cold through their CLI handlers,
+    never factor a boundary of sd K, the source of `last_vertex`."""
+    import argparse
+    from charrig import cli, corpus
+    from charrig.simplicial import load_complex
+    for name in ("t2", "moore_z3"):
+        for handler, params in ((cli.cmd_diagram, {"degree": 2}),
+                                (cli.cmd_phi, {"degree": 2}),
+                                (cli.cmd_ring, {"degrees": (1, 1)})):
+            X = load_complex(corpus.resolve(name))
+            handler(X, argparse.Namespace(seed=0, max_subdiv=2, **params), 1)
+            Y = barycentric_subdivide(X).complex
+            factored = [key for key in Y._cache if key[0] == "snf_boundary"]
+            assert not factored, (name, handler.__name__, factored)
