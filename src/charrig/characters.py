@@ -14,9 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress
 
-from . import zlin
 from .cochains import (
     RING_Q, RING_QMODZ, RING_Z,
     Cochain, CohomologyClass, NotACycle, QuotientForm,
@@ -38,36 +36,38 @@ from .simplicial import Complex, MismatchError, SimplicialMap
 
 @dataclass(frozen=True)
 class Character:
-    """Q/Z values f_num[t] / f_den on the cycle basis of Z_{k-1}, in the
-    normal form of a Q/Z cochain (0 <= f_num[t] < f_den, no common
-    factor), plus a compatible form omega. Two characters are equal when
-    they live on the same complex object with equal fields; they are not
-    hashable."""
+    """Q/Z values f_num.get(t, 0) / f_den on the cycle basis of Z_{k-1}:
+    `f_num` is a dict from cycle index to int, in the normal form of a
+    Q/Z cochain (no zero, 0 < f_num[t] < f_den, no common factor), plus
+    a compatible form omega. Two characters are equal when they live on
+    the same complex object with equal fields; they are not hashable."""
 
     __hash__ = None
 
     cx: Complex
     degree: int
-    f_num: tuple
+    f_num: dict
     f_den: int
     omega: Cochain        # rational degree-k cochain, in the integral forms
 
     def __post_init__(self):
-        expected = n_cycles(self.cx, self.degree - 1)
-        if len(self.f_num) != expected:
-            raise ValueError(
-                f"degree-{self.degree} character needs {expected} values "
-                f"on the cycle basis, got {len(self.f_num)}")
-        f = self.f_num
-        nonzero = {t: f[t] for t in compress(range(expected), f)}
-        num, den = _normal_form(RING_QMODZ, nonzero, self.f_den)
-        object.__setattr__(self, "f_num", tuple(zlin.dense(num, expected)))
+        n = n_cycles(self.cx, self.degree - 1)
+        for t in self.f_num:
+            if not 0 <= t < n:
+                raise ValueError(
+                    f"degree-{self.degree} character has {n} cycle-basis "
+                    f"values, got index {t}")
+        num, den = _normal_form(RING_QMODZ, self.f_num, self.f_den)
+        object.__setattr__(self, "f_num", num)
         object.__setattr__(self, "f_den", den)
 
     @property
     def f_values(self) -> tuple:
-        """The values on the cycle basis as Fractions in [0, 1)."""
-        return tuple(Fraction(v, self.f_den) for v in self.f_num)
+        """The values on the cycle basis as Fractions in [0, 1), one per
+        cycle-basis vector."""
+        f = self.f_num
+        return tuple(Fraction(f.get(t, 0), self.f_den)
+                     for t in range(n_cycles(self.cx, self.degree - 1)))
 
     @cached_property
     def _lift(self) -> Cochain:
@@ -87,7 +87,7 @@ def _character(cx: Complex, k: int, f_values, omega: Cochain) -> Character:
     """The character with the given int or Fraction values on the cycle
     basis."""
     num, den = _over_common_denominator(f_values)
-    return Character(cx, k, num, den, omega)
+    return Character(cx, k, dict(enumerate(num)), den, omega)
 
 
 def is_character(cx: Complex, k: int, f_values, omega: Cochain) -> bool:
@@ -117,7 +117,8 @@ def lift_T(ch: Character, strategy: str = "floor") -> Cochain:
     if strategy == "floor":
         lifts = ch.f_num
     elif strategy == "centered":
-        lifts = [v if 2 * v <= den else v - den for v in ch.f_num]
+        lifts = {t: v if 2 * v <= den else v - den
+                 for t, v in ch.f_num.items()}
     else:
         raise ValueError(f"unknown lift strategy {strategy!r}")
     return cochain_on_cycle_basis(ch.cx, ch.degree - 1, lifts, RING_Q, den)
@@ -237,7 +238,7 @@ def char_pullback_is(phi: SimplicialMap, ch: Character, y: DiffClass) -> bool:
     if ch.omega.pullback(phi) != y.omega:
         return False
     D = sd.pull_cochain(ch._lift.pullback(phi)) - sd.pull_cochain(y.h.mod1())
-    return not any(p % D.den for p in cycle_periods(D))
+    return not any(p % D.den for p in cycle_periods(D).values())
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +329,7 @@ def verify_equivalence(cx: Complex, k: int, rng, n_round_trips: int = 20,
     probs = []
     for u in sample_qmodz_classes(cx, k - 1, rng):
         ch = char_i1(u)
-        if any(ch.f_num) == u.is_zero():
+        if bool(ch.f_num) == u.is_zero():
             probs.append(("hom-model i1 injectivity",))
     for x in classes:
         ch = phi_direct(x)

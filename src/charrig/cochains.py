@@ -322,22 +322,22 @@ def n_cycles(cx: Complex, j: int) -> int:
     return fact.shape[1] - fact.rank
 
 
-def cycle_periods(x: Cochain) -> list:
+def cycle_periods(x: Cochain) -> dict:
     """The pairings of the numerators of a j-cochain with the cycle basis,
     the columns of V past the rank, summed over the rows of V where the
-    cochain is nonzero."""
+    cochain is nonzero: a sparse dict {t: p_t} free of zeros."""
     cx, j = x.cx, x.degree
     if not 0 <= j <= cx.dim:
-        return []
+        return {}
     fact = _snf_boundary(cx, j)
     r = fact.rank
     rows = fact.V_rows
-    out = [0] * (fact.shape[1] - r)
+    out = {}
     for i, xi in x.num.items():
         for t, v in rows[i].items():
             if t >= r:
-                out[t - r] += xi * v
-    return out
+                out[t - r] = out.get(t - r, 0) + xi * v
+    return {t: p for t, p in out.items() if p}
 
 
 def cycle_coords(cx: Complex, j: int, vec):
@@ -352,8 +352,8 @@ def cochain_on_cycle_basis(cx: Complex, j: int, num, ring: str,
                            den: int = 1) -> Cochain:
     """The j-cochain with the values num[t] / den on the cycle basis that
     vanishes on the rest of the Smith-adapted basis of C_j: the sum of
-    num[t] times row rank + t of Vinv, over den. `num` is a sequence or a
-    sparse dict over the cycle basis."""
+    num[t] times row rank + t of Vinv, over den. `num` is a sparse dict
+    {t: num[t]} over the cycle basis."""
     fact = _snf_boundary(cx, j)
     return _cochain(cx, ring, j, zlin.combine(num, fact.Vinv[fact.rank:]), den)
 
@@ -638,7 +638,7 @@ def is_integral_form(omega: Cochain) -> bool:
     if _coboundary_num(omega):
         return False
     return omega.den == 1 or not any(
-        p % omega.den for p in cycle_periods(omega))
+        p % omega.den for p in cycle_periods(omega).values())
 
 
 class QuotientForm:
@@ -688,27 +688,20 @@ def integral_form_generators(cx: Complex, k: int):
 # ---------------------------------------------------------------------------
 # Bockstein and the sequence maps
 
-def bockstein(u: CohomologyClass, strategy: str = "floor") -> CohomologyClass:
+def bockstein(u: CohomologyClass) -> CohomologyClass:
     """Connecting map H^j(Q/Z) -> H^{j+1}(Z): lift a representative cocycle
     to a rational cochain and take the class of its (integral) coboundary."""
     group = u.group
     if group.ring != RING_QMODZ:
         raise RingError("bockstein starts from a Q/Z class")
     rep = group.cochain_for(u.coords)
-    return bockstein_of_cocycle(rep, strategy)
+    return bockstein_of_cocycle(rep)
 
 
-def bockstein_of_cocycle(rep: Cochain, strategy: str = "floor") -> CohomologyClass:
+def bockstein_of_cocycle(rep: Cochain) -> CohomologyClass:
     if rep.ring != RING_QMODZ:
         raise RingError("expected a Q/Z cocycle")
-    if strategy == "floor":
-        num = rep.num
-    elif strategy == "centered":
-        num = {i: v if 2 * v <= rep.den else v - rep.den
-               for i, v in rep.num.items()}
-    else:
-        raise ValueError(f"unknown lift strategy {strategy!r}")
-    c = coboundary(_cochain(rep.cx, RING_Q, rep.degree, num, rep.den))
+    c = coboundary(_cochain(rep.cx, RING_Q, rep.degree, rep.num, rep.den))
     if c.den != 1:
         raise ValueError("input was not a cocycle mod 1")
     return cohomology(rep.cx, c.degree, RING_Z).class_from_cocycle(

@@ -122,11 +122,12 @@ def _decide_equivalence(x: DiffClass, y: DiffClass, want_witness: bool):
         return None
     v = (x.h - y.h) + b0.to_q()
     periods = cycle_periods(v)
-    if any(p % v.den for p in periods):
+    if any(p % v.den for p in periods.values()):
         return None
     if not want_witness:
         return True
-    n = cochain_on_cycle_basis(cx, k - 1, [p // v.den for p in periods], RING_Z)
+    n = cochain_on_cycle_basis(
+        cx, k - 1, {t: p // v.den for t, p in periods.items()}, RING_Z)
     rest = v - n.to_q()
     s = solve_coboundary(cx, k - 2, rest, integral=False)
     if s is None:
@@ -251,7 +252,8 @@ def preimage_of_form(cx: Complex, omega: Cochain) -> DiffClass:
         raise ValueError("delta1 preimages exist only for integral forms")
     omega = omega.to_q()
     k = omega.degree
-    periods = [p // omega.den for p in cycle_periods(omega)]
+    periods = {t: p // omega.den
+               for t, p in cycle_periods(omega).items()}
     c = cochain_on_cycle_basis(cx, k, periods, RING_Z)
     rest = omega - c.to_q()
     h = solve_coboundary(cx, k - 1, rest, integral=False)

@@ -87,6 +87,23 @@ def test_is_character_rejects_bad_data(cx):
                             basis_cochain(s1, "Q", 1, 0).scale(Fraction(1, 2)))
 
 
+def test_character_rejects_indices_outside_the_cycle_basis(cx):
+    s1 = cx("s1")
+    om = zero_cochain(s1, "Q", 2)
+    assert Character(s1, 2, {0: 1}, 2, om).f_num == {0: 1}
+    for t in (1, -1):       # s1 has one 1-cycle, index 0
+        with pytest.raises(ValueError):
+            Character(s1, 2, {t: 1}, 2, om)
+
+
+def test_char_i1_holonomy_at_cycle_index_0(cx):
+    s1 = cx("s1")
+    u = cohomology(s1, 1, "QmodZ").make([Fraction(1, 2)])
+    ch = char_i1(u)
+    assert ch.f_num == {0: 1} and ch.f_den == 2
+    assert ch.f_values == (Fraction(1, 2),)
+
+
 def test_delta2_via_lift_zero_character(cx):
     t2 = cx("t2")
     assert delta2_via_lift(phi_direct(zero_class(t2, 2))).is_zero()
@@ -215,8 +232,9 @@ def test_char_pullback_is_the_value_on_pushed_cycles(corpus_complex):
             for x in sample_classes(X, k, random.Random(k), count=3):
                 ch = phi_direct(x)
                 T = ch._lift
-                f = [zlin.vec_dot(phi.push_chain(k - 1, list(z)), T.num)
-                     for z in cycle_basis(phi.source, k - 1)]
+                f = dict(enumerate(
+                    zlin.vec_dot(phi.push_chain(k - 1, list(z)), T.num)
+                    for z in cycle_basis(phi.source, k - 1)))
                 expect = Character(phi.source, k, f, T.den,
                                    ch.omega.pullback(phi))
                 assert char_pullback(phi, ch) == expect, (X.name, k)

@@ -159,7 +159,6 @@ def test_bockstein_on_projective_plane(cx):
     phi = hqz.make([Fraction(1, 2)])
     b = bockstein(phi)
     assert b.group.describe() == "Z/2" and not b.is_zero()
-    assert bockstein(phi, strategy="centered") == b
 
 
 def test_bockstein_kills_alpha_images(cx):
@@ -428,8 +427,10 @@ def test_cycle_periods_pair_with_the_cycle_basis(read_complex):
     rng = random.Random(3)
     for j in range(-1, X.dim + 2):
         num = [rng.randrange(-5, 6) for _ in range(X.n_simplices(j))]
-        assert cycle_periods(Cochain(X, "Z", j, num)) == \
-            [zlin.vec_dot(num, z) for z in cycle_basis(X, j)], (X.name, j)
+        got = cycle_periods(Cochain(X, "Z", j, num))
+        dense = [zlin.vec_dot(num, z) for z in cycle_basis(X, j)]
+        assert all(got.values()), (X.name, j)
+        assert zlin.dense(got, len(dense)) == dense, (X.name, j)
 
 
 def _cokernel_calls(X, j):
