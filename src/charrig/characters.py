@@ -1,5 +1,5 @@
 """The hom-on-cycles model of differential characters and the equivalence
-with the differential-cocycle model, computed two independent ways.
+with the differential-cocycle model, computed three independent ways.
 
 A degree-k character is a Q/Z-valued function on the (k-1)-cycles together
 with a compatible integral form: f(boundary a) = omega(a) mod 1 for every
@@ -7,7 +7,10 @@ k-chain a. The equivalence takes a cocycle class to the character read off
 its h component (phi_direct), and back by extending f over all chains with
 a divisibility lift (phi_inverse). An independent evaluation (phi_good)
 restricts the class to a good neighborhood of the cycle, where it must be
-an i2 image, and integrates the resulting form.
+an i2 image, and integrates the resulting form. A third
+(evaluate_via_normalization) splits the cycle by surgery into a boundary
+and a pseudomanifold cycle and adds the form's value on the first to the
+character's value on the second.
 """
 from __future__ import annotations
 
@@ -18,29 +21,36 @@ from functools import cached_property
 from .cochains import (
     RING_Q, RING_QMODZ, RING_Z,
     Cochain, CohomologyClass, NotACycle, QuotientForm,
-    coboundary, cochain_on_cycle_basis, cohomology, cycle_periods,
-    homology, is_integral_form, n_cycles, zero_cochain,
-    _cochain, _mod1, _normal_form, _over_common_denominator,
+    basis_cochain, coboundary, cochain_on_cycle_basis, cohomology,
+    cycle_periods, homology, integral_form_generators, is_integral_form,
+    n_cycles, zero_cochain,
+    _cochain, _mod1, _normal_form,
 )
 from .diffcocycle import (
-    DiffClass, class_equal, delta1, delta2, i1 as dc_i1, i2 as dc_i2,
-    lift_through_i2, pullback, sample_classes,
+    DiffClass, class_equal, coboundary_shift, delta1, delta2,
+    i1 as dc_i1, i2 as dc_i2, lift_through_i2, preimage_of_form, pullback,
+    sample_classes, sample_qmodz_classes, sample_quotient_forms,
 )
 from .geometry import (
-    GeometryBudgetExceeded, GoodNeighborhood, good_neighborhood_of_cycle,
-    normalize_cycle,
+    GeometryBudgetExceeded, GoodNeighborhood, good_neighborhood,
+    good_neighborhood_of_cycle, normalize_cycle,
 )
 from .report import SKIPPED, CheckResult, check
-from .simplicial import Complex, MismatchError, SimplicialMap
+from .simplicial import (
+    Complex, MismatchError, SimplicialMap, chain_support,
+    closed_star_neighborhood,
+)
 
 
 @dataclass(frozen=True)
 class Character:
-    """Q/Z values f_num.get(t, 0) / f_den on the cycle basis of Z_{k-1}:
-    `f_num` is a dict from cycle index to int, in the normal form of a
-    Q/Z cochain (no zero, 0 < f_num[t] < f_den, no common factor), plus
-    a compatible form omega. Two characters are equal when they live on
-    the same complex object with equal fields; they are not hashable."""
+    """Q/Z values f_num.get(t, 0) / f_den on the cycle basis of Z_{k-1},
+    plus a compatible form omega. `f_num` is a sparse dict from cycle
+    index to int, stored in the normal form of a Q/Z cochain (no zero,
+    0 < f_num[t] < f_den, no common factor); an index outside
+    range(n_cycles) or an f_den below 1 is a ValueError. Two characters
+    are equal when they live on the same complex object with equal
+    fields; they are not hashable."""
 
     __hash__ = None
 
@@ -51,6 +61,8 @@ class Character:
     omega: Cochain        # rational degree-k cochain, in the integral forms
 
     def __post_init__(self):
+        if self.f_den < 1:
+            raise ValueError(f"character denominator {self.f_den} is below 1")
         n = n_cycles(self.cx, self.degree - 1)
         for t in self.f_num:
             if not 0 <= t < n:
@@ -60,14 +72,6 @@ class Character:
         num, den = _normal_form(RING_QMODZ, self.f_num, self.f_den)
         object.__setattr__(self, "f_num", num)
         object.__setattr__(self, "f_den", den)
-
-    @property
-    def f_values(self) -> tuple:
-        """The values on the cycle basis as Fractions in [0, 1), one per
-        cycle-basis vector."""
-        f = self.f_num
-        return tuple(Fraction(f.get(t, 0), self.f_den)
-                     for t in range(n_cycles(self.cx, self.degree - 1)))
 
     @cached_property
     def _lift(self) -> Cochain:
@@ -83,25 +87,16 @@ class Character:
         return self._lift.pair(z)
 
 
-def _character(cx: Complex, k: int, f_values, omega: Cochain) -> Character:
-    """The character with the given int or Fraction values on the cycle
-    basis."""
-    num, den = _over_common_denominator(f_values)
-    return Character(cx, k, dict(enumerate(num)), den, omega)
-
-
-def is_character(cx: Complex, k: int, f_values, omega: Cochain) -> bool:
+def is_character(ch: Character) -> bool:
     """Compatibility f(boundary e) = omega(e) mod 1 on every basis k-chain,
     with omega closed of integral periods. As f(boundary e) = T(boundary e)
     mod 1 for the lift T, that is delta T = omega mod 1."""
-    if omega.degree != k or omega.ring not in (RING_Z, RING_Q):
+    omega = ch.omega
+    if omega.degree != ch.degree or omega.ring not in (RING_Z, RING_Q):
         return False
     if not is_integral_form(omega):
         return False
-    if len(f_values) != n_cycles(cx, k - 1):
-        return False
-    ch = _character(cx, k, f_values, omega.to_q())
-    return (coboundary(lift_T(ch)) - ch.omega).mod1().is_zero()
+    return (coboundary(lift_T(ch)) - omega.to_q()).mod1().is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -248,9 +243,6 @@ def verify_equivalence(cx: Complex, k: int, rng, n_round_trips: int = 20,
                        maps=None) -> list[CheckResult]:
     """The equivalence suite: both models carry the same structure and the
     translation is a bijection computed constructively."""
-    from .cochains import basis_cochain, integral_form_generators
-    from .diffcocycle import (coboundary_shift, sample_qmodz_classes,
-                              sample_quotient_forms)
     results = []
     classes = sample_classes(cx, k, rng, count=6)
 
@@ -258,7 +250,7 @@ def verify_equivalence(cx: Complex, k: int, rng, n_round_trips: int = 20,
     probs = []
     for idx, x in enumerate(classes):
         ch = phi_direct(x)
-        if not is_character(cx, k, ch.f_values, ch.omega):
+        if not is_character(ch):
             probs.append(("phi_direct output fails the character condition", idx))
         n_prev = cx.n_simplices(k - 1) if k >= 1 else 0
         if n_prev:
@@ -316,8 +308,8 @@ def verify_equivalence(cx: Complex, k: int, rng, n_round_trips: int = 20,
         trips += 1
     # synthesized characters round-trip too
     for trial in range(3):
-        f = [Fraction(rng.randrange(0, 6), 6) for _ in range(n_cycles(cx, k - 1))]
-        ch = character_from_holonomies(cx, k, f)
+        f = {t: rng.randrange(0, 6) for t in range(n_cycles(cx, k - 1))}
+        ch = character_from_holonomies(cx, k, f, 6)
         x = phi_inverse(ch)
         if phi_direct(x) != ch:
             probs.append(("synthesized character fails the round trip", trial))
@@ -337,9 +329,10 @@ def verify_equivalence(cx: Complex, k: int, rng, n_round_trips: int = 20,
             u = cohomology(cx, k - 1, RING_QMODZ).class_from_cocycle(ch._lift)
             if char_i1(u) != ch:
                 probs.append(("flat character outside im(i1)",))
+    # delta1 surjectivity: phi_direct keeps the form of its class, so the
+    # preimage class of each generator carries it
     for om in integral_form_generators(cx, k):
-        ch = character_with_form(cx, k, om)
-        if ch.omega.to_q() != om.to_q():
+        if preimage_of_form(cx, om).omega != om.to_q():
             probs.append(("delta1 surjectivity on the hom model",))
     results.append(check("phi.five_lemma_rows", not probs, "",
                          {"problems": probs}))
@@ -362,16 +355,12 @@ def verify_equivalence(cx: Complex, k: int, rng, n_round_trips: int = 20,
     return results
 
 
-def character_with_form(cx: Complex, k: int, omega: Cochain) -> Character:
-    """Some character with the given integral form (delta1 surjectivity)."""
-    from .diffcocycle import preimage_of_form
-    return phi_direct(preimage_of_form(cx, omega.to_q()))
-
-
-def character_from_holonomies(cx: Complex, k: int, f_values) -> Character:
-    """The character with the given values on the cycle basis and the
-    exact form of its canonical lift (any holonomy data is realizable)."""
-    ch0 = _character(cx, k, f_values, zero_cochain(cx, RING_Q, k))
+def character_from_holonomies(cx: Complex, k: int, f_num: dict,
+                              f_den: int) -> Character:
+    """The character with the values f_num.get(t, 0) / f_den on the cycle
+    basis and the exact form of its canonical lift (any holonomy data is
+    realizable)."""
+    ch0 = Character(cx, k, f_num, f_den, zero_cochain(cx, RING_Q, k))
     return Character(cx, k, ch0.f_num, ch0.f_den, coboundary(lift_T(ch0)))
 
 
@@ -461,8 +450,6 @@ def _phi_good_alternative(x: DiffClass, z, max_subdiv: int):
     """The phi_good value through a second good neighborhood: first try a
     strictly finer one (deeper subdivision), else a fattened star; None
     when no alternative fits the subdivision budget."""
-    from .geometry import good_neighborhood
-    from .simplicial import chain_support, closed_star_neighborhood
     cx = x.cx
     k = x.degree
     support = chain_support(cx, k - 1, z)

@@ -317,7 +317,7 @@ def sample_quotient_forms(cx: Complex, k: int, rng, count: int = 3):
     return out
 
 
-def sample_qmodz_classes(cx: Complex, j: int, rng, count: int = 3):
+def sample_qmodz_classes(cx: Complex, j: int, rng):
     g = cohomology(cx, j, RING_QMODZ)
     out = [g.zero_class()]
     for i in range(g.rank):
@@ -451,7 +451,7 @@ def verify_diagram(cx: Complex, k: int, rng, maps=None) -> list[CheckResult]:
         for mi, phi in enumerate(maps):
             if phi.target is not cx:
                 continue
-            for u in sample_qmodz_classes(cx, k - 1, rng, count=2):
+            for u in sample_qmodz_classes(cx, k - 1, rng):
                 lhs = pullback(phi, i1(u))
                 rhs = i1_of_cocycle(u.cocycle().pullback(phi))
                 if not class_equal_on_source(phi, lhs, rhs):

@@ -18,7 +18,8 @@ from .cochains import (
 )
 from .diffcocycle import (
     DiffClass, class_equal, class_equal_on_source, delta1, delta2, i1, i2,
-    pullback, sample_classes, zero_class,
+    pullback, sample_classes, sample_qmodz_classes, sample_quotient_forms,
+    zero_class,
 )
 from .report import CheckResult, check
 from .simplicial import Complex, MismatchError
@@ -99,7 +100,7 @@ def verify_ring_axioms(cx: Complex, degrees, rng, maps=None) -> list[CheckResult
     defect_probs = []
     for idx, (x, y) in enumerate(pairs):
         lhs = star(x, y)
-        rhs = star(y, x).scale((-1) ** (k * l))
+        rhs = _flip_star(x, y)
         if not class_equal(lhs, rhs):
             probs.append(idx)
             if len(wit) < 2:
@@ -137,7 +138,6 @@ def verify_ring_axioms(cx: Complex, degrees, rng, maps=None) -> list[CheckResult
                          "class-level equality in H(Z)", {"failing_pairs": probs}))
 
     # 1.20: module structure over flat classes
-    from .diffcocycle import sample_qmodz_classes
     probs = []
     count = 0
     for x in xs[:3]:
@@ -151,7 +151,6 @@ def verify_ring_axioms(cx: Complex, degrees, rng, maps=None) -> list[CheckResult
                          f"{count} pairs", {"problems": probs}))
 
     # 1.21: module structure over quotient forms
-    from .diffcocycle import sample_quotient_forms
     probs = []
     count = 0
     for x in xs[:3]:
@@ -180,8 +179,7 @@ def verify_ring_axioms(cx: Complex, degrees, rng, maps=None) -> list[CheckResult
         if not delta1(d_flip).is_zero():
             probs.append(("difference with the flip variant is not flat", idx))
     for x in xs[:2]:
-        from .diffcocycle import sample_quotient_forms as sqf
-        for th in sqf(cx, l, rng)[:2]:
+        for th in sample_quotient_forms(cx, l, rng)[:2]:
             d = star(x, i2(th)) - _flip_star(x, i2(th))
             if not class_equal(d, zero_class(cx, k + l)):
                 probs.append(("difference does not vanish on an i2 image",))

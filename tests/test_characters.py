@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from charrig import corpus, zlin
+from charrig import characters, corpus, diffcocycle, zlin
 from charrig.cochains import (
     Cochain, _mod1, basis_cochain, bockstein, coboundary, cohomology,
     cycle_coords, integral_form_generators, zero_cochain,
@@ -18,8 +18,8 @@ from charrig.characters import (
     sample_cycles, verify_equivalence, verify_phi_good,
 )
 from charrig.diffcocycle import (
-    class_equal, delta2, i1, i2, pullback, sample_classes, verify_diagram,
-    zero_class,
+    class_equal, delta2, i1, i2, preimage_of_form, pullback, sample_classes,
+    verify_diagram, zero_class,
 )
 from charrig.simplicial import (
     barycentric_subdivide, complex_from_maximal, load_complex,
@@ -38,7 +38,7 @@ def _complex(name):
 
 def test_evaluate_linearity_and_errors(cx):
     s1 = cx("s1")
-    ch = character_from_holonomies(s1, 2, [Fraction(1, 3)])
+    ch = character_from_holonomies(s1, 2, {0: 1}, 3)
     z = list(cycle_basis(s1, 1)[0])
     assert ch.evaluate([0, 0, 0]) == 0
     assert ch.evaluate(z) == Fraction(1, 3)
@@ -57,34 +57,36 @@ def test_evaluate_through_the_lift_is_the_basis_formula(name, rnd):
     for k in range(1, X.dim + 2):
         K = cycle_basis(X, k - 1)
         ch = character_from_holonomies(
-            X, k, [Fraction(rnd.randrange(12), 12) for _ in K])
+            X, k, {t: rnd.randrange(12) for t in range(len(K))}, 12)
         coeffs = [rnd.randrange(-3, 4) for _ in K]
         z = [sum(c * g[i] for c, g in zip(coeffs, K))
              for i in range(X.n_simplices(k - 1))]
         a = [rnd.randrange(-2, 3) for _ in range(X.n_simplices(k))]
         if a:
             z = [p + q for p, q in zip(z, X.boundary_of_chain(k, a))]
-        expect = _mod1(zlin.vec_dot(ch.f_values, cycle_coords(X, k - 1, z)))
+        expect = _mod1(Fraction(zlin.vec_dot(cycle_coords(X, k - 1, z),
+                                             ch.f_num), ch.f_den))
         assert ch.evaluate(z) == expect, k
 
 
 def test_is_character_examples(cx):
     s1 = cx("s1")
     zc = phi_direct(zero_class(s1, 1))
-    assert is_character(s1, 1, zc.f_values, zc.omega)
+    assert is_character(zc)
     # a valid degree-1 pair on the triangle, built by the solver
-    ch = character_from_holonomies(
-        s1, 1, [Fraction(1, 3), Fraction(0), Fraction(1, 2)])
-    assert is_character(s1, 1, ch.f_values, ch.omega)
+    ch = character_from_holonomies(s1, 1, {0: 2, 2: 3}, 6)
+    assert is_character(ch)
     # perturb the form off the compatibility identity
     bad = ch.omega + basis_cochain(s1, "Q", 1, 0).scale(Fraction(1, 2))
-    assert not is_character(s1, 1, ch.f_values, bad)
+    assert not is_character(Character(s1, 1, ch.f_num, ch.f_den, bad))
 
 
 def test_is_character_rejects_bad_data(cx):
     s1 = cx("s1")
-    assert not is_character(s1, 2, [Fraction(1, 3)],
-                            basis_cochain(s1, "Q", 1, 0).scale(Fraction(1, 2)))
+    # a form of degree 1 on a degree-2 character
+    ch = Character(s1, 2, {0: 1}, 3,
+                   basis_cochain(s1, "Q", 1, 0).scale(Fraction(1, 2)))
+    assert not is_character(ch)
 
 
 def test_character_rejects_indices_outside_the_cycle_basis(cx):
@@ -96,12 +98,21 @@ def test_character_rejects_indices_outside_the_cycle_basis(cx):
             Character(s1, 2, {t: 1}, 2, om)
 
 
+def test_character_rejects_a_denominator_below_1(cx):
+    """-2 would store f_num == {0: -1}, outside the normal form, and 0
+    would divide by zero."""
+    s1 = cx("s1")
+    om = zero_cochain(s1, "Q", 2)
+    for den in (-2, 0):
+        with pytest.raises(ValueError):
+            Character(s1, 2, {0: 1}, den, om)
+
+
 def test_char_i1_holonomy_at_cycle_index_0(cx):
     s1 = cx("s1")
     u = cohomology(s1, 1, "QmodZ").make([Fraction(1, 2)])
     ch = char_i1(u)
     assert ch.f_num == {0: 1} and ch.f_den == 2
-    assert ch.f_values == (Fraction(1, 2),)
 
 
 def test_delta2_via_lift_zero_character(cx):
@@ -113,8 +124,7 @@ def test_delta2_via_lift_detects_period_class(cx):
     s1 = cx("s1")
     z = cycle_basis(s1, 1)[0]
     om = Cochain(s1, "Q", 1, tuple(Fraction(c, 3) for c in z))  # period 1
-    from charrig.characters import character_with_form
-    ch = character_with_form(s1, 1, om)
+    ch = phi_direct(preimage_of_form(s1, om))
     cls = delta2_via_lift(ch)
     hz1 = cohomology(s1, 1, "Z")
     assert cls.group is hz1 and abs(cls.coords[0]) == 1
@@ -141,7 +151,8 @@ def test_phi_direct_unwinds_i2(cx):
     th = QuotientForm(th_rep)
     ch = phi_direct(i2(th))
     K = cycle_basis(t2, 1)
-    for z, val in zip(K, ch.f_values):
+    for t, z in enumerate(K):
+        val = Fraction(ch.f_num.get(t, 0), ch.f_den)
         assert val == th_rep.pair(z) % 1
         assert (val - th_rep.pair(z)).denominator == 1
     assert ch.omega.values == coboundary(th_rep).values
@@ -150,7 +161,7 @@ def test_phi_direct_unwinds_i2(cx):
 
 def test_phi_inverse_holonomy_character(cx):
     s1 = cx("s1")
-    ch = character_from_holonomies(s1, 2, [Fraction(1, 3)])
+    ch = character_from_holonomies(s1, 2, {0: 1}, 3)
     x = phi_inverse(ch)
     assert x.c.values == ()  # no 2-simplices on the circle
     assert x.omega.values == ()
@@ -215,7 +226,7 @@ def test_character_pullback_is_hom_model(cx):
     s1 = cx("s1")
     sd = barycentric_subdivide(s1)
     lv = sd.last_vertex
-    ch = character_from_holonomies(s1, 2, [Fraction(1, 4)])
+    ch = character_from_holonomies(s1, 2, {0: 1}, 4)
     pulled = char_pullback(lv, ch)
     z6 = cycle_basis(sd.complex, 1)[0]
     assert pulled.evaluate(list(z6)) == ch.evaluate(lv.push_chain(1, list(z6)))
@@ -305,3 +316,44 @@ def test_degree_2_suites_make_fewer_vec_dots_than_form_generators(monkeypatch):
         results = suite(X, 2, random.Random(0))
         assert all(r.status == "pass" for r in results)
         assert len(calls) < n_gens, (suite.__name__, len(calls))
+
+
+def test_delta1_surjectivity_builds_no_character_per_form(monkeypatch):
+    """`phi.five_lemma_rows` reads delta1 surjectivity off the class that
+    `preimage_of_form` returns: in a degree-2 equivalence pass on sd1(t2)
+    none of those classes reaches `phi_direct`."""
+    X = barycentric_subdivide(load_complex(corpus.resolve("t2"))).complex
+    made = []
+    real_pre, real_phi = preimage_of_form, phi_direct
+
+    def spy_pre(cx, om):
+        made.append(real_pre(cx, om))
+        return made[-1]
+
+    def spy_phi(x):
+        assert not any(x is y for y in made), "phi_direct of a form preimage"
+        return real_phi(x)
+
+    monkeypatch.setattr(diffcocycle, "preimage_of_form", spy_pre)
+    monkeypatch.setattr(characters, "preimage_of_form", spy_pre, raising=False)
+    monkeypatch.setattr(characters, "phi_direct", spy_phi)
+    results = verify_equivalence(X, 2, random.Random(0))
+    assert all(r.status == "pass" for r in results)
+    assert len(made) == sum(1 for _ in integral_form_generators(X, 2))
+
+
+def test_five_lemma_rows_catches_a_preimage_with_the_wrong_form(monkeypatch):
+    """With `preimage_of_form` planted to return the zero class for a
+    nonzero form, the delta1 surjectivity row fails."""
+    t2 = corpus.load("t2")
+    real = preimage_of_form
+
+    def planted(cx, om):
+        return real(cx, om) if om.is_zero() else zero_class(cx, om.degree)
+
+    monkeypatch.setattr(diffcocycle, "preimage_of_form", planted)
+    monkeypatch.setattr(characters, "preimage_of_form", planted, raising=False)
+    status = {r.name: r for r in verify_equivalence(t2, 2, random.Random(0))}
+    row = status["phi.five_lemma_rows"]
+    assert row.status == "fail"
+    assert ("delta1 surjectivity on the hom model",) in row.witness["problems"]
