@@ -78,8 +78,8 @@ class Character:
         """The floor lift T reduced mod 1, a Q/Z cochain."""
         return lift_T(self).mod1()
 
-    def evaluate(self, z) -> Fraction:
-        """Value on an integer (k-1)-cycle: the floor lift T takes f's
+    def evaluate(self, z: dict) -> Fraction:
+        """Value on a sparse integer (k-1)-cycle: the floor lift T takes f's
         values on the cycle basis and vanishes on the rest of the
         Smith-adapted basis, so f(z) = T(z) mod 1."""
         if not self.cx.is_cycle(self.degree - 1, z):
@@ -149,20 +149,21 @@ def phi_inverse(ch: Character) -> DiffClass:
     return DiffClass(c, T, ch.omega)
 
 
-def phi_good(x: DiffClass, z, max_subdiv: int = 2) -> Fraction:
+def phi_good(x: DiffClass, z: dict, max_subdiv: int = 2) -> Fraction:
     """Evaluate the class on a cycle through a good neighborhood of its
     support: restrict, lift through i2, integrate the quotient form."""
     cx = x.cx
     k = x.degree
     if not cx.is_cycle(k - 1, z):
         raise NotACycle("chain has nonzero boundary")
-    if all(c == 0 for c in z):
+    if not z:
         return Fraction(0)
     nb = good_neighborhood_of_cycle(cx, k - 1, z, k - 1, max_subdiv)
     return _value_on_neighborhood(x, nb, z)
 
 
-def _value_on_neighborhood(x: DiffClass, nb: GoodNeighborhood, z) -> Fraction:
+def _value_on_neighborhood(x: DiffClass, nb: GoodNeighborhood,
+                           z: dict) -> Fraction:
     """Restrict a class to a good neighborhood, lift it through i2 there
     (possible because H^k vanishes) and integrate over the carried cycle."""
     y = x
@@ -174,7 +175,7 @@ def _value_on_neighborhood(x: DiffClass, nb: GoodNeighborhood, z) -> Fraction:
     return theta.rep.mod1().pair(z_local)
 
 
-def evaluate_via_normalization(x: DiffClass, z) -> Fraction:
+def evaluate_via_normalization(x: DiffClass, z: dict) -> Fraction:
     """Evaluate on a cycle through its pseudomanifold normalization:
     z = boundary(b) + P gives the value omega(b) + f(P)."""
     cx = x.cx
@@ -381,8 +382,8 @@ def verify_phi_good(cx: Complex, k: int, rng, n_pairs: int = 6,
 
     probs = []
     for idx, (x, z) in enumerate(pairs):
-        direct = phi_direct(x).evaluate(list(z))
-        via_nb = phi_good(x, list(z), max_subdiv)
+        direct = phi_direct(x).evaluate(z)
+        via_nb = phi_good(x, z, max_subdiv)
         if direct != via_nb:
             probs.append(("phi_good disagrees with phi_direct", idx))
     results.append(check("phi.good_neighborhood_agreement", not probs,
@@ -393,10 +394,10 @@ def verify_phi_good(cx: Complex, k: int, rng, n_pairs: int = 6,
     probs = []
     compared = 0
     for idx, (x, z) in enumerate(pairs[:3]):
-        if all(c == 0 for c in z):
+        if not z:
             continue
-        v1 = phi_good(x, list(z), max_subdiv)
-        v2 = _phi_good_alternative(x, list(z), max_subdiv)
+        v1 = phi_good(x, z, max_subdiv)
+        v2 = _phi_good_alternative(x, z, max_subdiv)
         if v2 is None:
             continue
         compared += 1
@@ -411,8 +412,7 @@ def verify_phi_good(cx: Complex, k: int, rng, n_pairs: int = 6,
     n_k = cx.n_simplices(k)
     x = classes[min(1, len(classes) - 1)]
     for e in range(min(n_k, 3)):
-        vec = [0] * n_k
-        vec[e] = 1
+        vec = {e: 1}
         bnd = cx.boundary_of_chain(k, vec)
         if phi_direct(x).evaluate(bnd) != delta1(x).mod1().pair(vec):
             probs.append(("boundary evaluation misses the form", e))
@@ -425,11 +425,11 @@ def verify_phi_good(cx: Complex, k: int, rng, n_pairs: int = 6,
     # was skipped the check compared nothing and is itself skipped
     probs, skipped, compared = [], [], 0
     for idx, (x, z) in enumerate(pairs[:4]):
-        if k - 1 >= cx.dim or all(c == 0 for c in z):
+        if k - 1 >= cx.dim or not z:
             continue
-        direct = phi_direct(x).evaluate(list(z))
+        direct = phi_direct(x).evaluate(z)
         try:
-            via_pm = evaluate_via_normalization(x, list(z))
+            via_pm = evaluate_via_normalization(x, z)
         except GeometryBudgetExceeded:
             skipped.append(idx)
             continue
@@ -446,7 +446,7 @@ def verify_phi_good(cx: Complex, k: int, rng, n_pairs: int = 6,
     return results
 
 
-def _phi_good_alternative(x: DiffClass, z, max_subdiv: int):
+def _phi_good_alternative(x: DiffClass, z: dict, max_subdiv: int):
     """The phi_good value through a second good neighborhood: first try a
     strictly finer one (deeper subdivision), else a fattened star; None
     when no alternative fits the subdivision budget."""
@@ -473,18 +473,15 @@ def _phi_good_alternative(x: DiffClass, z, max_subdiv: int):
 
 
 def sample_cycles(cx: Complex, d: int, rng):
-    """Deterministic cycle samples: homology generators, a boundary, a
-    doubled generator, and the zero cycle."""
-    out = []
-    n = cx.n_simplices(d)
+    """Deterministic sparse cycle samples: homology generators (shared
+    with `homology`, read-only), a boundary, a doubled generator, and the
+    zero cycle."""
     hom = homology(cx, d)
-    for g in hom.gen_cycles:
-        out.append(tuple(g))
+    out = list(hom.gen_cycles)
     if cx.n_simplices(d + 1):
-        vec = [0] * cx.n_simplices(d + 1)
-        vec[rng.randrange(cx.n_simplices(d + 1))] = 1
-        out.append(tuple(cx.boundary_of_chain(d + 1, vec)))
+        e = rng.randrange(cx.n_simplices(d + 1))
+        out.append(cx.boundary_of_chain(d + 1, {e: 1}))
     if hom.gen_cycles:
-        out.append(tuple(2 * c for c in hom.gen_cycles[0]))
-    out.append((0,) * n)
+        out.append({i: 2 * c for i, c in hom.gen_cycles[0].items()})
+    out.append({})
     return out

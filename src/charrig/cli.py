@@ -13,7 +13,7 @@ import random
 import sys
 import time
 
-from . import __version__, corpus
+from . import __version__, corpus, zlin
 from .cochains import (
     RING_Q, RING_QMODZ, RING_Z, check_exactness, coboundary,
     cohomology, integral_form_generators,
@@ -183,9 +183,9 @@ def cmd_pseudo(cx: Complex, args, jobs: int) -> Report:
         nb = out.neighborhood
         # the chain must bound the carried cycle, and H^j must vanish
         # above nb.k in the neighborhood
-        db = nb.complex.boundary_of_chain(nb.k + 1, out.chain)
-        wrong = [list(s) for s, a, b in zip(nb.complex.simplices[nb.k], db,
-                                            out.cycle) if a != b]
+        diff = zlin.combine((1, -1), (nb.complex.boundary_of_chain(
+            nb.k + 1, out.chain), out.cycle))
+        wrong = [list(nb.complex.simplices[nb.k][i]) for i in sorted(diff)]
         vanishes = cohomology_vanishes_above(nb.complex, nb.k)
         if wrong or not vanishes:
             return [check("pseudo.bounding", False,
@@ -198,7 +198,7 @@ def cmd_pseudo(cx: Complex, args, jobs: int) -> Report:
                       f"subdivision level {nb.level}; collapse certificate "
                       f"removed {out.collapse_pairs} pairs down to dimension "
                       f"{out.collapsed_dim}",
-                      {"chain_cells": sum(1 for c in out.chain if c),
+                      {"chain_cells": len(out.chain),
                        "neighborhood_counts":
                            [nb.complex.n_simplices(j)
                             for j in range(nb.complex.dim + 1)]})]

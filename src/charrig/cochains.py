@@ -5,8 +5,9 @@ Coefficient conventions: "R" is realized as Q and "R/Z" as Q/Z. A cochain
 holds its nonzero integer numerators, a dict from simplex index, over one
 positive common denominator, in the normal form given in `Cochain`, so
 sums, coboundaries, cup products and pairings are integer operations on
-the nonzeros with at most one division at the end. Only `Cochain.values`
-spells a cochain out densely.
+the nonzeros with at most one division at the end. Chains, homology
+generator cycles and cycle coordinates are sparse dicts of nonzeros too
+(see `simplicial`); only `Cochain.values` spells a cochain out densely.
 H^j(Q/Z) is presented as Hom(H_j, Q/Z): an element is its tuple of
 evaluations on a fixed homology generator basis (free generators first,
 then one coordinate per torsion factor), and a representative cocycle is
@@ -132,12 +133,14 @@ class Cochain:
         return _cochain(self.cx, self.ring, self.degree,
                         {i: p * v for i, v in self.num.items()}, self.den * q)
 
-    def pair(self, chain_vec):
-        """Evaluate on a chain coefficient vector, one entry per simplex: an
-        int over Z, a Fraction over Q, a Fraction in [0, 1) over Q/Z."""
-        if len(chain_vec) != self.cx.n_simplices(self.degree):
-            raise zlin.ShapeError("chain and cochain lengths differ")
-        total = zlin.vec_dot(chain_vec, self.num)
+    def pair(self, chain: dict):
+        """Evaluate on a sparse chain {simplex index: coefficient}: an int
+        over Z, a Fraction over Q, a Fraction in [0, 1) over Q/Z. A
+        ShapeError when an index lies outside the simplices."""
+        n = self.cx.n_simplices(self.degree)
+        if chain and (min(chain) < 0 or max(chain) >= n):
+            raise zlin.ShapeError(f"chain index outside the {n} simplices")
+        total = zlin.vec_dot(chain, self.num)
         if self.ring == RING_Z:
             return total
         if self.ring == RING_QMODZ:
@@ -340,12 +343,14 @@ def cycle_periods(x: Cochain) -> dict:
     return {t: p for t, p in out.items() if p}
 
 
-def cycle_coords(cx: Complex, j: int, vec):
-    """Coordinates of a j-cycle in the cycle basis (NotACycle otherwise)."""
+def cycle_coords(cx: Complex, j: int, vec: dict) -> dict:
+    """The nonzero coordinates {t: c_t} of a sparse j-cycle in the cycle
+    basis (NotACycle otherwise)."""
     if not cx.is_cycle(j, vec):
         raise NotACycle("chain has nonzero boundary")
     fact = _snf_boundary(cx, j)
-    return [zlin.vec_dot(vec, row) for row in fact.Vinv[fact.rank:]]
+    return {t: c for t, row in enumerate(fact.Vinv[fact.rank:])
+            if (c := zlin.vec_dot(row, vec))}
 
 
 def cochain_on_cycle_basis(cx: Complex, j: int, num, ring: str,
@@ -370,8 +375,7 @@ def cocycle_coords(cx: Complex, j: int, num: dict) -> list:
     fact = _snf_boundary(cx, j)
     hom = homology(cx, j)
     return ([zlin.vec_dot(z, num) for z in hom.gen_cycles[:hom.rank]]
-            + [sum(num.get(r, 0) * v for r, v in fact.V[i].items())
-               for i in _torsion_indices(fact)])
+            + [zlin.vec_dot(fact.V[i], num) for i in _torsion_indices(fact)])
 
 
 def solve_coboundary(cx: Complex, j: int, b: Cochain, integral: bool):
@@ -391,7 +395,8 @@ class HomologyData:
     cx: Complex
     degree: int
     fg: zlin.FgAbelianGroup      # presentation over cycle coordinates
-    gen_cycles: tuple            # ambient chain vectors, free gens then torsion
+    gen_cycles: tuple            # sparse chains, free gens then torsion;
+                                 # shared and read-only
 
     @property
     def rank(self):
@@ -401,7 +406,7 @@ class HomologyData:
     def torsion(self):
         return self.fg.torsion
 
-    def project_chain(self, vec) -> tuple:
+    def project_chain(self, vec: dict) -> tuple:
         return self.fg.project(cycle_coords(self.cx, self.degree, vec))
 
     def cochain_with_periods(self, coords, ring: str) -> Cochain:
@@ -432,9 +437,7 @@ def homology(cx: Complex, j: int) -> HomologyData:
                     y[c] = y.get(c, 0) + s * v
             Y.append({c: y[c] for c in sorted(y) if y[c]})
         fg = zlin.cokernel(Y, ambient=len(K), ncols=cx.n_simplices(j + 1))
-        n = cx.n_simplices(j)
-        gens = tuple(tuple(zlin.dense(zlin.combine(fg.lift(e), K), n))
-                     for e in _units(fg.n_coords))
+        gens = tuple(zlin.combine(fg.lift(e), K) for e in _units(fg.n_coords))
         cx._cache[key] = HomologyData(cx, j, fg, gens)
     return cx._cache[key]
 

@@ -45,7 +45,8 @@ def load(name: str) -> Complex:
 
 
 def load_cycle(name: str, cx: Complex):
-    """Load a cycle file; returns (degree, coefficient vector on cx)."""
+    """Load a cycle file; returns (degree, sparse chain on cx). A ParseError
+    when the entries cancel to the zero chain."""
     path = resolve(name, kind="cycle")
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -60,7 +61,7 @@ def load_cycle(name: str, cx: Complex):
                          f"integer in 0..{cx.dim}")
     if not isinstance(chain, list):
         raise ParseError(f"cycle file {path}: 'chain' is not a list")
-    vec = [0] * cx.n_simplices(d)
+    vec = {}
     for entry in chain:
         if not (isinstance(entry, list) and len(entry) == 2
                 and isinstance(entry[0], list) and len(entry[0]) == d + 1
@@ -69,9 +70,13 @@ def load_cycle(name: str, cx: Complex):
                              f"not a [{d}-simplex, integer] pair")
         simplex, coef = entry
         try:
-            vec[cx.simplex_index(tuple(simplex))] += coef
+            i = cx.simplex_index(tuple(simplex))
         except KeyError as e:
             raise ParseError(f"cycle file {path}: {e.args[0]}") from None
+        vec[i] = vec.get(i, 0) + coef
+    vec = {i: c for i, c in vec.items() if c}
+    if not vec:
+        raise ParseError(f"cycle file {path}: the chain is zero")
     return d, vec
 
 

@@ -20,9 +20,11 @@ from itertools import chain
 from .cochains import (
     RING_Q, RING_QMODZ, RING_Z,
     Cochain, CohomologyClass, QuotientForm,
-    basis_cochain, coboundary, cochain_on_cycle_basis, cohomology,
-    cycle_periods, is_integral_form, integral_form_generators,
-    solve_coboundary, zero_cochain, _coboundary_num, _cochain, _units,
+    alpha, basis_cochain, beta, bockstein, coboundary,
+    cochain_on_cycle_basis, cohomology, cycle_periods, d_of_quotient,
+    is_integral_form, integral_form_generators, r_to_rational,
+    s_class_of_form, solve_coboundary, zero_cochain,
+    _coboundary_num, _cochain, _units,
 )
 from .report import CheckResult, InvariantError, check
 from .simplicial import Complex, MismatchError, SimplicialMap
@@ -337,8 +339,6 @@ def sample_qmodz_classes(cx: Complex, j: int, rng):
 def verify_diagram(cx: Complex, k: int, rng, maps=None) -> list[CheckResult]:
     """Exact diagonal sequences and the four commuting faces at degree k,
     checked constructively on generators and seeded samples."""
-    from .cochains import alpha, beta, bockstein, d_of_quotient, \
-        r_to_rational, s_class_of_form
     results = []
     hz = cohomology(cx, k, RING_Z)
     hqz_prev = cohomology(cx, k - 1, RING_QMODZ)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import zlin
+from .cochains import _snf_boundary, homology
 from .report import CheckResult, InvariantError, check
 from .simplicial import (
     Complex, SimplicialMap, Subcomplex, _sort_sign, chain_support,
@@ -44,7 +45,6 @@ class NotNullHomologous:
 def cohomology_vanishes_above(cx: Complex, k: int) -> bool:
     """H^j(cx; Z) = 0 for every j > k, decided by boundary-matrix ranks and
     invariant factors (H^j has rank b_j and torsion from the SNF of d_j)."""
-    from .cochains import _snf_boundary
     for j in range(k + 1, cx.dim + 1):
         f_j = _snf_boundary(cx, j)
         f_j1 = _snf_boundary(cx, j + 1)
@@ -92,13 +92,14 @@ class GoodNeighborhood(_TowerTransport):
         return _chain_to_subcomplex(self.inclusion, j, vec)
 
 
-def _chain_to_subcomplex(incl: SimplicialMap, j: int, vec):
-    """Reindex an ambient j-chain onto the source of the inclusion `incl`
-    of a subcomplex; a ValueError when the chain leaves the subcomplex."""
-    local = incl.pull_values(j, vec)
-    if incl.push_chain(j, local) != list(vec):
+def _chain_to_subcomplex(incl: SimplicialMap, j: int, vec: dict) -> dict:
+    """Reindex a sparse ambient j-chain onto the source of the inclusion
+    `incl` of a subcomplex through its chain columns, keeping the sign; a
+    ValueError when the chain leaves the subcomplex."""
+    back = {t: (c, sign) for c, (t, sign) in enumerate(incl.chain_columns(j))}
+    if not vec.keys() <= back.keys():
         raise ValueError("chain leaves the subcomplex")
-    return local
+    return {back[i][0]: back[i][1] * coef for i, coef in vec.items()}
 
 
 def _transport_subcomplex(K: Subcomplex, sd) -> Subcomplex:
@@ -162,7 +163,7 @@ def good_neighborhood_of_cycle(base: Complex, j: int, vec, k: int,
 class Pseudomanifold:
     complex: Complex               # abstract oriented (k-1)-complex
     map_to_ambient: SimplicialMap
-    fundamental_cycle: tuple       # +-1 coefficients on top simplices
+    fundamental_cycle: dict        # sparse top chain, +-1 on every top simplex
 
     @property
     def dim(self) -> int:
@@ -175,7 +176,8 @@ class Pseudomanifold:
         return {
             "simplices": [[list(s) for s in lvl] for lvl in self.complex.simplices],
             "vertex_map": list(self.map_to_ambient.vertex_map),
-            "fundamental_cycle": list(self.fundamental_cycle),
+            "fundamental_cycle": zlin.dense(self.fundamental_cycle,
+                                            self.complex.n_simplices(self.dim)),
         }
 
 
@@ -185,9 +187,9 @@ def is_pseudomanifold(P: Pseudomanifold) -> bool:
     surrogate (simplexwise injective, injective on top-cell interiors)."""
     cx = P.complex
     d = cx.dim
-    if len(P.fundamental_cycle) != cx.n_simplices(d):
+    if set(P.fundamental_cycle) != set(range(cx.n_simplices(d))):
         return False
-    if any(c not in (1, -1) for c in P.fundamental_cycle):
+    if any(c not in (1, -1) for c in P.fundamental_cycle.values()):
         return False
     # purity: every simplex is a face of a top cell
     covered = [set() for _ in range(d)]
@@ -207,7 +209,7 @@ def is_pseudomanifold(P: Pseudomanifold) -> bool:
     # embedding surrogate
     vm = P.map_to_ambient.vertex_map
     images = set()
-    for s, coef in zip(cx.simplices[d], P.fundamental_cycle):
+    for s in cx.simplices[d]:
         img = tuple(sorted(vm[v] for v in s))
         if len(set(img)) != d + 1:
             return False
@@ -236,14 +238,14 @@ class _UnionFind:
             self.parent[max(ra, rb)] = min(ra, rb)
 
 
-def resolve_cycle(ambient: Complex, d: int, vec):
+def resolve_cycle(ambient: Complex, d: int, vec: dict):
     """Reglue the +-1 cells of a d-cycle so every (d-1)-face has exactly
     two sheets with cancelling orientations; sheets are paired off in
     sorted order. The ambient images of the cells are untouched, so the
     pseudomanifold's fundamental cycle maps onto the input cycle."""
     if not ambient.is_cycle(d, vec):
         raise ValueError("input chain is not a cycle")
-    cells = [(i, c) for i, c in enumerate(vec) if c]
+    cells = sorted(vec.items())
     if any(abs(c) != 1 for _, c in cells):
         raise ValueError("resolve expects coefficients in {-1, 0, +1}")
     uf = _UnionFind()
@@ -294,11 +296,9 @@ def resolve_cycle(ambient: Complex, d: int, vec):
         coefs.append(coef * sign)
     abstract = complex_from_maximal(f"{ambient.name}|pm", sorted(set(tops)),
                                     len(order))
-    fund = [0] * abstract.n_simplices(d)
-    for t, c in zip(tops, coefs):
-        fund[abstract.simplex_index(t)] = c
+    fund = {abstract.simplex_index(t): c for t, c in zip(tops, coefs)}
     return Pseudomanifold(abstract, SimplicialMap(abstract, ambient, vertex_map),
-                          tuple(fund))
+                          fund)
 
 
 # ---------------------------------------------------------------------------
@@ -311,12 +311,12 @@ class SplitResult(_TowerTransport):
     tower: list
     complex: Complex      # where the output cycle lives
     degree: int
-    transported: list     # the input cycle transported to `complex`
-    cycle: list           # coefficients in {-1, 0, +1}
-    witness: list         # (d+1)-chain with transported = boundary(witness) + cycle
+    transported: dict     # the input cycle transported to `complex`
+    cycle: dict           # sparse, coefficients in {-1, +1}
+    witness: dict         # (d+1)-chain with transported = boundary(witness) + cycle
 
 
-def split_cycle(base: Complex, d: int, vec) -> SplitResult:
+def split_cycle(base: Complex, d: int, vec: dict) -> SplitResult:
     """Replace every coefficient-n cell of a d-cycle (n > 1) by n parallel
     copies routed through sectors of the second barycentric subdivision,
     homologous inside the closed star of the cell. Needs d < dim, unless
@@ -326,12 +326,11 @@ def split_cycle(base: Complex, d: int, vec) -> SplitResult:
     return _split_chain(base, d, vec)
 
 
-def _split_chain(base: Complex, d: int, vec) -> SplitResult:
+def _split_chain(base: Complex, d: int, vec: dict) -> SplitResult:
     """Splitting body; also valid for chains rel boundary, because every
     parallel copy shares the boundary of the cell it copies."""
-    if all(abs(c) <= 1 for c in vec):
-        return SplitResult(base, 0, [], base, d, list(vec), list(vec),
-                           [0] * base.n_simplices(d + 1))
+    if all(abs(c) <= 1 for c in vec.values()):
+        return SplitResult(base, 0, [], base, d, dict(vec), dict(vec), {})
     if d >= base.dim:
         raise DimensionError("splitting needs cycles below the top dimension")
     if d > 1:
@@ -342,10 +341,10 @@ def _split_chain(base: Complex, d: int, vec) -> SplitResult:
     z2 = vec
     for sd in tower:
         z2 = sd.subdivide_chain(d, z2)
-    z_out = list(z2)
-    b1 = [0] * Y.n_simplices(d + 1)
+    z_out = dict(z2)
+    b1 = {}
     cofaces = base._boundary_any(d + 1)
-    for i, coef in enumerate(vec):
+    for i, coef in sorted(vec.items()):
         n = abs(coef)
         if n <= 1:
             continue
@@ -355,33 +354,27 @@ def _split_chain(base: Complex, d: int, vec) -> SplitResult:
             raise GeometryBudgetExceeded(
                 f"cell {base.simplices[d][i]} has {len(slots)} cofaces, "
                 f"needs {n - 1} parallel slots")
-        unit = [0] * base.n_simplices(d)
-        unit[i] = 1
-        s2 = unit
+        s2 = {i: 1}
         for sd in tower:
             s2 = sd.subdivide_chain(d, s2)
-        for c in range(Y.n_simplices(d)):
-            z_out[c] -= (coef - sign) * s2[c]
+        zlin._axpy(z_out, s2, sign - coef)
         for copy_idx in range(n - 1):
             rho = slots[copy_idx]
             route = _parallel_copy(base, tower, d, i, rho)
-            for c, v in enumerate(route):
-                z_out[c] += sign * v
+            zlin._axpy(z_out, route, sign)
             # boundary(h) = route - s2, so the identity z2 = boundary(b1) + z'
             # wants -h per copy
             h = _local_homology_witness(base, tower, d, rho, route, s2)
-            for c, v in enumerate(h):
-                b1[c] -= sign * v
+            zlin._axpy(b1, h, -sign)
     # exactness of the bookkeeping: transported = boundary(b1) + cycle
-    db = Y.boundary_of_chain(d + 1, b1)
-    bad = [list(Y.simplices[d][c]) for c in range(Y.n_simplices(d))
-           if z2[c] != db[c] + z_out[c]]
+    bad = zlin.combine((1, -1, -1), (z2, Y.boundary_of_chain(d + 1, b1), z_out))
     if bad:
-        raise InvariantError("split witness identity failed", {"simplices": bad})
-    large = [list(Y.simplices[d][c]) for c, v in enumerate(z_out) if abs(v) > 1]
+        raise InvariantError("split witness identity failed", {"simplices": [
+            list(Y.simplices[d][c]) for c in sorted(bad)]})
+    large = [list(Y.simplices[d][c]) for c in sorted(z_out) if abs(z_out[c]) > 1]
     if large:
         raise InvariantError("split left a large coefficient", {"simplices": large})
-    return SplitResult(base, 2, tower, Y, d, list(z2), z_out, b1)
+    return SplitResult(base, 2, tower, Y, d, z2, z_out, b1)
 
 
 def _parallel_copy(base: Complex, tower, d: int, cell: int, rho: int):
@@ -389,15 +382,13 @@ def _parallel_copy(base: Complex, tower, d: int, cell: int, rho: int):
     of the coface rho, sharing exactly the cell's boundary."""
     sd1, sd2 = tower
     Y = sd2.complex
-    out = [0] * Y.n_simplices(d)
     if d == 0:
         v = base.simplices[0][cell][0]
         a, b = base.simplices[1][rho]
         mid = sd1.new_vertex(1, rho)
         quarter_edge = tuple(sorted((v, mid)))
         q = sd2.new_vertex(1, sd1.complex.simplex_index(quarter_edge))
-        out[Y.simplex_index((q,))] = 1
-        return out
+        return {Y.simplex_index((q,)): 1}
     # d == 1: route a -> c1 -> y -> c2 -> b inside the coface triangle
     a, b = base.simplices[1][cell]
     mid = sd1.new_vertex(1, cell)
@@ -406,17 +397,17 @@ def _parallel_copy(base: Complex, tower, d: int, cell: int, rho: int):
     c1 = sd2.new_vertex(2, s1cx.simplex_index(tuple(sorted((a, mid, beta)))))
     yv = sd2.new_vertex(1, s1cx.simplex_index(tuple(sorted((mid, beta)))))
     c2 = sd2.new_vertex(2, s1cx.simplex_index(tuple(sorted((b, mid, beta)))))
+    out = {}
     for (u, w) in ((a, c1), (c1, yv), (yv, c2), (c2, b)):
         lo, hi = (u, w) if u < w else (w, u)
-        idx = Y.simplex_index((lo, hi))
-        out[idx] += 1 if lo == u else -1
+        out[Y.simplex_index((lo, hi))] = 1 if lo == u else -1
     return out
 
 
 def _local_homology_witness(base: Complex, tower, d: int, rho: int,
                             route, s2):
     """Solve boundary(h) = route - s2 inside the subdivided closed coface."""
-    rhs = [r - s for r, s in zip(route, s2)]
+    rhs = zlin.combine((1, -1), (route, s2))
     local = _carrier_subcomplex(base, tower, d + 1, rho)
     sub, incl = local.as_complex()
     sol = zlin.solve_integer(sub._boundary_any(d + 1),
@@ -462,7 +453,7 @@ def _carrier_subcomplex(base: Complex, tower, d: int, idx: int) -> Subcomplex:
     return Subcomplex(top, included)
 
 
-def normalize_cycle(base: Complex, d: int, vec):
+def normalize_cycle(base: Complex, d: int, vec: dict):
     """Split then resolve: the full cycle-to-pseudomanifold pipeline.
     Returns (SplitResult, Pseudomanifold)."""
     sr = split_cycle(base, d, vec)
@@ -476,8 +467,8 @@ def normalize_cycle(base: Complex, d: int, vec):
 @dataclass
 class BoundResult:
     neighborhood: GoodNeighborhood
-    chain: list                 # y with boundary(y) = cycle, in the neighborhood
-    cycle: list                 # the fundamental cycle carried into it
+    chain: dict                 # y with boundary(y) = cycle, in the neighborhood
+    cycle: dict                 # the fundamental cycle carried into it
     collapse_pairs: int
     collapsed_dim: int
 
@@ -489,7 +480,6 @@ def bound_in_good_neighborhood(P: Pseudomanifold, base: Complex, tower,
 
     `base` and `tower` describe how P's ambient complex sits over the base
     complex (empty tower when they coincide)."""
-    from .cochains import homology
     d = P.dim
     k = d + 1
     ambient = P.map_to_ambient.target
@@ -503,27 +493,26 @@ def bound_in_good_neighborhood(P: Pseudomanifold, base: Complex, tower,
         return NotNullHomologous(coords, hom.fg.describe())
     if base.dim < k:
         raise DimensionError("ambient dimension is below the bounding degree")
-    from .cochains import _snf_boundary
     w = zlin.solve_integer([], zP, fact=_snf_boundary(ambient, k))
     if w is None:
         raise InvariantError("a null-homologous cycle does not bound",
                              {"cycle": [list(ambient.simplices[d][i])
-                                        for i, c in enumerate(zP) if c]})
+                                        for i in sorted(zP)]})
     if base.dim == k:
         # the cycle separates; pick the compact side by shifting with
         # multiples of the fundamental top cycles
-        w = _normalize_top_chain(ambient, k, w)
-        if any(abs(c) > 1 for c in w):
+        _normalize_top_chain(ambient, k, w)
+        if any(abs(c) > 1 for c in w.values()):
             raise GeometryBudgetExceeded(
                 "bounding chain cannot be normalized to unit coefficients")
-    elif any(abs(c) > 1 for c in w):
+    elif any(abs(c) > 1 for c in w.values()):
         sr = _split_chain(ambient, k, w)
         ambient = sr.complex
         w = sr.cycle
         zP = sr.transport_chain(d, zP)
     # neighborhood of the support of w (which contains |P|)
-    support = [ambient.simplices[k][i] for i, c in enumerate(w) if c]
-    support += [ambient.simplices[d][i] for i, c in enumerate(zP) if c]
+    support = [ambient.simplices[k][i] for i in w]
+    support += [ambient.simplices[d][i] for i in zP]
     K = subcomplex_from_simplices(ambient, support)
     nb = good_neighborhood(ambient, K, d, max_subdiv)
     y_local = nb.chain_to_neighborhood(k, nb.transport_chain(k, w))
@@ -532,23 +521,22 @@ def bound_in_good_neighborhood(P: Pseudomanifold, base: Complex, tower,
     return BoundResult(nb, y_local, z_local, pairs, dim_left)
 
 
-def _normalize_top_chain(cx: Complex, k: int, w):
-    """Shift by top-cycle multiples so coefficients land in {-1, 0, 1}:
-    w - t F, then w + t F, for each cycle-basis column F (the sparse
-    columns of V past the rank) and each value t of w."""
-    from .cochains import _snf_boundary
-    if all(abs(c) <= 1 for c in w):
-        return w
+def _normalize_top_chain(cx: Complex, k: int, w: dict) -> None:
+    """Shift the sparse chain w in place by top-cycle multiples so its
+    coefficients land in {-1, 1}: w - t F, then w + t F, for each
+    cycle-basis column F (the sparse columns of V past the rank) and each
+    nonzero value t of w, keeping the first shift that succeeds; w is left
+    as it was when none does."""
+    if all(abs(c) <= 1 for c in w.values()):
+        return
     fact = _snf_boundary(cx, k)
     for F in fact.V[fact.rank:]:
-        for t in sorted(set(w)):
+        for t in sorted(set(w.values())):
             for s in (-t, t):
-                cand = list(w)
-                for i, f in F.items():
-                    cand[i] += s * f
-                if all(abs(c) <= 1 for c in cand):
-                    return cand
-    return w
+                zlin._axpy(w, F, s)
+                if all(abs(c) <= 1 for c in w.values()):
+                    return
+                zlin._axpy(w, F, -s)
 
 
 def _greedy_collapse(cx: Complex):
@@ -582,7 +570,8 @@ def _greedy_collapse(cx: Complex):
 # ---------------------------------------------------------------------------
 # verification suite
 
-def verify_normalization(base: Complex, d: int, vec, rng=None) -> list[CheckResult]:
+def verify_normalization(base: Complex, d: int, vec: dict,
+                         rng=None) -> list[CheckResult]:
     """Normalization identity, pseudomanifold validity and support
     containment for one cycle."""
     results = []
@@ -590,13 +579,12 @@ def verify_normalization(base: Complex, d: int, vec, rng=None) -> list[CheckResu
     Y = sr.complex
     ok_pm = is_pseudomanifold(pm)
     results.append(check("surgery.is_pseudomanifold", ok_pm,
-                         f"{Y.name}: {sum(1 for c in pm.fundamental_cycle if c)} top cells"))
-    fund = pm.ambient_cycle()
-    db = Y.boundary_of_chain(d + 1, sr.witness)
-    identity_ok = all(t == b + f for t, b, f in zip(sr.transported, db, fund))
+                         f"{Y.name}: {len(pm.fundamental_cycle)} top cells"))
+    identity_ok = not zlin.combine((1, -1, -1), (
+        sr.transported, Y.boundary_of_chain(d + 1, sr.witness), pm.ambient_cycle()))
     results.append(check("surgery.homology_identity", identity_ok,
                          "transported z = boundary(b) + P"))
-    if any(c for c in sr.witness):
+    if sr.witness:
         star = closed_star_neighborhood(
             Y, chain_support(Y, d, sr.transported))
         wit_support = chain_support(Y, d + 1, sr.witness)

@@ -5,11 +5,25 @@ Simplices are strictly increasing vertex tuples; the orientation is the
 given vertex order and the boundary operator uses the alternating-sign
 face convention. Simplex indexing within a dimension is lexicographic,
 so every derived object is reproducible.
+
+A j-chain is a sparse dict from j-simplex index to nonzero integer
+coefficient, with no zero stored. The chain operations
+(`Complex.boundary_of_chain`, `SimplicialMap.push_chain` and
+`Subdivision.subdivide_chain`) return new dicts of that form and cost the
+nonzeros of their input.
 """
 from __future__ import annotations
 
 import json
 from itertools import combinations
+
+
+def _collect(terms) -> dict:
+    """The sparse sum of (index, value) terms, as a dict free of zeros."""
+    out = {}
+    for i, v in terms:
+        out[i] = out.get(i, 0) + v
+    return {i: v for i, v in out.items() if v}
 
 
 class ParseError(Exception):
@@ -139,19 +153,16 @@ class Complex:
             self._cache[key] = mat
         return self._cache[key]
 
-    def boundary_of_chain(self, j: int, vec):
-        """Apply the boundary operator to a j-chain coefficient vector."""
-        rows = self.n_simplices(j - 1) if j >= 1 else 0
-        out = [0] * rows
-        if 1 <= j <= self.dim:
-            for c, coef in enumerate(vec):
-                if coef:
-                    for r, sign in self.faces_with_signs(j)[c]:
-                        out[r] += sign * coef
-        return out
+    def boundary_of_chain(self, j: int, vec: dict) -> dict:
+        """The boundary of a sparse j-chain, as a sparse (j-1)-chain."""
+        if not 1 <= j <= self.dim:
+            return {}
+        faces = self.faces_with_signs(j)
+        return _collect((r, sign * coef) for c, coef in vec.items()
+                        for r, sign in faces[c])
 
-    def is_cycle(self, j: int, vec) -> bool:
-        return all(v == 0 for v in self.boundary_of_chain(j, vec))
+    def is_cycle(self, j: int, vec: dict) -> bool:
+        return not self.boundary_of_chain(j, vec)
 
     def __repr__(self):
         counts = ",".join(str(len(l)) for l in self.simplices)
@@ -286,10 +297,9 @@ def subcomplex_from_simplices(parent: Complex, simplices) -> Subcomplex:
     return Subcomplex(parent, included)
 
 
-def chain_support(parent: Complex, j: int, vec) -> Subcomplex:
-    """Face closure of the simplices carrying nonzero coefficients."""
-    simps = [parent.simplices[j][i] for i, c in enumerate(vec) if c]
-    return subcomplex_from_simplices(parent, simps)
+def chain_support(parent: Complex, j: int, vec: dict) -> Subcomplex:
+    """Face closure of the simplices of a sparse j-chain."""
+    return subcomplex_from_simplices(parent, [parent.simplices[j][i] for i in vec])
 
 
 def closed_star_neighborhood(parent: Complex, K: Subcomplex) -> Subcomplex:
@@ -363,24 +373,12 @@ class SimplicialMap:
             self._columns[j] = tuple(cols)
         return self._columns[j]
 
-    def push_chain(self, j: int, vec):
-        out = [0] * self.target.n_simplices(j)
-        for c, coef in enumerate(vec):
-            if coef:
-                entry = self.chain_columns(j)[c]
-                if entry is not None:
-                    out[entry[0]] += entry[1] * coef
-        return out
-
-    def pull_values(self, j: int, values):
-        """Transpose action on dense vectors indexed by target simplices
-        (`geometry` restricts chains to a subcomplex with it)."""
-        out = [0] * self.source.n_simplices(j)
-        if 0 <= j <= self.source.dim:
-            for c, entry in enumerate(self.chain_columns(j)):
-                if entry is not None:
-                    out[c] = entry[1] * values[entry[0]]
-        return out
+    def push_chain(self, j: int, vec: dict) -> dict:
+        """The image of a sparse j-chain of the source, a sparse j-chain of
+        the target; degenerate images drop out."""
+        cols = self.chain_columns(j)
+        return _collect((e[0], e[1] * coef) for c, coef in vec.items()
+                        if (e := cols[c]) is not None)
 
     def is_monotone(self) -> bool:
         """True when the vertex map is weakly increasing on every simplex,
@@ -403,10 +401,10 @@ class Subdivision:
     `complex` is the subdivided complex; new vertex i corresponds to the old
     simplex `vertex_carrier[i]` (a (dim, index) pair). `carrier[j][i]` is the
     smallest old simplex containing new j-simplex i. `subdivide_chain(j, vec)`
-    applies the subdivision chain map C_j(old) -> C_j(new), and
-    `last_vertex` is the simplicial map new -> old sending each barycenter
-    to the top vertex of its simplex; the two compose to the identity on
-    old chains, lambda_# Sd_# = id.
+    applies the subdivision chain map C_j(old) -> C_j(new) to a sparse
+    chain, and `last_vertex` is the simplicial map new -> old sending each
+    barycenter to the top vertex of its simplex; the two compose to the
+    identity on old chains, lambda_# Sd_# = id.
 
     `pull_cochain` is Sd^*, the transpose of the subdivision chain map:
     (Sd^* x)(sigma) = x(Sd_# sigma). Transposing lambda_# Sd_# = id gives
@@ -510,13 +508,9 @@ class Subdivision:
                              for ni, sign in self._sd_simplex(j, i))
         return _cochain(self.base, x.ring, j, num, x.den)
 
-    def subdivide_chain(self, j: int, vec):
-        out = [0] * self.complex.n_simplices(j)
-        for i, coef in enumerate(vec):
-            if coef:
-                for ni, sign in self._sd_simplex(j, i):
-                    out[ni] += sign * coef
-        return out
+    def subdivide_chain(self, j: int, vec: dict) -> dict:
+        return _collect((ni, sign * coef) for i, coef in vec.items()
+                        for ni, sign in self._sd_simplex(j, i))
 
 
 def barycentric_subdivide(base: Complex) -> Subdivision:

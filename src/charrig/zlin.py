@@ -25,12 +25,11 @@ nonzero entries of b only; the division by the diagonal and the final
 combination run over the nonzero coordinates, as sparse dicts. A
 factorization that is never solved against never builds the index.
 
-This module also owns exact vector pairing and combination: every pairing
-of a cochain with a chain goes through `vec_dot`, and every linear
-combination of sparse rows through `combine`, which returns the sparse
-sum; `dense` spells a sparse vector out where a chain or a coordinate
-vector is wanted. Both skip zero terms, since chain vectors and
-coefficient lists are mostly zero.
+Chains, cochain numerators, solve vectors and cycle coordinates are one
+format: a dict from index to nonzero int (or Fraction). Every pairing goes
+through `vec_dot`, which visits the smaller dict, and every combination of
+sparse rows through `combine`; `dense` spells a vector out only for
+`Cochain.values` and `Pseudomanifold.serialize`.
 """
 from __future__ import annotations
 
@@ -52,12 +51,13 @@ def _entries(v):
     return v.items() if isinstance(v, dict) else enumerate(v)
 
 
-def vec_dot(u, v):
-    """sum of u[i] * v[i] over the nonzero entries of v; v may be a sparse
-    dict, whose indices must lie in u."""
-    if not isinstance(v, dict) and len(u) != len(v):
-        raise ShapeError("dot product length mismatch")
-    return sum(u[i] * x for i, x in _entries(v) if x)
+def vec_dot(u: dict, v: dict):
+    """sum of u[i] * v[i] over the indices that both sparse vectors hold,
+    visiting the smaller one."""
+    if len(u) > len(v):
+        u, v = v, u
+    get = v.get
+    return sum(x * get(i, 0) for i, x in u.items())
 
 
 def combine(coeffs, rows) -> dict:
@@ -377,7 +377,6 @@ class FgAbelianGroup:
     torsion: tuple[int, ...]
     gen_lift: tuple  # sparse ambient column vectors, one per coordinate
     _proj_rows: tuple  # sparse rows of U picking out each coordinate
-    ambient: int
 
     @property
     def n_coords(self) -> int:
@@ -391,13 +390,13 @@ class FgAbelianGroup:
             coords[self.rank + i] %= d
         return tuple(coords)
 
-    def project(self, v) -> tuple:
-        """Coordinates of an ambient vector's class."""
-        return self.reduce([vec_dot(v, row) for row in self._proj_rows])
+    def project(self, v: dict) -> tuple:
+        """Coordinates of the class of a sparse ambient vector."""
+        return self.reduce([vec_dot(row, v) for row in self._proj_rows])
 
-    def lift(self, coords):
-        """An ambient representative of the class with the given coordinates."""
-        return dense(combine(self.reduce(coords), self.gen_lift), self.ambient)
+    def lift(self, coords) -> dict:
+        """A sparse ambient representative of the class with these coordinates."""
+        return combine(self.reduce(coords), self.gen_lift)
 
     def describe(self) -> str:
         return describe_group("Z", self.rank, self.torsion)
@@ -418,7 +417,7 @@ def cokernel(a, ambient: int | None = None, fact: SNFResult | None = None,
         if ambient is None:
             ambient = 0
         eye = tuple(_sparse_identity(ambient))
-        return FgAbelianGroup(ambient, (), eye, eye, ambient)
+        return FgAbelianGroup(ambient, (), eye, eye)
     if ambient is not None and ambient != m:
         raise ShapeError("ambient rank disagrees with row count")
     if fact is None:
@@ -429,7 +428,7 @@ def cokernel(a, ambient: int | None = None, fact: SNFResult | None = None,
     picked = free_idx + tors_idx
     return FgAbelianGroup(len(free_idx), torsion,
                           tuple(fact.Uinv[i] for i in picked),
-                          tuple(fact.U[i] for i in picked), m)
+                          tuple(fact.U[i] for i in picked))
 
 
 # ---------------------------------------------------------------------------
@@ -451,22 +450,23 @@ def _divide_by_diag(fact: SNFResult, c: dict, integral: bool):
     return {t: ct * e // diag[t] for t, ct in c.items()}, e
 
 
-def _solve(fact: SNFResult, b, integral: bool):
-    """x with A x = b through U A V = S: S y = U b, x = V y. b may hold
-    Fractions; a rational x comes back as Fractions."""
-    m, n = fact.shape
-    if len(b) != m:
-        raise ShapeError(f"rhs length {len(b)} does not match {m} rows")
-    q = lcm(*(v.denominator for v in b))
+def _solve(fact: SNFResult, b: dict, integral: bool):
+    """x with A x = b through U A V = S: S y = U b, x = V y, for sparse b
+    and x; b may hold Fractions, and a rational x comes back as Fractions.
+    An index of b outside the rows of A is a ShapeError."""
+    m = fact.shape[0]
+    if b and (min(b) < 0 or max(b) >= m):
+        raise ShapeError(f"rhs index outside the {m} rows")
+    q = lcm(*(v.denominator for v in b.values()))
     if integral and q != 1:
         return None
-    ub = ((t, int(vec_dot(b, row) * q)) for t, row in enumerate(fact.U))
+    ub = ((t, int(vec_dot(row, b) * q)) for t, row in enumerate(fact.U))
     sol = _divide_by_diag(fact, {t: ct for t, ct in ub if ct}, integral)
     if sol is None:
         return None
     y, e = sol
-    x = dense(combine(y, fact.V), n)
-    return x if integral else [Fraction(v, e * q) for v in x]
+    x = combine(y, fact.V)
+    return x if integral else {i: Fraction(v, e * q) for i, v in x.items()}
 
 
 def solve_transposed(fact: SNFResult, b: dict, integral: bool):
@@ -489,22 +489,23 @@ def solve_transposed(fact: SNFResult, b: dict, integral: bool):
     return combine(y, fact.U), e
 
 
-def solve_integer(a, b, fact: SNFResult | None = None, ncols: int | None = None):
-    """One integer solution x of a @ x == b, or None if unsolvable over Z.
-
-    When `fact` is supplied, `a` is ignored (pass [])."""
+def solve_integer(a, b: dict, fact: SNFResult | None = None,
+                  ncols: int | None = None):
+    """One integer solution x of a @ x == b (sparse b and x, see `_solve`),
+    or None if unsolvable over Z. When `fact` is supplied, `a` is ignored
+    (pass [])."""
     if fact is None:
         fact = smith_normal_form(a, ncols=ncols)
     return _solve(fact, b, integral=True)
 
 
-def solve_rational_with_fact(fact: SNFResult, b):
+def solve_rational_with_fact(fact: SNFResult, b: dict):
     """Rational solution of A x = b through an existing Smith factorization
-    of the integer matrix A, or None when inconsistent."""
+    of the integer matrix A (sparse b and x), or None when inconsistent."""
     return _solve(fact, b, integral=False)
 
 
-def solve_rational(a, b, ncols: int | None = None):
+def solve_rational(a, b: dict, ncols: int | None = None):
     """One rational solution x of a @ x == b for an integer matrix a and a
-    rational right side b, or None when inconsistent."""
+    sparse rational right side b, or None when inconsistent."""
     return solve_rational_with_fact(smith_normal_form(a, ncols=ncols), b)

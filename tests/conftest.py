@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from charrig import corpus, zlin
+from charrig import corpus
 from charrig.cochains import _snf_boundary
 
 # The CLI tests run `python -m charrig.cli` in child processes: give them
@@ -29,9 +29,8 @@ def corpus_complex(request):
 
 
 def cycle_basis(X, j):
-    """The Z-basis of the j-cycles that the library reads, the columns of
-    V past the rank of the cached factorization of boundary_j, made dense
-    as tuples; empty outside 0..dim."""
+    """The Z-basis of the j-cycles that the library reads, the sparse
+    columns of V past the rank of the cached factorization of boundary_j
+    (shared with the cache, read-only); empty outside 0..dim."""
     fact = _snf_boundary(X, j)
-    n = X.n_simplices(j)
-    return tuple(tuple(zlin.dense(col, n)) for col in fact.V[fact.rank:])
+    return tuple(fact.V[fact.rank:])

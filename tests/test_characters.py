@@ -39,12 +39,12 @@ def _complex(name):
 def test_evaluate_linearity_and_errors(cx):
     s1 = cx("s1")
     ch = character_from_holonomies(s1, 2, {0: 1}, 3)
-    z = list(cycle_basis(s1, 1)[0])
-    assert ch.evaluate([0, 0, 0]) == 0
+    z = cycle_basis(s1, 1)[0]
+    assert ch.evaluate({}) == 0
     assert ch.evaluate(z) == Fraction(1, 3)
-    assert ch.evaluate([2 * c for c in z]) == Fraction(2, 3)
+    assert ch.evaluate({i: 2 * c for i, c in z.items()}) == Fraction(2, 3)
     with pytest.raises(NotACycle):
-        ch.evaluate([1, 0, 0])
+        ch.evaluate({0: 1})
 
 
 @pytest.mark.parametrize("name", list(corpus.CORPUS_NAMES) + ["sd1(s2)"])
@@ -59,11 +59,11 @@ def test_evaluate_through_the_lift_is_the_basis_formula(name, rnd):
         ch = character_from_holonomies(
             X, k, {t: rnd.randrange(12) for t in range(len(K))}, 12)
         coeffs = [rnd.randrange(-3, 4) for _ in K]
-        z = [sum(c * g[i] for c, g in zip(coeffs, K))
-             for i in range(X.n_simplices(k - 1))]
+        z = zlin.combine(coeffs, K)
         a = [rnd.randrange(-2, 3) for _ in range(X.n_simplices(k))]
         if a:
-            z = [p + q for p, q in zip(z, X.boundary_of_chain(k, a))]
+            a = {i: c for i, c in enumerate(a) if c}
+            z = zlin.combine((1, 1), (z, X.boundary_of_chain(k, a)))
         expect = _mod1(Fraction(zlin.vec_dot(cycle_coords(X, k - 1, z),
                                              ch.f_num), ch.f_den))
         assert ch.evaluate(z) == expect, k
@@ -123,7 +123,8 @@ def test_delta2_via_lift_zero_character(cx):
 def test_delta2_via_lift_detects_period_class(cx):
     s1 = cx("s1")
     z = cycle_basis(s1, 1)[0]
-    om = Cochain(s1, "Q", 1, tuple(Fraction(c, 3) for c in z))  # period 1
+    om = Cochain(s1, "Q", 1,
+                 tuple(Fraction(z.get(i, 0), 3) for i in range(3)))  # period 1
     ch = phi_direct(preimage_of_form(s1, om))
     cls = delta2_via_lift(ch)
     hz1 = cohomology(s1, 1, "Z")
@@ -192,7 +193,7 @@ def test_phi_good_suites_small(cx):
 def test_phi_good_agrees_on_torsion_cycle(cx):
     rp2 = cx("rp2")
     from charrig.cochains import homology
-    tors = list(homology(rp2, 1).gen_cycles[0])
+    tors = homology(rp2, 1).gen_cycles[0]
     for x in sample_classes(rp2, 2, random.Random(1), count=4):
         assert phi_good(x, tors) == phi_direct(x).evaluate(tors)
 
@@ -200,8 +201,7 @@ def test_phi_good_agrees_on_torsion_cycle(cx):
 def test_phi_good_boundary_formula(cx):
     s2 = cx("s2")
     x = sample_classes(s2, 2, random.Random(2), count=3)[1]
-    vec = [0] * s2.n_simplices(2)
-    vec[0] = 1
+    vec = {0: 1}
     bnd = s2.boundary_of_chain(2, vec)
     expected = (Fraction(x.omega.values[0]) -
                 int(Fraction(x.omega.values[0]))) % 1
@@ -214,8 +214,8 @@ def test_pseudomanifold_path_agreement(cx):
     rng = random.Random(3)
     classes = sample_classes(t2, 2, rng, count=3)
     from charrig.cochains import homology
-    gen = list(homology(t2, 1).gen_cycles[0])
-    doubled = [2 * c for c in gen]
+    gen = homology(t2, 1).gen_cycles[0]
+    doubled = {i: 2 * c for i, c in gen.items()}
     for x in classes:
         assert evaluate_via_normalization(x, gen) == phi_direct(x).evaluate(gen)
         assert evaluate_via_normalization(x, doubled) == \
@@ -229,7 +229,7 @@ def test_character_pullback_is_hom_model(cx):
     ch = character_from_holonomies(s1, 2, {0: 1}, 4)
     pulled = char_pullback(lv, ch)
     z6 = cycle_basis(sd.complex, 1)[0]
-    assert pulled.evaluate(list(z6)) == ch.evaluate(lv.push_chain(1, list(z6)))
+    assert pulled.evaluate(z6) == ch.evaluate(lv.push_chain(1, z6))
 
 
 def test_char_pullback_is_the_value_on_pushed_cycles(corpus_complex):
@@ -244,7 +244,7 @@ def test_char_pullback_is_the_value_on_pushed_cycles(corpus_complex):
                 ch = phi_direct(x)
                 T = ch._lift
                 f = dict(enumerate(
-                    zlin.vec_dot(phi.push_chain(k - 1, list(z)), T.num)
+                    zlin.vec_dot(phi.push_chain(k - 1, z), T.num)
                     for z in cycle_basis(phi.source, k - 1)))
                 expect = Character(phi.source, k, f, T.den,
                                    ch.omega.pullback(phi))

@@ -145,8 +145,8 @@ def test_pseudo_bounding_fails_with_a_witness(monkeypatch, capsys, corrupt):
 
     def corrupted(*args, **kwargs):
         out = real(*args, **kwargs)
-        i = next(i for i, c in enumerate(out.chain) if c)
-        out.chain = list(out.chain)
+        i = min(out.chain)
+        out.chain = dict(out.chain)
         out.chain[i] = -out.chain[i]
         return out
 
@@ -344,6 +344,20 @@ def test_exit_code_on_malformed_cycle_file(tmp_path, doc):
     code, out, err = run_cli("pseudo", "s1", "--cycle", str(bad))
     assert code == 2 and out == ""
     assert err.startswith("input error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("chain", [[], [[[0, 1], 1], [[1, 2], 2], [[0, 1], -1],
+                                        [[1, 2], -2]]])
+def test_exit_code_on_a_zero_cycle_file(tmp_path, capsys, chain):
+    """An empty chain, or entries that cancel, is the zero chain: exit 2
+    with a message naming the file, not an error about an empty complex."""
+    zero = tmp_path / "zero_cycle.json"
+    zero.write_text(json.dumps({"degree": 1, "chain": chain}))
+    assert cli.main(["pseudo", "s1", "--cycle", str(zero)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        f"input error: cycle file {zero}: the chain is zero\n"
 
 
 def test_exit_code_on_doubled_top_dimensional_cycle(tmp_path):

@@ -2,6 +2,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from sympy import Matrix
 
 from charrig.simplicial import (
@@ -9,8 +10,10 @@ from charrig.simplicial import (
     SimplicialMap, barycentric_subdivide, closed_star_neighborhood,
     complex_from_maximal, parse_complex, subcomplex_from_simplices,
 )
-from charrig.cochains import cohomology, homology
+from charrig import zlin
+from charrig.cochains import basis_cochain, cohomology, homology
 from conftest import cycle_basis
+from test_cochains import cones_and_suspensions, random_complexes
 
 
 def test_parse_triangle_circle():
@@ -94,8 +97,7 @@ def test_subdivision_chain_map_commutes_with_boundary(cx):
         Y = sd.complex
         for j in range(1, X.dim + 1):
             for i in range(X.n_simplices(j)):
-                vec = [0] * X.n_simplices(j)
-                vec[i] = 1
+                vec = {i: 1}
                 lhs = Y.boundary_of_chain(j, sd.subdivide_chain(j, vec))
                 rhs = sd.subdivide_chain(j - 1, X.boundary_of_chain(j, vec))
                 assert lhs == rhs
@@ -107,8 +109,7 @@ def test_last_vertex_section_of_subdivision(cx):
         sd = barycentric_subdivide(X)
         for j in range(X.dim + 1):
             for i in range(X.n_simplices(j)):
-                vec = [0] * X.n_simplices(j)
-                vec[i] = 1
+                vec = {i: 1}
                 assert sd.last_vertex.push_chain(j, sd.subdivide_chain(j, vec)) == vec
 
 
@@ -116,9 +117,9 @@ def test_subdivided_fundamental_cycle(cx):
     s1 = cx("s1")
     sd = barycentric_subdivide(s1)
     z = cycle_basis(s1, 1)[0]
-    z6 = sd.subdivide_chain(1, list(z))
-    assert sum(1 for c in z6 if c) == 6
-    assert all(abs(c) == 1 for c in z6 if c)
+    z6 = sd.subdivide_chain(1, z)
+    assert len(z6) == 6
+    assert all(abs(c) == 1 for c in z6.values())
     assert sd.complex.is_cycle(1, z6)
 
 
@@ -155,11 +156,11 @@ def test_star_in_twice_subdivided_torus_loses_top_cohomology(cx):
     t2 = cx("t2")
     gen = hom(t2, 1).gen_cycles[0]
     tower = subdivision_tower(t2, 2)
-    z = list(gen)
+    z = gen
     for sd in tower:
         z = sd.subdivide_chain(1, z)
     Y = tower[1].complex
-    simps = [Y.simplices[1][i] for i, c in enumerate(z) if c]
+    simps = [Y.simplices[1][i] for i in z]
     K = subcomplex_from_simplices(Y, simps)
     star = closed_star_neighborhood(Y, K)
     ucx, _ = star.as_complex()
@@ -169,9 +170,7 @@ def test_star_in_twice_subdivided_torus_loses_top_cohomology(cx):
 
 def _unit_chains(X, j):
     for i in range(X.n_simplices(j)):
-        vec = [0] * X.n_simplices(j)
-        vec[i] = 1
-        yield vec
+        yield {i: 1}
 
 
 def test_push_chain_identity_and_constant(cx):
@@ -183,7 +182,7 @@ def test_push_chain_identity_and_constant(cx):
         for e in _unit_chains(s1, j):
             assert ident.push_chain(j, e) == e
             # a vertex goes to the point, an edge degenerates
-            assert const.push_chain(j, e) == ([1] if j == 0 else [])
+            assert const.push_chain(j, e) == ({0: 1} if j == 0 else {})
 
 
 def test_push_chain_commutes_with_boundary(cx):
@@ -207,9 +206,9 @@ def test_degree_two_circle_map(cx):
     sd = barycentric_subdivide(s1)
     phi = SimplicialMap(sd.complex, s1, [0, 2, 1, 1, 2, 0])
     z = cycle_basis(sd.complex, 1)[0]
-    img = phi.push_chain(1, list(z))
+    img = phi.push_chain(1, z)
     fund = cycle_basis(s1, 1)[0]
-    ratios = {img[i] // fund[i] for i in range(3) if fund[i]}
+    ratios = {img.get(i, 0) // c for i, c in fund.items()}
     assert len(ratios) == 1 and abs(ratios.pop()) == 2
 
 
@@ -228,3 +227,69 @@ def test_subcomplex_as_complex_preserves_orientation(cx):
         for i in range(sub.n_simplices(j)):
             entry = incl.chain_columns(j)[i]
             assert entry is not None and entry[1] == 1
+
+
+# ---------------------------------------------------------------------------
+# sparse chains on random complexes, cones and suspensions
+
+RANDOM_SPACES = st.one_of(random_complexes(), cones_and_suspensions())
+
+
+def _chains(X, j):
+    """Sparse j-chains of X: dicts of nonzero coefficients."""
+    n = X.n_simplices(j)
+    if not n:
+        return st.just({})
+    return st.dictionaries(st.integers(0, n - 1),
+                           st.integers(-3, 3).filter(bool), max_size=n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(RANDOM_SPACES, st.data())
+def test_boundary_of_chain_is_the_matrix_product(X, data):
+    """The sparse boundary is the product with the dense boundary matrix,
+    stores no zero, and its boundary is the empty chain."""
+    j = data.draw(st.integers(0, X.dim))
+    c = data.draw(_chains(X, j))
+    b = X.boundary_of_chain(j, c)
+    assert all(b.values())
+    if j:
+        x = zlin.dense(c, X.n_simplices(j))
+        expect = [sum(r * v for r, v in zip(row, x))
+                  for row in X.boundary_matrix(j)]
+        assert zlin.dense(b, X.n_simplices(j - 1)) == expect
+    else:
+        assert b == {}
+    assert X.boundary_of_chain(j - 1, b) == {}
+    assert X.is_cycle(j - 1, b)
+
+
+@settings(max_examples=25, deadline=None)
+@given(RANDOM_SPACES, st.data())
+def test_last_vertex_push_inverts_subdivide_chain(X, data):
+    """lambda_# Sd_# = id on sparse chains, and neither side stores a zero."""
+    sd = barycentric_subdivide(X)
+    j = data.draw(st.integers(0, X.dim))
+    c = data.draw(_chains(X, j))
+    up = sd.subdivide_chain(j, c)
+    assert all(up.values())
+    assert sd.last_vertex.push_chain(j, up) == c
+
+
+@settings(max_examples=25, deadline=None)
+@given(RANDOM_SPACES, st.data())
+def test_out_of_range_indices_raise_shape_errors(X, data):
+    """pair refuses a chain index outside the simplices, and the integer
+    and rational solves a right-side index outside the rows."""
+    j = data.draw(st.integers(0, X.dim))
+    n = X.n_simplices(j)
+    x = basis_cochain(X, "Q", j, 0)
+    bad = data.draw(st.sampled_from([-1, n, n + 3]))
+    with pytest.raises(zlin.ShapeError):
+        x.pair({0: 1, bad: 1})
+    # the boundary C_{j+1} -> C_j has n rows, empty ones when j = dim
+    rows, ncols = X._boundary_any(j + 1), X.n_simplices(j + 1)
+    with pytest.raises(zlin.ShapeError):
+        zlin.solve_integer(rows, {bad: 1}, ncols=ncols)
+    with pytest.raises(zlin.ShapeError):
+        zlin.solve_rational(rows, {bad: 1}, ncols=ncols)

@@ -177,7 +177,8 @@ def test_delta1_surjectivity_preimages(cx):
     z = cycle_basis(s1, 1)[0]
     # synthesized integral forms with periods 0, +-1, +-2
     for period in (0, 1, -1, 2, -2):
-        om = Cochain(s1, "Q", 1, tuple(Fraction(period * c, 3) for c in z))
+        om = Cochain(s1, "Q", 1,
+                     tuple(Fraction(period * z.get(i, 0), 3) for i in range(3)))
         assert is_integral_form(om)
         x = preimage_of_form(s1, om)
         assert delta1(x).values == om.values

@@ -93,10 +93,11 @@ def test_commutativity_defect_is_the_curvature(cx):
     from charrig import zlin
     sol = zlin.solve_rational(
         [list(col) for col in zip(*t2.boundary_matrix(2))],
-        list(defect.values), ncols=t2.n_simplices(1))
+        {i: v for i, v in enumerate(defect.values) if v},
+        ncols=t2.n_simplices(1))
     assert sol is not None
     from charrig.cochains import Cochain
-    eta = Cochain(t2, "Q", 1, tuple(sol))
+    eta = Cochain(t2, "Q", 1, zlin.dense(sol, t2.n_simplices(1)))
     patched = DiffClass(rhs.c, rhs.h + eta, rhs.omega + defect)
     assert class_equal(lhs, patched)
 

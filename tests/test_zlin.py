@@ -208,22 +208,22 @@ def test_solve_integer_roundtrip(a, seed):
     n = len(a[0])
     x0 = [rng.randrange(-3, 4) for _ in range(n)]
     b = [int(v) for v in matvec(a, x0)]
-    x = zlin.solve_integer(a, b)
-    assert x is not None
-    assert matvec(a, x) == b
+    x = zlin.solve_integer(a, as_dict(b))
+    assert x is not None and all(x.values())
+    assert matvec(a, zlin.dense(x, n)) == b
     # the rational solver on a rational right side a @ x0 / q
     q = rng.randrange(1, 6)
     bq = [Fraction(v, q) for v in b]
-    y = zlin.solve_rational(a, bq)
-    assert y is not None
-    assert matvec(a, y) == bq
+    y = zlin.solve_rational(a, as_dict(bq))
+    assert y is not None and all(y.values())
+    assert matvec(a, zlin.dense(y, n)) == bq
     # and on an arbitrary right side: None exactly when rank(a) < rank([a | b])
     c = [rng.randrange(-3, 4) for _ in range(len(a))]
     inconsistent = Matrix(a).rank() < Matrix(a).row_join(Matrix(c)).rank()
-    y = zlin.solve_rational(a, c)
+    y = zlin.solve_rational(a, as_dict(c))
     assert (y is None) == inconsistent
     if y is not None:
-        assert matvec(a, y) == c
+        assert matvec(a, zlin.dense(y, n)) == c
 
 
 @settings(max_examples=50, deadline=None)
@@ -241,8 +241,8 @@ def test_solve_transposed_agrees_with_solving_the_transpose(a, seed):
     for b in (b0, [rng.randrange(-3, 4) for _ in range(len(at))]):
         for integral in (True, False):
             sol = zlin.solve_transposed(fact, as_dict(b), integral)
-            expected = zlin.solve_integer(at, b) if integral \
-                else zlin.solve_rational(at, b)
+            expected = zlin.solve_integer(at, as_dict(b)) if integral \
+                else zlin.solve_rational(at, as_dict(b))
             assert (sol is None) == (expected is None)
             if sol is not None:
                 x, e = zlin.dense(sol[0], len(a)), sol[1]
@@ -303,8 +303,8 @@ def test_row_index_and_sparse_solve_match_the_dense_formula(a, seed):
 
 
 def test_solve_integer_examples():
-    assert zlin.solve_integer([[2]], [4]) == [2]
-    assert zlin.solve_integer([[2]], [3]) is None
+    assert zlin.solve_integer([[2]], {0: 4}) == {0: 2}
+    assert zlin.solve_integer([[2]], {0: 3}) is None
 
 
 @settings(max_examples=30, deadline=None)
@@ -313,9 +313,9 @@ def test_solve_integer_examples():
 def test_solve_integer_unsolvable_confirmed_by_enumeration(a, braw):
     m = len(a)
     b = braw[:m]
-    x = zlin.solve_integer(a, b)
+    x = zlin.solve_integer(a, as_dict(b))
     if x is not None:
-        assert matvec(a, x) == b
+        assert matvec(a, zlin.dense(x, len(a[0]))) == b
         return
     # brute-force over the SNF-reduced system: solvability would demand
     # each diagonal d_i to divide (U b)_i and zero rows to match exactly
@@ -387,26 +387,25 @@ def test_fg_group_projection_left_inverse():
         # the image itself projects to zero
         for _ in range(3):
             x = [rng.randrange(-2, 3) for _ in range(n)]
-            assert g.project(matvec(a, x)) == (0,) * g.n_coords
+            assert g.project(as_dict(matvec(a, x))) == (0,) * g.n_coords
 
 
 def test_solve_rational():
-    x = zlin.solve_rational([[2, 1], [4, 2]], [3, 6])
-    assert x is not None and 2 * x[0] + x[1] == 3
-    assert zlin.solve_rational([[1], [1]], [1, 2]) is None
-    assert zlin.solve_rational([], [], ncols=2) == [Fraction(0), Fraction(0)]
+    x = zlin.solve_rational([[2, 1], [4, 2]], {0: 3, 1: 6})
+    assert x is not None and 2 * x.get(0, 0) + x.get(1, 0) == 3
+    assert zlin.solve_rational([[1], [1]], {0: 1, 1: 2}) is None
+    assert zlin.solve_rational([], {}, ncols=2) == {}
     # the matrix must be integral; a rational one is refused, not truncated
     with pytest.raises(ValueError):
-        zlin.solve_rational([[Fraction(1, 2)]], [1])
+        zlin.solve_rational([[Fraction(1, 2)]], {0: 1})
     with pytest.raises(ValueError):
         zlin.smith_normal_form([{0: Fraction(1, 2)}], ncols=1)
 
 
 def test_shape_errors():
+    """A right side with an index outside the rows of the matrix."""
     with pytest.raises(zlin.ShapeError):
-        zlin.solve_integer([[1, 2]], [1, 2])
-    with pytest.raises(zlin.ShapeError):
-        zlin.vec_dot([1, 2], [1])
+        zlin.solve_integer([[1, 2]], {0: 1, 1: 2})
 
 
 def _sparse_vectors(length):
@@ -420,10 +419,11 @@ def _sparse_vectors(length):
 @given(st.integers(0, 6).flatmap(lambda n: st.tuples(
     _sparse_vectors(st.just(n)), _sparse_vectors(st.just(n)))))
 def test_vec_dot_is_the_dense_dot(uv):
-    """v dense or as the sparse dict of a Smith transform."""
+    """Both vectors as sparse dicts, in either order."""
     u, v = uv
     expected = sum(x * y for x, y in zip(u, v))
-    assert zlin.vec_dot(u, v) == zlin.vec_dot(u, as_dict(v)) == expected
+    su, sv = as_dict(u), as_dict(v)
+    assert zlin.vec_dot(su, sv) == zlin.vec_dot(sv, su) == expected
 
 
 @settings(max_examples=60, deadline=None)
