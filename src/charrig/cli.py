@@ -28,7 +28,7 @@ from .geometry import (
 from .product import verify_ring_axioms
 from .report import InvariantError, Report, check
 from .simplicial import (
-    Complex, DegreeError, DuplicateError, FaceClosureError, ParseError,
+    Complex, DuplicateError, FaceClosureError, ParseError,
     barycentric_subdivide, closed_star_neighborhood, subcomplex_from_simplices,
 )
 
@@ -272,7 +272,7 @@ def main(argv=None) -> int:
                "phi": cmd_phi, "ring": cmd_ring, "pseudo": cmd_pseudo}
     try:
         rep = handler[args.command](cx, args, 1)
-    except (FileNotFoundError, ParseError, DegreeError, DimensionError,
+    except (FileNotFoundError, ParseError, DimensionError,
             GeometryBudgetExceeded, ValueError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return INPUT_ERROR

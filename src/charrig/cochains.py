@@ -60,7 +60,8 @@ class Cochain:
     over Z; over Q, den > 0 and gcd(den, *num.values()) = 1; over Q/Z
     also 0 < num[i] < den, so each value is its representative in [0, 1).
     `Cochain(cx, ring, degree, values)` takes one int or Fraction per
-    simplex, and `values` gives them back (Fractions over Q and Q/Z). Two
+    simplex, raising TypeError on any other value (a float, a bool, a
+    str), and `values` gives them back (Fractions over Q and Q/Z). Two
     cochains are equal when they live on the same complex object with the
     same ring, degree and normal form; cochains are not hashable.
     """
@@ -76,8 +77,10 @@ class Cochain:
                 f"{n} values, got {len(values)}")
         if ring not in (RING_Z, RING_Q, RING_QMODZ):
             raise RingError(f"unknown ring {ring!r}")
-        num, den = _over_common_denominator(
-            [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values])
+        for v in values:
+            if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
+                raise TypeError(f"cochain value {v!r} is not an int or a Fraction")
+        num, den = _over_common_denominator(values)
         self.cx, self.ring, self.degree = cx, ring, degree
         self.num, self.den = _normal_form(ring, dict(enumerate(num)), den)
 
@@ -223,7 +226,7 @@ def _coboundary_num(x: Cochain) -> dict:
     """The nonzero numerators of delta x over x.den, not reduced: the sum
     of x_i times row i of the cached sparse d_{j+1}, which holds the
     cofaces of simplex i with their signs."""
-    return zlin.combine(x.num, x.cx._boundary_any(x.degree + 1))
+    return zlin.combine(x.num, x.cx.boundary_rows(x.degree + 1))
 
 
 def coboundary(x: Cochain) -> Cochain:
@@ -291,29 +294,30 @@ def cup_class_qmodz(a: "CohomologyClass", u: "CohomologyClass") -> "CohomologyCl
 # d_{j+1} as S^T y = V^T b, x = U^T y. A cocycle with prescribed periods
 # takes them on the cycle basis and vanishes on the rest of the
 # Smith-adapted basis (`cochain_on_cycle_basis`).
-# The build is sparse from input to output. Each d_j is cached as one
-# ascending dict per (j-1)-simplex (`Complex._boundary_any`) and factored
-# as it is; the transforms are sparse too (U and Vinv by rows, V and Uinv
-# by columns, see `zlin.SNFResult`): coordinates, periods, relation
-# matrices and solves read those rows and columns directly. Periods and
-# coboundary solves read V by rows (`SNFResult.V_rows`, built on the
-# first of them), so they cost the nonzeros of the cochain they are
-# given, not one pairing per column of V. Each transform is built on
-# its first read (`zlin.SNFResult`): a boundary factorization never
-# builds Uinv, and builds U only when a coboundary is solved. The
-# relation matrix of H_j is ascending dict rows, and its presentation
-# (`zlin.cokernel`) reads only U and Uinv, so its V and Vinv are never
-# built. The cycle basis is never
-# made dense: every reader, `geometry` included, walks the sparse columns
-# V[rank:] of the factorization of d_j. The coboundary reads the rows of
-# the same cached d_{j+1}: row i holds the signed cofaces of simplex i.
+# The build is sparse from input to output. Each d_j is stored once, as
+# the cached coface rows of `Complex.boundary_rows(j)`: one ascending dict
+# per (j-1)-simplex. `_snf_boundary` factors those rows as they are, and
+# is the only place a boundary operator is factored, `geometry` included.
+# The transforms are sparse too (U and Vinv by rows, V and Uinv by
+# columns, see `zlin.SNFResult`): coordinates, periods, relation matrices
+# and solves read those rows and columns directly. Periods and coboundary
+# solves read V by rows (`SNFResult.V_rows`, built on the first of them),
+# so they cost the nonzeros of the cochain they are given, not one
+# pairing per column of V. Each transform is built on its first read: a
+# boundary factorization never builds Uinv, and builds U only when a
+# coboundary is solved. The relation matrix of H_j is ascending dict
+# rows, and its presentation (`zlin.cokernel`) reads only U and Uinv, so
+# its V and Vinv are never built. The cycle basis is never made dense:
+# every reader walks the sparse columns V[rank:] of the factorization of
+# d_j. The coboundary reads the same coface rows of d_{j+1}: row i holds
+# the signed cofaces of simplex i.
 
 
 def _snf_boundary(cx: Complex, j: int) -> zlin.SNFResult:
     key = ("snf_boundary", j)
     if key not in cx._cache:
-        mat = cx._boundary_any(j) if j >= 0 else []
-        cx._cache[key] = zlin.smith_normal_form(mat, ncols=cx.n_simplices(j))
+        cx._cache[key] = zlin.smith_normal_form(cx.boundary_rows(j),
+                                                ncols=cx.n_simplices(j))
     return cx._cache[key]
 
 
@@ -426,16 +430,11 @@ def homology(cx: Complex, j: int) -> HomologyData:
         K = fact.V[fact.rank:]
         # relations: the cycle coordinates of each (j+1)-simplex's boundary,
         # row t of Vinv past the rank carried to the (j+1)-simplices through
-        # the cofaces of each j-simplex, as ascending dicts free of zeros
+        # the cofaces of each j-simplex, with keys sorted ascending
         # (`zlin.smith_normal_form` needs them so)
-        cofaces = cx._boundary_any(j + 1)
-        Y = []
-        for row in fact.Vinv[fact.rank:]:
-            y = {}
-            for i, v in row.items():
-                for c, s in cofaces[i].items():
-                    y[c] = y.get(c, 0) + s * v
-            Y.append({c: y[c] for c in sorted(y) if y[c]})
+        cofaces = cx.boundary_rows(j + 1)
+        Y = [dict(sorted(zlin.combine(row, cofaces).items()))
+             for row in fact.Vinv[fact.rank:]]
         fg = zlin.cokernel(Y, ambient=len(K), ncols=cx.n_simplices(j + 1))
         gens = tuple(zlin.combine(fg.lift(e), K) for e in _units(fg.n_coords))
         cx._cache[key] = HomologyData(cx, j, fg, gens)
@@ -683,7 +682,7 @@ def integral_form_generators(cx: Complex, k: int):
     hz = cohomology(cx, k, RING_Z)
     yield from hz.gen_cochains[:hz.rank]
     # the coboundary of the t-th basis (k-1)-cochain is row t of d_k
-    for row in cx._boundary_any(k):
+    for row in cx.boundary_rows(k):
         if row:
             yield _cochain(cx, RING_Z, k, row)
 

@@ -202,7 +202,7 @@ def is_pseudomanifold(P: Pseudomanifold) -> bool:
             return False
     if d >= 1:
         # row r of the boundary operator holds the cofaces of face r
-        if any(len(row) != 2 for row in cx._boundary_any(d)):
+        if any(len(row) != 2 for row in cx.boundary_rows(d)):
             return False
         if not cx.is_cycle(d, P.fundamental_cycle):
             return False
@@ -253,7 +253,7 @@ def resolve_cycle(ambient: Complex, d: int, vec: dict):
     if d >= 1:
         incident: dict[int, list] = {}
         for pos, (i, coef) in enumerate(cells):
-            for f_idx, sign in ambient.faces_with_signs(d)[i]:
+            for f_idx, sign in ambient.faces(d, i):
                 incident.setdefault(f_idx, []).append((pos, sign * coef))
         for f_idx in sorted(incident):
             entries = incident[f_idx]
@@ -343,7 +343,7 @@ def _split_chain(base: Complex, d: int, vec: dict) -> SplitResult:
         z2 = sd.subdivide_chain(d, z2)
     z_out = dict(z2)
     b1 = {}
-    cofaces = base._boundary_any(d + 1)
+    cofaces = base.boundary_rows(d + 1)
     for i, coef in sorted(vec.items()):
         n = abs(coef)
         if n <= 1:
@@ -410,9 +410,8 @@ def _local_homology_witness(base: Complex, tower, d: int, rho: int,
     rhs = zlin.combine((1, -1), (route, s2))
     local = _carrier_subcomplex(base, tower, d + 1, rho)
     sub, incl = local.as_complex()
-    sol = zlin.solve_integer(sub._boundary_any(d + 1),
-                             _chain_to_subcomplex(incl, d, rhs),
-                             ncols=sub.n_simplices(d + 1))
+    sol = zlin.solve_integer([], _chain_to_subcomplex(incl, d, rhs),
+                             fact=_snf_boundary(sub, d + 1))
     if sol is None:
         raise InvariantError("no local witness inside a disk",
                              {"coface": list(base.simplices[d + 1][rho])})
@@ -546,7 +545,7 @@ def _greedy_collapse(cx: Complex):
     alive = [set(range(cx.n_simplices(d))) for d in range(cx.dim + 1)]
     # cofaces[d][i]: the cofaces of d-simplex i, row i of the boundary
     # operator on (d+1)-chains
-    cofaces = [cx._boundary_any(d + 1) for d in range(cx.dim)]
+    cofaces = [cx.boundary_rows(d + 1) for d in range(cx.dim)]
     pairs = 0
     progress = True
     while progress:

@@ -3,8 +3,8 @@ subdivision and closed-star neighborhoods.
 
 Simplices are strictly increasing vertex tuples; the orientation is the
 given vertex order and the boundary operator uses the alternating-sign
-face convention. Simplex indexing within a dimension is lexicographic,
-so every derived object is reproducible.
+face convention, written once in `Complex.faces`. Simplex indexing within
+a dimension is lexicographic, so every derived object is reproducible.
 
 A j-chain is a sparse dict from j-simplex index to nonzero integer
 coefficient, with no zero stored. The chain operations
@@ -38,16 +38,13 @@ class DuplicateError(Exception):
     pass
 
 
-class DegreeError(Exception):
-    pass
-
-
 class MismatchError(Exception):
     pass
 
 
 class Complex:
-    """Immutable simplicial complex with sparse integer boundary matrices."""
+    """Immutable simplicial complex. Its boundary operators are stored once
+    each, as the cached sparse rows of `boundary_rows`."""
 
     def __init__(self, name: str, simplices_by_dim, vertex_count: int | None = None):
         self.name = name
@@ -109,57 +106,33 @@ class Complex:
             raise KeyError(f"{t} is not a simplex of {self.name}")
         return self.index[d][t]
 
-    def faces_with_signs(self, j: int):
-        """For each j-simplex, the list of ((j-1)-simplex index, sign)."""
-        key = ("faces", j)
-        if key not in self._cache:
-            out = []
-            if 1 <= j <= self.dim:
-                lower = self.index[j - 1]
-                for s in self.simplices[j]:
-                    out.append(tuple((lower[s[:i] + s[i + 1:]], (-1) ** i)
-                                     for i in range(j + 1)))
-            self._cache[key] = tuple(out)
-        return self._cache[key]
+    def faces(self, j: int, c: int):
+        """The (face index, sign) pairs of the j-simplex c, for 1 <= j <=
+        dim: face i deletes vertex i and carries the sign (-1)^i."""
+        s = self.simplices[j][c]
+        lower = self.index[j - 1]
+        return [(lower[s[:i] + s[i + 1:]], (-1) ** i) for i in range(j + 1)]
 
-    def boundary_matrix(self, j: int):
-        """Dense matrix of the boundary operator C_j -> C_{j-1}, built
-        afresh on each call from the sparse rows of `_boundary_any`.
-
-        Accepts 0 <= j <= dim+1; the extremes give matrices with an empty
-        side (a point complex has a 1x0 boundary in degree 1).
-        """
-        if not (0 <= j <= self.dim + 1):
-            raise DegreeError(f"degree {j} out of range for {self.name} (dim {self.dim})")
-        cols = self.n_simplices(j)
-        out = []
-        for row in self._boundary_any(j):
-            dense = [0] * cols
-            for c, sign in row.items():
-                dense[c] = sign
-            out.append(dense)
-        return out
-
-    def _boundary_any(self, j: int):
-        """The boundary operator C_j -> C_{j-1} as one sparse row per
-        (j-1)-simplex, a dict from j-simplex index to sign whose keys
-        ascend; cached."""
+    def boundary_rows(self, j: int):
+        """The boundary operator C_j -> C_{j-1} as its n_{j-1} rows, one
+        per (j-1)-simplex: a sparse dict from the indices of its cofaces
+        to their signs, keys ascending; cached. The rows are empty for
+        j = dim + 1, and there are none for j <= 0."""
         key = ("boundary", j)
         if key not in self._cache:
-            mat = [{} for _ in range(self.n_simplices(j - 1) if j >= 1 else 0)]
-            for c, col in enumerate(self.faces_with_signs(j)):
-                for r, sign in col:
-                    mat[r][c] = sign
-            self._cache[key] = mat
+            rows = [{} for _ in range(self.n_simplices(j - 1))]
+            for c in range(self.n_simplices(j)) if j >= 1 else ():
+                for r, sign in self.faces(j, c):
+                    rows[r][c] = sign
+            self._cache[key] = rows
         return self._cache[key]
 
     def boundary_of_chain(self, j: int, vec: dict) -> dict:
         """The boundary of a sparse j-chain, as a sparse (j-1)-chain."""
         if not 1 <= j <= self.dim:
             return {}
-        faces = self.faces_with_signs(j)
         return _collect((r, sign * coef) for c, coef in vec.items()
-                        for r, sign in faces[c])
+                        for r, sign in self.faces(j, c))
 
     def is_cycle(self, j: int, vec: dict) -> bool:
         return not self.boundary_of_chain(j, vec)
@@ -249,13 +222,12 @@ class Subcomplex:
         while len(self.included) < len(parent.simplices):
             self.included = self.included + (frozenset(),)
         for d in range(1, len(parent.simplices)):
-            lower = parent.index[d - 1]
             for idx in self.included[d]:
-                s = parent.simplices[d][idx]
-                for i in range(d + 1):
-                    if lower[s[:i] + s[i + 1:]] not in self.included[d - 1]:
-                        raise FaceClosureError(
-                            f"subcomplex not face-closed at {s}")
+                if any(f not in self.included[d - 1]
+                       for f, _ in parent.faces(d, idx)):
+                    s = parent.simplices[d][idx]
+                    raise FaceClosureError(
+                        f"subcomplex not face-closed at {s}")
 
     def is_empty(self) -> bool:
         return all(not level for level in self.included)
@@ -476,11 +448,7 @@ class Subdivision:
         else:
             apex = self.new_vertex(d, idx)
             acc: dict[int, int] = {}
-            s = self.base.simplices[d][idx]
-            for i in range(d + 1):
-                face = s[:i] + s[i + 1:]
-                fidx = self.base.index[d - 1][face]
-                fsign = (-1) ** i
+            for fidx, fsign in self.base.faces(d, idx):
                 for new_idx, sign in self._sd_simplex(d - 1, fidx):
                     tup = self.complex.simplices[d - 1][new_idx] + (apex,)
                     ni = self.complex.index[d][tup]

@@ -34,3 +34,17 @@ def cycle_basis(X, j):
     (shared with the cache, read-only); empty outside 0..dim."""
     fact = _snf_boundary(X, j)
     return tuple(fact.V[fact.rank:])
+
+
+def boundary_oracle(X, j):
+    """Dense boundary_j: C_j -> C_{j-1}, one list per (j-1)-simplex, built
+    from the simplex lists alone by deleting one vertex at a time (deleting
+    vertex i gives the sign (-1)^i); n_{j-1} rows, none outside 1..dim+1."""
+    lower = X.simplices[j - 1] if 1 <= j <= X.dim + 1 else ()
+    upper = X.simplices[j] if 1 <= j <= X.dim else ()
+    row_of = {s: r for r, s in enumerate(lower)}
+    mat = [[0] * len(upper) for _ in lower]
+    for c, s in enumerate(upper):
+        for i in range(len(s)):
+            mat[row_of[s[:i] + s[i + 1:]]][c] += (-1) ** i
+    return mat

@@ -30,6 +30,7 @@ from charrig.geometry import (
     verify_normalization,
 )
 from charrig.product import CONTINGENT_CHECKS, verify_ring_axioms
+from conftest import boundary_oracle
 
 CORPUS = list(corpus.CORPUS_NAMES)
 
@@ -62,12 +63,12 @@ def _oracle_groups(X, j):
     def rank(jj):
         if not (0 < jj <= X.dim) or not X.n_simplices(jj):
             return 0
-        m = Matrix(X.boundary_matrix(jj))
+        m = Matrix(boundary_oracle(X, jj))
         return m.rank() if m.rows and m.cols else 0
     betti = X.n_simplices(j) - rank(j) - rank(j + 1)
     tors = []
     if 0 < j <= X.dim:
-        m = Matrix(X.boundary_matrix(j))
+        m = Matrix(boundary_oracle(X, j))
         if m.rows and m.cols:
             tors = [int(d) for d in invariant_factors(m) if d not in (0, 1)]
     return betti, tors

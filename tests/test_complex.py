@@ -1,4 +1,5 @@
 """Complexes, maps, subdivision, stars."""
+import argparse
 import json
 
 import pytest
@@ -6,13 +7,13 @@ from hypothesis import given, settings, strategies as st
 from sympy import Matrix
 
 from charrig.simplicial import (
-    Complex, DegreeError, DuplicateError, FaceClosureError, ParseError,
+    Complex, DuplicateError, FaceClosureError, ParseError,
     SimplicialMap, barycentric_subdivide, closed_star_neighborhood,
     complex_from_maximal, parse_complex, subcomplex_from_simplices,
 )
-from charrig import zlin
+from charrig import cli, zlin
 from charrig.cochains import basis_cochain, cohomology, homology
-from conftest import cycle_basis
+from conftest import CORPUS, boundary_oracle, cycle_basis
 from test_cochains import cones_and_suspensions, random_complexes
 
 
@@ -52,23 +53,31 @@ def test_explicit_mode_face_closure_error():
 
 
 def test_boundary_matrix_shapes_and_degrees(cx):
+    """boundary_rows(j) has one row per (j-1)-simplex for every j in
+    -1..dim+1, the point's boundary in degree 1 is one empty row, and the
+    columns of the circle's boundary sum to zero."""
+    for name in CORPUS:
+        X = cx(name)
+        for j in range(-1, X.dim + 2):
+            assert len(X.boundary_rows(j)) == X.n_simplices(j - 1), (name, j)
+    assert cx("point").boundary_rows(1) == [{}]
     s1 = cx("s1")
-    b1 = s1.boundary_matrix(1)
-    assert all(sum(col) == 0 for col in zip(*b1))
-    pt = cx("point")
-    assert pt.boundary_matrix(1) == [[]]  # 1 x 0
-    with pytest.raises(DegreeError):
-        pt.boundary_matrix(2)
-    with pytest.raises(DegreeError):
-        pt.boundary_matrix(-1)
+    col_sums = zlin.combine([1] * s1.n_simplices(0), s1.boundary_rows(1))
+    assert col_sums == {}
+    assert all(len(row) == 2 for row in s1.boundary_rows(1))
 
 
 def test_boundary_squares_to_zero(corpus_complex):
     X = corpus_complex
     for j in range(1, X.dim + 1):
         if X.n_simplices(j + 1):
-            prod = Matrix(X.boundary_matrix(j)) * Matrix(X.boundary_matrix(j + 1))
+            prod = _dense_boundary(X, j) * _dense_boundary(X, j + 1)
             assert prod.is_zero_matrix
+
+
+def _dense_boundary(X, j):
+    return Matrix([zlin.dense(row, X.n_simplices(j))
+                   for row in X.boundary_rows(j)])
 
 
 def test_subdivision_edge():
@@ -256,7 +265,7 @@ def test_boundary_of_chain_is_the_matrix_product(X, data):
     if j:
         x = zlin.dense(c, X.n_simplices(j))
         expect = [sum(r * v for r, v in zip(row, x))
-                  for row in X.boundary_matrix(j)]
+                  for row in boundary_oracle(X, j)]
         assert zlin.dense(b, X.n_simplices(j - 1)) == expect
     else:
         assert b == {}
@@ -288,8 +297,24 @@ def test_out_of_range_indices_raise_shape_errors(X, data):
     with pytest.raises(zlin.ShapeError):
         x.pair({0: 1, bad: 1})
     # the boundary C_{j+1} -> C_j has n rows, empty ones when j = dim
-    rows, ncols = X._boundary_any(j + 1), X.n_simplices(j + 1)
+    rows, ncols = X.boundary_rows(j + 1), X.n_simplices(j + 1)
     with pytest.raises(zlin.ShapeError):
         zlin.solve_integer(rows, {bad: 1}, ncols=ncols)
     with pytest.raises(zlin.ShapeError):
         zlin.solve_rational(rows, {bad: 1}, ncols=ncols)
+
+
+@settings(max_examples=30, deadline=None)
+@given(RANDOM_SPACES)
+def test_boundary_rows_are_the_oracle_and_the_only_stored_boundary(X):
+    """After `inspect`, boundary_rows(j) is the oracle boundary in every
+    degree -1..dim+2, as ascending sparse rows that store no zero, and no
+    other form of the boundary (a per-degree face table) is cached."""
+    cli.cmd_inspect(X, argparse.Namespace(seed=0, max_subdiv=2), 1)
+    assert not [key for key in X._cache
+                if isinstance(key, tuple) and key[0] == "faces"]
+    for j in range(-1, X.dim + 3):
+        rows = X.boundary_rows(j)
+        assert all(list(r) == sorted(r) and all(r.values()) for r in rows), j
+        assert [zlin.dense(r, X.n_simplices(j)) for r in rows] == \
+            boundary_oracle(X, j), j

@@ -409,7 +409,7 @@ def _assert_on_base_decisions_agree(K, rng):
         invisible = [basis_cochain(S, "Q", k - 1, i).scale(Fraction(1, 2))
                      for i in range(S.n_simplices(k - 1))
                      if sd.carrier[k - 1][i][0] != k - 1
-                     and S._boundary_any(k)[i]][:1]
+                     and S.boundary_rows(k)[i]][:1]
         hz = cohomology(K, k, "Z")
         shifts = [hz.make(e) for e in _units(hz.n_coords)]
         for x in sample_classes(K, k, rng, count=3):

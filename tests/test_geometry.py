@@ -15,7 +15,7 @@ from charrig.geometry import (
 from charrig.simplicial import (
     SimplicialMap, complex_from_maximal, subcomplex_from_simplices,
 )
-from conftest import cycle_basis
+from conftest import boundary_oracle, cycle_basis
 
 
 def test_good_neighborhood_of_vertex_is_cone(corpus_complex):
@@ -106,10 +106,8 @@ def test_resolve_wedge_of_spheres_in_four_dim_ambient():
     assert pm.ambient_cycle() == wedge
     # each 1-cell has exactly two cofaces (already checked inside
     # is_pseudomanifold, restated here as the wedge's point)
-    counts = [0] * pm.complex.n_simplices(1)
-    for col in pm.complex.faces_with_signs(2):
-        for r, _ in col:
-            counts[r] += 1
+    counts = [sum(1 for v in row if v)
+              for row in boundary_oracle(pm.complex, 2)]
     assert set(counts) == {2}
 
 
