@@ -79,7 +79,8 @@ class Cochain:
             raise RingError(f"unknown ring {ring!r}")
         for v in values:
             if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
-                raise TypeError(f"cochain value {v!r} is not an int or a Fraction")
+                raise TypeError(
+                    f"cochain value {v!r} is not an int or a Fraction")
         num, den = _over_common_denominator(values)
         self.cx, self.ring, self.degree = cx, ring, degree
         self.num, self.den = _normal_form(ring, dict(enumerate(num)), den)

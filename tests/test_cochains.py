@@ -583,7 +583,8 @@ def test_coboundary_kernel_is_the_signed_face_sum(X, data):
         x = Cochain(X, ring, j, [Fraction(rng.randrange(-9, 10), den)
                                  for _ in range(X.n_simplices(j))])
         a = x.values
-        expected = ([sum(s * a[r] for r, s in enumerate(col)) for col in faces]
+        expected = ([sum(s * a[r] for r, s in enumerate(col))
+                     for col in faces]
                     if faces else [0] * X.n_simplices(j + 1))
         dx = coboundary(x)
         _assert_normal_form(dx)
