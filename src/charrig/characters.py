@@ -33,7 +33,8 @@ from .diffcocycle import (
 )
 from .geometry import (
     GeometryBudgetExceeded, GoodNeighborhood, good_neighborhood,
-    good_neighborhood_of_cycle, normalize_cycle,
+    good_neighborhood_of_cycle, normalize_cycle, push_down_chain,
+    transport_chain,
 )
 from .report import SKIPPED, CheckResult, check
 from .simplicial import (
@@ -171,7 +172,7 @@ def _value_on_neighborhood(x: DiffClass, nb: GoodNeighborhood,
         y = pullback(sd.last_vertex, y)
     theta = lift_through_i2(pullback(nb.inclusion, y))
     j = x.degree - 1
-    z_local = nb.chain_to_neighborhood(j, nb.transport_chain(j, z))
+    z_local = nb.chain_to_neighborhood(j, transport_chain(nb.tower, j, z))
     return theta.rep.mod1().pair(z_local)
 
 
@@ -186,7 +187,7 @@ def evaluate_via_normalization(x: DiffClass, z: dict) -> Fraction:
         omega_up = omega_up.pullback(sd.last_vertex)
     part_form = omega_up.pair(sr.witness)
     zP = pm.ambient_cycle()
-    zP_base = sr.push_down_chain(k - 1, zP)
+    zP_base = push_down_chain(sr.tower, k - 1, zP)
     part_char = phi_direct(x).evaluate(zP_base)
     return _mod1(part_form + part_char)
 

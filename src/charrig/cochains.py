@@ -306,9 +306,9 @@ def cup_class_qmodz(a: "CohomologyClass", u: "CohomologyClass") -> "CohomologyCl
 # so they cost the nonzeros of the cochain they are given, not one
 # pairing per column of V. Each transform is built on its first read: a
 # boundary factorization never builds Uinv, and builds U only when a
-# coboundary is solved. The relation matrix of H_j is ascending dict
-# rows, and its presentation (`zlin.cokernel`) reads only U and Uinv, so
-# its V and Vinv are never built. The cycle basis is never made dense:
+# coboundary is solved. The relation matrix of H_j is dict rows, and its
+# presentation (`zlin.cokernel`) reads only U and Uinv, so its V and
+# Vinv are never built. The cycle basis is never made dense:
 # every reader walks the sparse columns V[rank:] of the factorization of
 # d_j. The coboundary reads the same coface rows of d_{j+1}: row i holds
 # the signed cofaces of simplex i.
@@ -431,12 +431,10 @@ def homology(cx: Complex, j: int) -> HomologyData:
         K = fact.V[fact.rank:]
         # relations: the cycle coordinates of each (j+1)-simplex's boundary,
         # row t of Vinv past the rank carried to the (j+1)-simplices through
-        # the cofaces of each j-simplex, with keys sorted ascending
-        # (`zlin.smith_normal_form` needs them so)
+        # the cofaces of each j-simplex
         cofaces = cx.boundary_rows(j + 1)
-        Y = [dict(sorted(zlin.combine(row, cofaces).items()))
-             for row in fact.Vinv[fact.rank:]]
-        fg = zlin.cokernel(Y, ambient=len(K), ncols=cx.n_simplices(j + 1))
+        Y = [zlin.combine(row, cofaces) for row in fact.Vinv[fact.rank:]]
+        fg = zlin.cokernel(Y, ncols=cx.n_simplices(j + 1))
         gens = tuple(zlin.combine(fg.lift(e), K) for e in _units(fg.n_coords))
         cx._cache[key] = HomologyData(cx, j, fg, gens)
     return cx._cache[key]

@@ -59,25 +59,24 @@ def cohomology_vanishes_above(cx: Complex, k: int) -> bool:
 # ---------------------------------------------------------------------------
 # good neighborhoods
 
-class _TowerTransport:
-    """Chain transport along `self.tower`, a list of Subdivision objects
-    from the base complex to the top subdivision."""
+def transport_chain(tower, j: int, vec: dict) -> dict:
+    """A j-chain on the base of `tower` (a list of Subdivision objects from
+    the base complex to the top subdivision) carried to the top."""
+    for sd in tower:
+        vec = sd.subdivide_chain(j, vec)
+    return vec
 
-    def transport_chain(self, j: int, vec):
-        """Chain on the base -> chain on the top subdivision."""
-        for sd in self.tower:
-            vec = sd.subdivide_chain(j, vec)
-        return vec
 
-    def push_down_chain(self, j: int, vec):
-        """Chain on the top subdivision -> chain on the base."""
-        for sd in reversed(self.tower):
-            vec = sd.last_vertex.push_chain(j, vec)
-        return vec
+def push_down_chain(tower, j: int, vec: dict) -> dict:
+    """A j-chain on the top of `tower` pushed down to its base along the
+    last-vertex maps."""
+    for sd in reversed(tower):
+        vec = sd.last_vertex.push_chain(j, vec)
+    return vec
 
 
 @dataclass
-class GoodNeighborhood(_TowerTransport):
+class GoodNeighborhood:
     base: Complex
     level: int
     tower: list          # Subdivision objects, base -> ambient
@@ -305,7 +304,7 @@ def resolve_cycle(ambient: Complex, d: int, vec: dict):
 # splitting multi-coefficient cells into parallel copies
 
 @dataclass
-class SplitResult(_TowerTransport):
+class SplitResult:
     base: Complex
     level: int
     tower: list
@@ -338,9 +337,7 @@ def _split_chain(base: Complex, d: int, vec: dict) -> SplitResult:
             "parallel-copy routing is implemented for cells of dimension <= 1")
     tower = subdivision_tower(base, 2)
     Y = tower[1].complex
-    z2 = vec
-    for sd in tower:
-        z2 = sd.subdivide_chain(d, z2)
+    z2 = transport_chain(tower, d, vec)
     z_out = dict(z2)
     b1 = {}
     cofaces = base.boundary_rows(d + 1)
@@ -354,9 +351,7 @@ def _split_chain(base: Complex, d: int, vec: dict) -> SplitResult:
             raise GeometryBudgetExceeded(
                 f"cell {base.simplices[d][i]} has {len(slots)} cofaces, "
                 f"needs {n - 1} parallel slots")
-        s2 = {i: 1}
-        for sd in tower:
-            s2 = sd.subdivide_chain(d, s2)
+        s2 = transport_chain(tower, d, {i: 1})
         zlin._axpy(z_out, s2, sign - coef)
         for copy_idx in range(n - 1):
             rho = slots[copy_idx]
@@ -483,9 +478,7 @@ def bound_in_good_neighborhood(P: Pseudomanifold, base: Complex, tower,
     k = d + 1
     ambient = P.map_to_ambient.target
     zP = P.ambient_cycle()
-    z_base = zP
-    for sd in reversed(tower):
-        z_base = sd.last_vertex.push_chain(d, z_base)
+    z_base = push_down_chain(tower, d, zP)
     hom = homology(base, d)
     coords = hom.project_chain(z_base)
     if any(coords):
@@ -508,14 +501,14 @@ def bound_in_good_neighborhood(P: Pseudomanifold, base: Complex, tower,
         sr = _split_chain(ambient, k, w)
         ambient = sr.complex
         w = sr.cycle
-        zP = sr.transport_chain(d, zP)
+        zP = transport_chain(sr.tower, d, zP)
     # neighborhood of the support of w (which contains |P|)
     support = [ambient.simplices[k][i] for i in w]
     support += [ambient.simplices[d][i] for i in zP]
     K = subcomplex_from_simplices(ambient, support)
     nb = good_neighborhood(ambient, K, d, max_subdiv)
-    y_local = nb.chain_to_neighborhood(k, nb.transport_chain(k, w))
-    z_local = nb.chain_to_neighborhood(d, nb.transport_chain(d, zP))
+    y_local = nb.chain_to_neighborhood(k, transport_chain(nb.tower, k, w))
+    z_local = nb.chain_to_neighborhood(d, transport_chain(nb.tower, d, zP))
     pairs, dim_left = _greedy_collapse(nb.complex)
     return BoundResult(nb, y_local, z_local, pairs, dim_left)
 

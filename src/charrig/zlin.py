@@ -181,23 +181,22 @@ def smith_normal_form(a, ncols: int | None = None) -> SNFResult:
     deterministic and bounds coefficient growth.
 
     Each row of `a` is a dense sequence or a dict from column index to
-    value. A dict row must hold its columns in ascending order, as a dense
-    row does: the divisibility sweep takes the first entry of a row that
-    the pivot does not divide, so another order can pick another row
-    operation. `ncols` gives the column count, which dict rows and a
-    0-row matrix cannot express; without it, the length of the first row.
+    value, in any key order. `ncols` gives the column count, which dict
+    rows and a 0-row matrix cannot express; without it, the length of the
+    first row.
 
     Only the working matrix is updated; each operation is appended to the
-    row or column log from which `SNFResult` builds the transforms. A unit
-    pivot clears its column with one row operation per row, after which
-    clearing its row touches row t alone, so its column operations are
-    only logged. The Euclid loop would log the same operations, but it
-    also applies each column operation and rescans column t and row t
-    before it stops. Over 99 % of the pivots of the boundary
-    operators and presentations in the perfbench workloads are units,
-    where eliminating units first pays most (Dumas, Saunders and Villard,
-    J. Symb. Comp. 32, 2001). Larger pivots run the Euclid loop and the
-    divisibility sweep.
+    row or column log from which `SNFResult` builds the transforms. One
+    step handles every pivot p: a floor-division row operation per row
+    clears column t down to remainders below p, after which column t
+    holds only p, so clearing row t touches row t alone and its column
+    operations are only logged, with their remainders kept in row t. A
+    remainder left in column t or row t, or a row that p does not divide
+    (added to row t by the divisibility sweep), sends the elimination
+    back to the pivot choice. A unit pivot leaves no remainder, and over
+    99 % of the pivots of the boundary operators and presentations in the
+    perfbench workloads are units, where eliminating units first pays
+    most (Dumas, Saunders and Villard, J. Symb. Comp. 32, 2001).
     """
     m = len(a)
     n = ncols if ncols is not None else (len(a[0]) if m else 0)
@@ -221,19 +220,6 @@ def smith_normal_form(a, ncols: int | None = None) -> SNFResult:
             else:
                 col_rows[j].discard(i)
         row_log.append((i, t, q))
-
-    def col_op(j, t, q):
-        # col_j -= q * col_t
-        for i in list(col_rows[t]):
-            ri = rows[i]
-            new = ri.get(j, 0) - q * ri[t]
-            if new:
-                ri[j] = new
-                col_rows[j].add(i)
-            elif j in ri:
-                del ri[j]
-                col_rows[j].discard(i)
-        col_log.append((j, t, q))
 
     def row_swap(i, t):
         if i == t:
@@ -291,67 +277,38 @@ def smith_normal_form(a, ncols: int | None = None) -> SNFResult:
         col_swap(piv[1], t)
         if rows[t][t] < 0:
             row_negate(t)
-        if rows[t][t] == 1:
-            # unit pivot: each row op clears its entry of column t, after
-            # which each column op only zeroes an entry of row t
-            for i in sorted(col_rows[t]):
-                if i != t:
-                    row_op(i, t, rows[i][t])
-            rt = rows[t]
-            for j in sorted(rt):
-                if j != t:
-                    col_log.append((j, t, rt[j]))
-                    col_rows[j].discard(t)
-            rows[t] = {t: 1}
-            diag.append(1)
-            t += 1
+        # p is the smallest |entry| of the active block, so no quotient
+        # below is 0 (`_replay` would read a logged 0 as a swap). Each
+        # `continue` picks a strictly smaller pivot, so the loop ends: a
+        # cleared column or row may leave a remainder below p, and after
+        # the sweep the next pass picks (t, t) again and leaves one in row t.
+        rt = rows[t]
+        p = rt[t]
+        for i in sorted(col_rows[t]):
+            if i != t:
+                row_op(i, t, rows[i][t] // p)
+        if len(col_rows[t]) > 1:
             continue
-        while True:
-            # clear column t with floor-division remainders, Euclid style
-            progressed = True
-            while progressed:
-                progressed = False
-                p = rows[t][t]
-                for i in sorted(col_rows[t]):
-                    if i == t:
-                        continue
-                    q = rows[i][t] // p
-                    if q:
-                        row_op(i, t, q)
-                rem = sorted(i for i in col_rows[t] if i != t)
-                if rem:
-                    i_min = min(rem, key=lambda i: (rows[i][t], i))
-                    row_swap(i_min, t)
-                    progressed = True
-            # clear row t
-            p = rows[t][t]
-            for j in sorted(rows[t]):
-                if j == t:
-                    continue
-                q = rows[t][j] // p
-                if q:
-                    col_op(j, t, q)
-            rem = sorted(j for j in rows[t] if j != t)
-            if rem:
-                j_min = min(rem, key=lambda j: (rows[t][j], j))
-                col_swap(j_min, t)
-                continue  # column t dirtied by the swap
-            if len(col_rows[t]) > 1:
+        # column t holds only p, so a column operation touches row t alone
+        for j in sorted(rt):
+            if j != t:
+                q, r = divmod(rt[j], p)
+                col_log.append((j, t, q))
+                if r:
+                    rt[j] = r
+                else:
+                    del rt[j]
+                    col_rows[j].discard(t)
+        if len(rt) > 1:
+            continue
+        if p > 1:
+            # divisibility sweep: p must divide the rest of the block
+            bad = next((i for i in range(t + 1, m)
+                        if any(v % p for v in rows[i].values())), None)
+            if bad is not None:
+                row_op(t, bad, -1)  # row_t += row_bad
                 continue
-            p = rows[t][t]
-            if p > 1:
-                # divisibility sweep: pivot must divide the remaining block
-                bad = None
-                for i in range(t + 1, m):
-                    for j, val in rows[i].items():
-                        if val % p:
-                            bad = (i, j) if bad is None else min(bad, (i, j))
-                            break
-                if bad is not None:
-                    row_op(t, bad[0], -1)  # row_t += row_bad
-                    continue
-            break
-        diag.append(rows[t][t])
+        diag.append(p)
         t += 1
     rank = len(diag)
     diag.extend([0] * (limit - rank))
@@ -402,24 +359,15 @@ class FgAbelianGroup:
         return describe_group("Z", self.rank, self.torsion)
 
 
-def cokernel(a, ambient: int | None = None, fact: SNFResult | None = None,
+def cokernel(a, fact: SNFResult | None = None,
              ncols: int | None = None) -> FgAbelianGroup:
-    """Presentation of Z^m / im(a).
+    """Presentation of Z^m / im(a), m the number of rows of `a`.
 
-    `ambient` must be given when `a` has no rows to disambiguate the target
-    rank (an empty image inside Z^ambient). Rows may be dense or ascending
-    dicts, as in `smith_normal_form`, with `ncols` their column count. The
-    presentation reads only U and Uinv, so the factorization never builds
-    V or Vinv.
+    Rows may be dense or dicts, as in `smith_normal_form`, with `ncols`
+    their column count. The presentation reads only U and Uinv, so the
+    factorization never builds V or Vinv.
     """
     m = len(a)
-    if m == 0:
-        if ambient is None:
-            ambient = 0
-        eye = tuple(_sparse_identity(ambient))
-        return FgAbelianGroup(ambient, (), eye, eye)
-    if ambient is not None and ambient != m:
-        raise ShapeError("ambient rank disagrees with row count")
     if fact is None:
         fact = smith_normal_form(a, ncols=ncols)
     free_idx = list(range(fact.rank, m))

@@ -97,6 +97,21 @@ def test_dict_rows_and_row_only_factorization_match_dense_rows(a):
     assert (h.V, h.Vinv) == (f.V, f.Vinv)
 
 
+@settings(max_examples=60, deadline=None)
+@given(small_matrices(), st.randoms(use_true_random=False))
+def test_dict_row_key_order_does_not_change_the_factorization(a, rnd):
+    """Dict rows with their keys shuffled give the factorization of the
+    ascending ones: the same diagonal, both logs and all four transforms,
+    dict key order included."""
+    rows = [as_dict(r) for r in a]
+    shuffled = [dict(rnd.sample(list(r.items()), len(r))) for r in rows]
+    f = zlin.smith_normal_form(rows, ncols=len(a[0]))
+    g = zlin.smith_normal_form(shuffled, ncols=len(a[0]))
+    assert (g.diag, g.row_log, g.col_log) == (f.diag, f.row_log, f.col_log)
+    assert (g.U, g.V, g.Uinv, g.Vinv) == (f.U, f.V, f.Uinv, f.Vinv)
+    assert key_orders(g) == key_orders(f)
+
+
 def unit_matrices_with_one_larger_entry(max_dim=7):
     """Matrices with entries in {-1, 0, 1} and one entry of ±2 or ±3, like
     the boundary operators and relation matrices: unit pivots clear most
@@ -153,8 +168,9 @@ def test_transforms_built_on_first_read_in_any_order(a, order, dict_rows):
 @pytest.mark.parametrize("order", TRANSFORM_ORDERS)
 def test_unit_and_euclid_pivots_in_one_factorization(order):
     """The first pivot is a unit; the rest of the block holds no unit, so
-    the next pivot, 2, runs the Euclid loop and the divisibility sweep
-    against the 3 and the other 2."""
+    the next pivot, 2, runs the divisibility sweep against the 3 and the
+    other 2, and the remainder the sweep leaves in its row is the next
+    pivot."""
     a = [[1, -1, 0, 0],
          [1, 1, 0, 0],
          [0, 0, 2, 0],
@@ -190,6 +206,12 @@ def test_snf_pivot_examples():
     assert g.V == [{0: 3, 1: 1}, {0: -5, 1: -2}]
     assert g.Uinv == [{0: 10, 1: 21}, {0: -1, 1: -2}]
     assert g.Vinv == [{0: 2, 1: -5}, {0: 1, 1: -3}]
+    # a remainder left in column 0, in row 0, and in row 0 after column 0
+    # is cleared: each sends the elimination back to the pivot choice
+    for a, diag in (([[2], [3]], (1,)), ([[2, 3]], (1,)),
+                    ([[2, 3], [4, 5]], (1, 2))):
+        for order in TRANSFORM_ORDERS:
+            assert check_transforms_in_order(a, order, dict_rows=True).diag == diag
 
 
 def test_snf_is_deterministic():
@@ -357,7 +379,7 @@ def test_kernel_basis_spans_and_is_exact():
 def test_cokernel_examples():
     g = zlin.cokernel([[2]])
     assert (g.rank, g.torsion) == (0, (2,))
-    empty = zlin.cokernel([], ambient=3)
+    empty = zlin.cokernel([{}, {}, {}], ncols=0)
     assert (empty.rank, empty.torsion) == (3, ())
 
 
