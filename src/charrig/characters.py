@@ -178,14 +178,13 @@ def _value_on_neighborhood(x: DiffClass, nb: GoodNeighborhood,
 
 def evaluate_via_normalization(x: DiffClass, z: dict) -> Fraction:
     """Evaluate on a cycle through its pseudomanifold normalization:
-    z = boundary(b) + P gives the value omega(b) + f(P)."""
+    z = boundary(b) + P gives the value omega(b) + f(P). The witness b
+    lives in the subdivided complex; omega is paired with its push-down
+    lambda_# b, since (lambda^* omega)(b) = omega(lambda_# b)."""
     cx = x.cx
     k = x.degree
     sr, pm = normalize_cycle(cx, k - 1, z)
-    omega_up = delta1(x)
-    for sd in sr.tower:
-        omega_up = omega_up.pullback(sd.last_vertex)
-    part_form = omega_up.pair(sr.witness)
+    part_form = delta1(x).pair(push_down_chain(sr.tower, k, sr.witness))
     zP = pm.ambient_cycle()
     zP_base = push_down_chain(sr.tower, k - 1, zP)
     part_char = phi_direct(x).evaluate(zP_base)

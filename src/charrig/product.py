@@ -57,17 +57,21 @@ def verify_ring_axioms(cx: Complex, degrees, rng, maps=None) -> list[CheckResult
     results = []
 
     # 1.16: closure and degree additivity (construction validates the
-    # cocycle identities; any violation raises)
+    # cocycle identities; any violation raises). Each product and its flip
+    # is built once here; the later checks read them and skip a pair whose
+    # product failed to close
     probs = []
     pairs = [(x, y) for x in xs for y in ys]
+    built = {}  # pair index -> (x, y, x * y, its flip)
     for idx, (x, y) in enumerate(pairs):
         try:
-            p = star(x, y)
+            built[idx] = (x, y, star(x, y), _flip_star(x, y))
         except Exception as e:
             probs.append(("product failed to close", idx, repr(e)))
             continue
-        if p.degree != k + l:
+        if built[idx][2].degree != k + l:
             probs.append(("degree is not additive", idx))
+    head = {idx: b for idx, b in built.items() if idx < 4}
     results.append(check("ring.closure_1_16", not probs,
                          f"{len(pairs)} products in degree {k + l}",
                          {"problems": probs}))
@@ -98,9 +102,7 @@ def verify_ring_axioms(cx: Complex, degrees, rng, maps=None) -> list[CheckResult
     # 1.17: graded commutativity at class level (contingent; see module doc)
     probs, wit = [], []
     defect_probs = []
-    for idx, (x, y) in enumerate(pairs):
-        lhs = star(x, y)
-        rhs = _flip_star(x, y)
+    for idx, (_, _, lhs, rhs) in built.items():
         if not class_equal(lhs, rhs):
             probs.append(idx)
             if len(wit) < 2:
@@ -123,16 +125,16 @@ def verify_ring_axioms(cx: Complex, degrees, rng, maps=None) -> list[CheckResult
 
     # 1.18: curvature is multiplicative at cochain level
     probs = []
-    for idx, (x, y) in enumerate(pairs):
-        if delta1(star(x, y)) != cup(delta1(x), delta1(y)):
+    for idx, (x, y, p, _) in built.items():
+        if delta1(p) != cup(delta1(x), delta1(y)):
             probs.append(idx)
     results.append(check("ring.axiom_1_18_curvature", not probs,
                          "cochain-level equality", {"failing_pairs": probs}))
 
     # 1.19: characteristic class is multiplicative
     probs = []
-    for idx, (x, y) in enumerate(pairs):
-        if delta2(star(x, y)) != cup_integral_classes(delta2(x), delta2(y)):
+    for idx, (x, y, p, _) in built.items():
+        if delta2(p) != cup_integral_classes(delta2(x), delta2(y)):
             probs.append(idx)
     results.append(check("ring.axiom_1_19_char_class", not probs,
                          "class-level equality in H(Z)", {"failing_pairs": probs}))
@@ -167,16 +169,14 @@ def verify_ring_axioms(cx: Complex, degrees, rng, maps=None) -> list[CheckResult
     # is flat and kills i2 images; ∗ against itself is trivial, against the
     # flip it presumes 1.17 and fails with it
     probs = []
-    for idx, (x, y) in enumerate(pairs[:4]):
-        d_self = star(x, y) - star(x, y)
-        if not class_equal(d_self, zero_class(cx, k + l)):
+    for idx, (_, _, p, _) in head.items():
+        if not class_equal(p - p, zero_class(cx, k + l)):
             probs.append(("difference with itself is nonzero", idx))
     results.append(check("ring.uniqueness_vs_itself", not probs, "",
                          {"problems": probs}))
     probs = []
-    for idx, (x, y) in enumerate(pairs[:4]):
-        d_flip = star(x, y) - _flip_star(x, y)
-        if not delta1(d_flip).is_zero():
+    for idx, (_, _, p, flip) in head.items():
+        if not delta1(p - flip).is_zero():
             probs.append(("difference with the flip variant is not flat", idx))
     for x in xs[:2]:
         for th in sample_quotient_forms(cx, l, rng)[:2]:
@@ -196,8 +196,8 @@ def verify_ring_axioms(cx: Complex, degrees, rng, maps=None) -> list[CheckResult
         for mi, phi in enumerate(maps):
             if phi.target is not cx or not phi.is_monotone():
                 continue
-            for x, y in pairs[:3]:
-                lhs = pullback(phi, star(x, y))
+            for x, y, p, _ in (head[i] for i in range(3) if i in head):
+                lhs = pullback(phi, p)
                 rhs = star(pullback(phi, x), pullback(phi, y))
                 if not class_equal_on_source(phi, lhs, rhs):
                     probs.append(("star is not natural", mi))

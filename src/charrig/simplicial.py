@@ -11,11 +11,18 @@ coefficient, with no zero stored. The chain operations
 (`Complex.boundary_of_chain`, `SimplicialMap.push_chain` and
 `Subdivision.subdivide_chain`) return new dicts of that form and cost the
 nonzeros of their input.
+
+Construction validates by columns: a level of d-simplices is read as its
+d + 1 vertex columns (`zip(*level)`), and each check (lengths, strict
+increase, duplicates, face closure, images under a vertex map) is one
+pass of C-level `map` calls over whole columns. Only when a check fails
+does a per-simplex loop run, to name the first culprit in the message.
 """
 from __future__ import annotations
 
 import json
-from itertools import combinations
+from itertools import chain, combinations, compress, filterfalse, repeat
+from operator import add, eq, is_, itemgetter, le, lt, not_
 
 
 def _collect(terms) -> dict:
@@ -24,6 +31,14 @@ def _collect(terms) -> dict:
     for i, v in terms:
         out[i] = out.get(i, 0) + v
     return {i: v for i, v in out.items() if v}
+
+
+def _facets(simplices):
+    """The faces of equal-length simplices by face position: entry i
+    iterates the faces deleting vertex i, one per simplex in order. The
+    columns are split once; nothing is built per simplex but the face."""
+    cols = list(zip(*simplices))
+    return [zip(*(cols[:i] + cols[i + 1:])) for i in range(len(cols))]
 
 
 class ParseError(Exception):
@@ -44,43 +59,43 @@ class MismatchError(Exception):
 
 class Complex:
     """Immutable simplicial complex. Its boundary operators are stored once
-    each, as the cached sparse rows of `boundary_rows`."""
+    each, as the cached sparse rows of `boundary_rows`.
+
+    Each level is validated by columns: its lengths, strict increase,
+    duplicates and face closure are checked over whole vertex columns.
+    The per-simplex loops after a failed check only name the first
+    offending simplex (and face), with the message they always gave."""
 
     def __init__(self, name: str, simplices_by_dim, vertex_count: int | None = None):
         self.name = name
-        cleaned = []
-        for d, simps in enumerate(simplices_by_dim):
-            seen = set()
-            for s in simps:
-                t = tuple(s)
-                if len(t) != d + 1:
-                    raise ParseError(f"simplex {t} listed in dimension {d}")
-                if any(t[i] >= t[i + 1] for i in range(d)):
-                    raise ParseError(f"simplex {t} is not strictly increasing")
-                if t in seen:
-                    raise DuplicateError(f"duplicate simplex {t}")
-                seen.add(t)
-            cleaned.append(tuple(sorted(seen)))
+        cleaned = [_checked_level(d, simps)
+                   for d, simps in enumerate(simplices_by_dim)]
         while cleaned and not cleaned[-1]:
             cleaned.pop()
         if not cleaned:
             raise ParseError("complex has no simplices")
-        max_vertex = max((v for s in cleaned[0] for v in s), default=-1)
+        max_vertex = cleaned[0][-1][0] if cleaned[0] else -1
         if vertex_count is None:
             vertex_count = max_vertex + 1
         elif vertex_count < max_vertex + 1:
             raise ParseError(f"vertex_count {vertex_count} below maximum index {max_vertex}")
         self.vertex_count = vertex_count
         self.simplices = tuple(cleaned)
-        self.index = tuple({s: i for i, s in enumerate(level)} for level in cleaned)
+        self.index = tuple(dict(zip(level, range(len(level))))
+                           for level in cleaned)
         self._validate_closure()
         self._cache: dict = {}
 
     # -- structure ---------------------------------------------------------
 
     def _validate_closure(self):
+        """Every face of every simplex is listed, checked once per face
+        position over the whole level."""
         for d in range(1, len(self.simplices)):
             lower = self.index[d - 1]
+            if all(all(map(lower.__contains__, faces))
+                   for faces in _facets(self.simplices[d])):
+                continue
             for s in self.simplices[d]:
                 for i in range(d + 1):
                     face = s[:i] + s[i + 1:]
@@ -140,6 +155,29 @@ class Complex:
     def __repr__(self):
         counts = ",".join(str(len(l)) for l in self.simplices)
         return f"Complex({self.name}: {counts})"
+
+
+def _checked_level(d: int, simps) -> tuple:
+    """The d-simplices as a sorted tuple of tuples, after checking their
+    lengths, their strict increase and that none repeats, each over the
+    whole level; a failed check reruns the checks simplex by simplex to
+    raise for the first offender."""
+    level = tuple(map(tuple, simps))
+    if set(map(len, level)) <= {d + 1}:
+        cols = list(zip(*level))
+        if (all(all(map(lt, a, b)) for a, b in zip(cols, cols[1:]))
+                and len(set(level)) == len(level)):
+            return tuple(sorted(level))
+    seen = set()
+    for t in level:
+        if len(t) != d + 1:
+            raise ParseError(f"simplex {t} listed in dimension {d}")
+        if any(t[i] >= t[i + 1] for i in range(d)):
+            raise ParseError(f"simplex {t} is not strictly increasing")
+        if t in seen:
+            raise DuplicateError(f"duplicate simplex {t}")
+        seen.add(t)
+    return tuple(sorted(seen))
 
 
 def complex_from_maximal(name: str, maximal, vertex_count: int | None = None) -> Complex:
@@ -222,6 +260,11 @@ class Subcomplex:
         while len(self.included) < len(parent.simplices):
             self.included = self.included + (frozenset(),)
         for d in range(1, len(parent.simplices)):
+            lower, index = self.included[d - 1], parent.index[d - 1]
+            if all(lower.issuperset(map(index.__getitem__, faces))
+                   for faces in _facets(map(parent.simplices[d].__getitem__,
+                                            self.included[d]))):
+                continue
             for idx in self.included[d]:
                 if any(f not in self.included[d - 1]
                        for f, _ in parent.faces(d, idx)):
@@ -275,18 +318,22 @@ def chain_support(parent: Complex, j: int, vec: dict) -> Subcomplex:
 
 
 def closed_star_neighborhood(parent: Complex, K: Subcomplex) -> Subcomplex:
-    """Closed star of K's vertex set: every simplex meeting it, plus faces."""
+    """Closed star of K's vertex set: every simplex meeting it, plus faces.
+    The faces are closed downward a level at a time, by columns: the
+    facets of the d-simplices taken join the (d-1)-simplices taken."""
     if K.parent is not parent:
         raise MismatchError("subcomplex belongs to a different complex")
     verts = K.vertex_set()
     if not verts:
         return Subcomplex(parent, [set() for _ in parent.simplices])
-    hits = []
-    for level in parent.simplices:
-        for s in level:
-            if any(v in verts for v in s):
-                hits.append(s)
-    return subcomplex_from_simplices(parent, hits)
+    included = [set(compress(range(len(level)),
+                             map(not_, map(verts.isdisjoint, level))))
+                for level in parent.simplices]
+    for d in range(parent.dim, 0, -1):
+        index = parent.index[d - 1]
+        for faces in _facets(map(parent.simplices[d].__getitem__, included[d])):
+            included[d - 1].update(map(index.__getitem__, faces))
+    return Subcomplex(parent, included)
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +354,14 @@ def _sort_sign(seq):
 class SimplicialMap:
     """Vertex map carrying every source simplex onto a target simplex.
 
+    Validation, `chain_columns` and `is_monotone` read the source by
+    columns: each vertex column of a level goes through the vertex map
+    once, and the images are zipped back from the mapped columns. An
+    image that is a target simplex as it stands (so strictly increasing)
+    needs one index lookup and has sign +1; only the other images are
+    deduplicated or sorted with their sign. The per-simplex loop after a
+    failed validation only names the first source simplex at fault.
+
     `subdivision` is the `Subdivision` whose `last_vertex` map this is,
     and None for every other map."""
 
@@ -318,31 +373,53 @@ class SimplicialMap:
         vm = tuple(vertex_map)
         if len(vm) != source.vertex_count:
             raise MismatchError("vertex map length differs from vertex count")
-        if any(not (0 <= w < target.vertex_count) for w in vm):
+        if vm and not 0 <= min(vm) <= max(vm) < target.vertex_count:
             raise MismatchError("vertex map leaves the target vertex range")
         self.vertex_map = vm
-        for level in source.simplices:
+        # An image that repeats a vertex spans what the image of the face
+        # omitting one repeat spans, checked a level down; so a level
+        # needs only its images with distinct vertices checked, sorted.
+        for d, level in enumerate(source.simplices):
+            index = target.index[d] if d <= target.dim else {}
+            images = zip(*self._mapped_columns(d))
+            odd = list(filterfalse(index.__contains__, images))
+            distinct = compress(odd, map(eq, map(len, map(set, odd)),
+                                         repeat(d + 1)))
+            if all(map(index.__contains__, map(tuple, map(sorted, distinct)))):
+                continue
             for s in level:
                 image = tuple(sorted(set(vm[v] for v in s)))
-                d = len(image) - 1
-                if d > target.dim or image not in target.index[d]:
+                e = len(image) - 1
+                if e > target.dim or image not in target.index[e]:
                     raise MismatchError(
                         f"image of {s} does not span a target simplex")
         self._columns: dict = {}
 
+    def _mapped_columns(self, d: int) -> list:
+        """The d + 1 vertex columns of the source d-simplices, each sent
+        through the vertex map; zipped, they give the images."""
+        get = self.vertex_map.__getitem__
+        return [tuple(map(get, col)) for col in zip(*self.source.simplices[d])]
+
     def chain_columns(self, j: int):
         """Sparse induced chain map: per source j-simplex, (target idx, sign)
-        or None for a degenerate image."""
+        or None for a degenerate image. Every image is degenerate when j
+        exceeds the target dimension."""
         if j not in self._columns:
-            cols = []
-            for s in self.source.simplices[j] if 0 <= j <= self.source.dim else ():
-                image = tuple(self.vertex_map[v] for v in s)
-                sorted_img, sign = _sort_sign(image)
-                if sorted_img is None:
-                    cols.append(None)
-                else:
-                    cols.append((self.target.index[j][sorted_img], sign))
-            self._columns[j] = tuple(cols)
+            if not 0 <= j <= self.source.dim:
+                cols = ()
+            elif j > self.target.dim:
+                cols = (None,) * self.source.n_simplices(j)
+            else:
+                index = self.target.index[j]
+                images = list(zip(*self._mapped_columns(j)))
+                pos = list(map(index.get, images))
+                cols = list(zip(pos, repeat(1)))
+                for c in compress(range(len(pos)), map(is_, pos, repeat(None))):
+                    image, sign = _sort_sign(images[c])
+                    cols[c] = None if image is None else (index[image], sign)
+                cols = tuple(cols)
+            self._columns[j] = cols
         return self._columns[j]
 
     def push_chain(self, j: int, vec: dict) -> dict:
@@ -354,18 +431,28 @@ class SimplicialMap:
 
     def is_monotone(self) -> bool:
         """True when the vertex map is weakly increasing on every simplex,
-        which is what cochain-level cup functoriality needs."""
-        vm = self.vertex_map
-        for level in self.source.simplices[1:]:
-            for s in level:
-                for a, b in zip(s, s[1:]):
-                    if vm[a] > vm[b]:
-                        return False
-        return True
+        which is what cochain-level cup functoriality needs. The consecutive
+        vertices of a simplex span an edge, so the edges decide it."""
+        if self.source.dim < 1:
+            return True
+        first, second = self._mapped_columns(1)
+        return all(map(le, first, second))
 
 
 # ---------------------------------------------------------------------------
 # barycentric subdivision
+
+def _position_flags(n: int) -> list:
+    """Every chain of nonempty subsets of the positions 0..n-1 that ends at
+    the full set, smallest subset first; a subset is a sorted tuple."""
+    ending: dict = {}
+    for r in range(1, n + 1):
+        for top in combinations(range(n), r):
+            ending[top] = [(top,)] + [
+                flag + (top,) for rr in range(1, r)
+                for sub in combinations(top, rr) for flag in ending[sub]]
+    return ending[tuple(range(n))]
+
 
 class Subdivision:
     """One barycentric subdivision with carrier and transport data.
@@ -397,40 +484,35 @@ class Subdivision:
             offset.append(total)
             total += len(level)
         self.vertex_of = offset  # offset[d] + idx = new vertex id
-        vertex_carrier = []
-        for d, level in enumerate(base.simplices):
-            vertex_carrier.extend((d, i) for i in range(len(level)))
-        self.vertex_carrier = tuple(vertex_carrier)
+        self.vertex_carrier = tuple(
+            (d, i) for d, level in enumerate(base.simplices)
+            for i in range(len(level)))
 
-        # all inclusion chains in the face poset, indexed by top simplex
-        chains_at: list[list[list]] = [[] for _ in range(total)]
-        faces_of: list[list[int]] = [[] for _ in range(total)]
-        for d, level in enumerate(base.simplices):
-            for i, s in enumerate(level):
-                me = offset[d] + i
-                props = set()
-                for r in range(1, d + 1):
-                    for f in combinations(s, r):
-                        props.add(offset[r - 1] + base.index[r - 1][f])
-                faces_of[me] = sorted(props)
-                mine = [[me]]
-                for f in faces_of[me]:
-                    for c in chains_at[f]:
-                        mine.append(c + [me])
-                chains_at[me] = mine
+        # The flags (inclusion chains) of the face poset whose top is a
+        # d-simplex follow one set of patterns for the whole level: chains
+        # of vertex-position subsets ending at all d + 1 positions. So the
+        # new vertex ids of each position subset's face are one column, and
+        # a pattern's flags are its columns zipped. A flag lists new vertex
+        # ids in increasing dimension, so it is strictly increasing.
         by_dim: list[list[tuple]] = [[] for _ in range(base.dim + 1)]
-        carrier_of: dict[tuple, tuple] = {}
-        for me in range(total):
-            for c in chains_at[me]:
-                t = tuple(c)
-                by_dim[len(c) - 1].append(t)
-                carrier_of[t] = self.vertex_carrier[me]
-        levels = [sorted(lvl) for lvl in by_dim]
-        self.complex = Complex(f"sd({base.name})", levels, total)
+        for d, level in enumerate(base.simplices):
+            cols = list(zip(*level))
+            ids = {}
+            for r in range(d + 1):
+                index, off = base.index[r], offset[r]
+                for pos in combinations(range(d + 1), r + 1):
+                    faces = zip(*map(cols.__getitem__, pos))
+                    ids[pos] = tuple(map(add, map(index.__getitem__, faces),
+                                         repeat(off)))
+            for pattern in _position_flags(d + 1):
+                by_dim[len(pattern) - 1].extend(
+                    zip(*map(ids.__getitem__, pattern)))
+        self.complex = Complex(f"sd({base.name})", by_dim, total)
+        # the carrier of a flag is its top simplex
         self.carrier = tuple(
-            tuple(carrier_of[s] for s in self.complex.simplices[d])
-            for d in range(self.complex.dim + 1))
-        lv = tuple(base.simplices[d][i][-1] for (d, i) in self.vertex_carrier)
+            tuple(map(self.vertex_carrier.__getitem__, map(itemgetter(-1), level)))
+            for level in self.complex.simplices)
+        lv = tuple(map(itemgetter(-1), chain.from_iterable(base.simplices)))
         self.last_vertex = SimplicialMap(self.complex, base, lv)
         self.last_vertex.subdivision = self
         self._sd_cols: dict = {}

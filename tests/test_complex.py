@@ -1,15 +1,17 @@
 """Complexes, maps, subdivision, stars."""
 import argparse
 import json
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import Matrix
 
 from charrig.simplicial import (
-    Complex, DuplicateError, FaceClosureError, ParseError,
-    SimplicialMap, barycentric_subdivide, closed_star_neighborhood,
-    complex_from_maximal, parse_complex, subcomplex_from_simplices,
+    Complex, DuplicateError, FaceClosureError, MismatchError, ParseError,
+    SimplicialMap, Subcomplex, barycentric_subdivide,
+    closed_star_neighborhood, complex_from_maximal, parse_complex,
+    subcomplex_from_simplices,
 )
 from charrig import cli, zlin
 from charrig.cochains import basis_cochain, cohomology, homology
@@ -224,8 +226,113 @@ def test_degree_two_circle_map(cx):
 def test_simplicial_map_validation(cx):
     s1 = cx("s1")
     s2 = cx("s2")
-    with pytest.raises(Exception):
+    with pytest.raises(MismatchError) as err:
         SimplicialMap(s2, s1, [0, 1, 2, 2])  # (0,1,2) has no image simplex
+    assert str(err.value) == "image of (0, 1, 2) does not span a target simplex"
+
+
+# Every construction error, with the exception class and message the
+# per-simplex checks gave before validation ran by columns: the message
+# names the first offending simplex (and face) in level order.
+V3 = [(0,), (1,), (2,)]
+CONSTRUCTION_ERRORS = {
+    "no_simplices": (
+        lambda cx: Complex("x", [[], []]),
+        ParseError, "complex has no simplices"),
+    "wrong_length": (
+        lambda cx: Complex("x", [V3, [(0, 1), (0, 1, 2), (1,)]]),
+        ParseError, "simplex (0, 1, 2) listed in dimension 1"),
+    "wrong_length_vertex": (
+        lambda cx: Complex("x", [[(0,), (1, 2), (2,)]]),
+        ParseError, "simplex (1, 2) listed in dimension 0"),
+    "not_increasing": (
+        lambda cx: Complex("x", [V3, [(0, 1), (2, 1), (1, 0)]]),
+        ParseError, "simplex (2, 1) is not strictly increasing"),
+    "not_increasing_triangle": (
+        lambda cx: Complex("x", [V3, [(0, 1), (0, 2), (1, 2)], [(0, 2, 1)]]),
+        ParseError, "simplex (0, 2, 1) is not strictly increasing"),
+    "repeated_vertex": (
+        lambda cx: Complex("x", [V3, [(1, 1)]]),
+        ParseError, "simplex (1, 1) is not strictly increasing"),
+    "duplicate": (
+        lambda cx: Complex("x", [V3, [(0, 1), (1, 2), (0, 1), (1, 2)]]),
+        DuplicateError, "duplicate simplex (0, 1)"),
+    "duplicate_vertex": (
+        lambda cx: Complex("x", [[(0,), (1,), (0,)], [(0, 1), (0, 2)]]),
+        DuplicateError, "duplicate simplex (0,)"),
+    "duplicate_before_bad_length": (
+        lambda cx: Complex("x", [V3, [(1, 2), (1, 2), (0, 1, 2)]]),
+        DuplicateError, "duplicate simplex (1, 2)"),
+    "bad_length_before_duplicate": (
+        lambda cx: Complex("x", [V3, [(1, 2), (2,), (1, 2)]]),
+        ParseError, "simplex (2,) listed in dimension 1"),
+    "lower_level_first": (
+        lambda cx: Complex("x", [[(0,), (0,)], [(1, 0)]]),
+        DuplicateError, "duplicate simplex (0,)"),
+    "vertex_count_low": (
+        lambda cx: Complex("x", [V3, [(0, 2)]], 2),
+        ParseError, "vertex_count 2 below maximum index 2"),
+    "missing_face": (
+        lambda cx: Complex("x", [V3, [(0, 1), (1, 2)], [(0, 1, 2)]]),
+        FaceClosureError, "face (0, 2) of (0, 1, 2) is missing"),
+    "missing_last_face": (
+        lambda cx: Complex("x", [V3, [(0, 2), (1, 2)], [(0, 1, 2)]]),
+        FaceClosureError, "face (0, 1) of (0, 1, 2) is missing"),
+    "missing_vertex": (
+        lambda cx: Complex("x", [[(0,), (2,)], [(0, 2), (0, 1)]]),
+        FaceClosureError, "face (1,) of (0, 1) is missing"),
+    "missing_face_second_simplex": (
+        lambda cx: Complex("x", [[(0,), (1,), (2,), (3,)],
+                                 [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)],
+                                 [(0, 1, 2), (1, 2, 3), (0, 2, 3)]]),
+        FaceClosureError, "face (0, 3) of (0, 2, 3) is missing"),
+    "explicit_missing_face": (
+        lambda cx: parse_complex(json.dumps({
+            "name": "bad", "explicit": True,
+            "simplices": [[0, 1, 2], [0, 1], [1, 2], [0], [1], [2]]})),
+        FaceClosureError, "face (0, 2) of (0, 1, 2) is missing"),
+    "maximal_not_increasing": (
+        lambda cx: complex_from_maximal("x", [(0, 1), (2, 1)]),
+        ParseError, "simplex (2, 1) is not strictly increasing"),
+    "subcomplex_edge_without_vertex": (
+        lambda cx: Subcomplex(cx("s1"), [{0}, {0}]),
+        FaceClosureError, "subcomplex not face-closed at (0, 1)"),
+    "subcomplex_triangle_without_edge": (
+        lambda cx: Subcomplex(cx("s2"), [{0, 1, 2, 3}, {0, 1, 3, 5}, {1, 2}]),
+        FaceClosureError, "subcomplex not face-closed at (0, 1, 3)"),
+    "map_length": (
+        lambda cx: SimplicialMap(cx("s1"), cx("point"), [0, 0]),
+        MismatchError, "vertex map length differs from vertex count"),
+    "map_range": (
+        lambda cx: SimplicialMap(cx("s1"), cx("point"), [0, 1, 0]),
+        MismatchError, "vertex map leaves the target vertex range"),
+    "map_triangle_into_circle": (
+        lambda cx: SimplicialMap(cx("s2"), cx("s1"), [0, 1, 2, 2]),
+        MismatchError, "image of (0, 1, 2) does not span a target simplex"),
+    "map_edge_misses": (
+        lambda cx: SimplicialMap(cx("s1"), Complex("ep", [V3, [(0, 1)]]),
+                                 [0, 1, 2]),
+        MismatchError, "image of (0, 2) does not span a target simplex"),
+    "map_reversed_edge_misses": (
+        lambda cx: SimplicialMap(cx("s1"), Complex("ep", [V3, [(0, 1)]]),
+                                 [2, 1, 0]),
+        MismatchError, "image of (0, 1) does not span a target simplex"),
+    "map_edge_fails_after_vertices": (
+        lambda cx: SimplicialMap(cx("s2"), Complex("ep", [V3, [(0, 1)]]),
+                                 [0, 1, 1, 2]),
+        MismatchError, "image of (0, 3) does not span a target simplex"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONSTRUCTION_ERRORS))
+def test_construction_errors_are_pinned(cx, case):
+    """Each construction error keeps its exception class and its message
+    byte for byte."""
+    build, cls, message = CONSTRUCTION_ERRORS[case]
+    with pytest.raises(Exception) as err:
+        build(cx)
+    assert type(err.value) is cls
+    assert str(err.value) == message
 
 
 def test_subcomplex_as_complex_preserves_orientation(cx):
@@ -318,3 +425,66 @@ def test_boundary_rows_are_the_oracle_and_the_only_stored_boundary(X):
         assert all(list(r) == sorted(r) and all(r.values()) for r in rows), j
         assert [zlin.dense(r, X.n_simplices(j)) for r in rows] == \
             boundary_oracle(X, j), j
+
+
+@st.composite
+def vertex_maps(draw):
+    """A random complex X, a target Y and a vertex map X -> Y: into X
+    itself, into a full simplex of dimension at most dim X, into another
+    random complex, or constant into a simplex. The map need not be
+    simplicial, and is seldom monotone."""
+    X = draw(RANDOM_SPACES)
+    kind = draw(st.sampled_from(["self", "simplex", "random", "constant"]))
+    if kind == "self":
+        Y = X
+    elif kind == "random":
+        Y = draw(random_complexes())
+    else:
+        m = draw(st.integers(1, X.dim + 1))
+        Y = complex_from_maximal("simplex", [tuple(range(m))])
+    w = st.integers(0, Y.vertex_count - 1)
+    if kind == "constant":
+        vm = [draw(w)] * X.vertex_count
+    else:
+        vm = draw(st.lists(w, min_size=X.vertex_count, max_size=X.vertex_count))
+    return X, Y, vm
+
+
+def _reference_columns(X, Y, vm, j):
+    """The induced chain map on j-simplices by its definition: a repeated
+    vertex makes the image degenerate (None); otherwise the sorted image
+    and the parity of its inversions."""
+    out = []
+    for s in X.simplices[j] if 0 <= j <= X.dim else ():
+        image = [vm[v] for v in s]
+        if len(set(image)) < len(image):
+            out.append(None)
+            continue
+        inversions = sum(a > b for a, b in combinations(image, 2))
+        out.append((Y.simplex_index(sorted(image)), (-1) ** inversions))
+    return tuple(out)
+
+
+@settings(max_examples=120, deadline=None)
+@given(vertex_maps())
+def test_simplicial_maps_match_the_reference(case):
+    """A vertex map is refused exactly when some image spans no target
+    simplex, naming the first such source simplex; an accepted map has the
+    reference chain columns in every degree -1..dim+1 and is monotone
+    exactly when it is weakly increasing on every simplex."""
+    X, Y, vm = case
+    spans = {s for level in Y.simplices for s in level}
+    culprit = next((s for level in X.simplices for s in level
+                    if tuple(sorted({vm[v] for v in s})) not in spans), None)
+    if culprit is not None:
+        with pytest.raises(MismatchError) as err:
+            SimplicialMap(X, Y, vm)
+        assert str(err.value) == \
+            f"image of {culprit} does not span a target simplex"
+        return
+    phi = SimplicialMap(X, Y, vm)
+    for j in range(-1, X.dim + 2):
+        assert phi.chain_columns(j) == _reference_columns(X, Y, vm, j), j
+    assert phi.is_monotone() == all(
+        vm[a] <= vm[b] for level in X.simplices for s in level
+        for a, b in zip(s, s[1:]))
