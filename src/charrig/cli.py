@@ -166,7 +166,7 @@ def cmd_pseudo(cx: Complex, args, jobs: int) -> Report:
         return rep
 
     def surgery():
-        return verify_normalization(cx, d, vec, random.Random(args.seed))
+        return verify_normalization(cx, d, vec)
 
     def bounding():
         sr, pm = normalize_cycle(cx, d, vec)

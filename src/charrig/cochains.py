@@ -453,24 +453,14 @@ class CohomologyClass:
             raise MismatchError("classes belong to different groups")
         return self.group.make(tuple(a + b for a, b in zip(self.coords, other.coords)))
 
-    def __sub__(self, other):
-        return self + (-other)
-
     def __neg__(self):
         return self.group.make(tuple(-a for a in self.coords))
-
-    def scale(self, c: int):
-        return self.group.make(tuple(c * a for a in self.coords))
 
     def is_zero(self) -> bool:
         return all(v == 0 for v in self.coords)
 
     def cocycle(self) -> Cochain:
         return self.group.cochain_for(self.coords)
-
-    def serialize(self):
-        return {"ring": self.group.ring, "degree": self.group.degree,
-                "coords": list(self.coords)}
 
 
 class ZCohomology:
@@ -503,9 +493,6 @@ class ZCohomology:
         r = self.rank
         return CohomologyClass(self, (*coords[:r], *(
             c % d for c, d in zip(coords[r:], self.torsion))))
-
-    def zero_class(self) -> CohomologyClass:
-        return self.make((0,) * self.n_coords)
 
     def class_from_cocycle(self, coch: Cochain) -> CohomologyClass:
         if coch.ring != RING_Z or coch.degree != self.degree or coch.cx is not self.cx:
@@ -652,15 +639,6 @@ class QuotientForm:
             raise RingError("quotient forms are represented by rational cochains")
         self.rep = rep.to_q()
 
-    def __add__(self, other):
-        return QuotientForm(self.rep + other.rep)
-
-    def __neg__(self):
-        return QuotientForm(-self.rep)
-
-    def __sub__(self, other):
-        return QuotientForm(self.rep - other.rep)
-
     def __eq__(self, other):
         if not isinstance(other, QuotientForm):
             return NotImplemented
@@ -696,12 +674,6 @@ def bockstein(u: CohomologyClass) -> CohomologyClass:
     if group.ring != RING_QMODZ:
         raise RingError("bockstein starts from a Q/Z class")
     rep = group.cochain_for(u.coords)
-    return bockstein_of_cocycle(rep)
-
-
-def bockstein_of_cocycle(rep: Cochain) -> CohomologyClass:
-    if rep.ring != RING_QMODZ:
-        raise RingError("expected a Q/Z cocycle")
     c = coboundary(_cochain(rep.cx, RING_Q, rep.degree, rep.num, rep.den))
     if c.den != 1:
         raise ValueError("input was not a cocycle mod 1")
@@ -747,15 +719,12 @@ def d_of_quotient(theta: QuotientForm) -> Cochain:
 # ---------------------------------------------------------------------------
 # exactness of the two long sequences
 
-def _sample_fracs(rng, count=2):
-    base = [Fraction(1, 2), Fraction(1, 3)]
-    if rng is not None:
-        for _ in range(count):
-            base.append(Fraction(rng.randrange(1, 7), rng.randrange(2, 7)))
-    return base
+def _sample_fracs(rng):
+    return [Fraction(1, 2), Fraction(1, 3)] + [
+        Fraction(rng.randrange(1, 7), rng.randrange(2, 7)) for _ in range(2)]
 
 
-def check_exactness(cx: Complex, k: int, rng=None) -> list[CheckResult]:
+def check_exactness(cx: Complex, k: int, rng) -> list[CheckResult]:
     """Exactness of the Bockstein sequence (alpha, B, r) and the de Rham-type
     sequence (beta, d, s) at the nodes displayed in the character diagram,
     verified constructively on generators. Returns one result per node."""

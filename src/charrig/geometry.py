@@ -11,7 +11,7 @@ witnesses are exact and supported where they should be).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import compress
 
 from . import zlin
 from .cochains import _snf_boundary, homology
@@ -77,10 +77,8 @@ def push_down_chain(tower, j: int, vec: dict) -> dict:
 
 @dataclass
 class GoodNeighborhood:
-    base: Complex
     level: int
-    tower: list          # Subdivision objects, base -> ambient
-    ambient: Complex
+    tower: list          # Subdivision objects, base up to depth `level`
     subcomplex: Subcomplex
     complex: Complex     # the neighborhood as a standalone complex
     inclusion: SimplicialMap
@@ -101,19 +99,6 @@ def _chain_to_subcomplex(incl: SimplicialMap, j: int, vec: dict) -> dict:
     return {back[i][0]: back[i][1] * coef for i, coef in vec.items()}
 
 
-def _transport_subcomplex(K: Subcomplex, sd) -> Subcomplex:
-    """The subdivision of a subcomplex, located by carrier membership."""
-    included = []
-    for d in range(sd.complex.dim + 1):
-        level = set()
-        for i in range(sd.complex.n_simplices(d)):
-            cd, ci = sd.carrier[d][i]
-            if K.contains(cd, ci):
-                level.add(i)
-        included.append(level)
-    return Subcomplex(sd.complex, included)
-
-
 def good_neighborhood(base: Complex, K: Subcomplex, k: int,
                       max_subdiv: int = 2, min_level: int = 0) -> GoodNeighborhood:
     """A closed-star neighborhood of (the image of) K in at most
@@ -128,24 +113,15 @@ def good_neighborhood(base: Complex, K: Subcomplex, k: int,
                  k, max_subdiv, min_level)
     if cache_key in base._cache:
         return base._cache[cache_key]
-    tower = []
-    ambient = base
-    K_here = K
-    for level in range(max_subdiv + 1):
-        if level >= min_level:
-            U = closed_star_neighborhood(ambient, K_here)
-            ucx, incl = U.as_complex(f"{base.name}|nb{level}")
-            if cohomology_vanishes_above(ucx, k):
-                nb = GoodNeighborhood(base, level, list(tower), ambient, U,
-                                      ucx, incl, k)
-                base._cache[cache_key] = nb
-                return nb
-        if level == max_subdiv:
-            break
-        tower = subdivision_tower(base, level + 1)
-        sd = tower[level]
-        K_here = _transport_subcomplex(K_here, sd)
-        ambient = sd.complex
+    for level in range(min_level, max_subdiv + 1):
+        tower = subdivision_tower(base, level)
+        K_here = _carried_subcomplex(base, tower, K)
+        U = closed_star_neighborhood(K_here.parent, K_here)
+        ucx, incl = U.as_complex(f"{base.name}|nb{level}")
+        if cohomology_vanishes_above(ucx, k):
+            nb = GoodNeighborhood(level, tower, U, ucx, incl, k)
+            base._cache[cache_key] = nb
+            return nb
     raise GeometryBudgetExceeded(
         f"no {k}-good closed-star neighborhood within {max_subdiv} subdivisions")
 
@@ -190,15 +166,10 @@ def is_pseudomanifold(P: Pseudomanifold) -> bool:
         return False
     if any(c not in (1, -1) for c in P.fundamental_cycle.values()):
         return False
-    # purity: every simplex is a face of a top cell
-    covered = [set() for _ in range(d)]
-    for s in cx.simplices[d]:
-        for r in range(1, d + 1):
-            for f in combinations(s, r):
-                covered[r - 1].add(f)
-    for r in range(d):
-        if set(cx.simplices[r]) != covered[r]:
-            return False
+    # purity: the face closure of the top cells is every simplex
+    closure = chain_support(cx, d, P.fundamental_cycle)
+    if list(map(len, closure.included)) != list(map(len, cx.simplices)):
+        return False
     if d >= 1:
         # row r of the boundary operator holds the cofaces of face r
         if any(len(row) != 2 for row in cx.boundary_rows(d)):
@@ -305,11 +276,9 @@ def resolve_cycle(ambient: Complex, d: int, vec: dict):
 
 @dataclass
 class SplitResult:
-    base: Complex
     level: int
     tower: list
     complex: Complex      # where the output cycle lives
-    degree: int
     transported: dict     # the input cycle transported to `complex`
     cycle: dict           # sparse, coefficients in {-1, +1}
     witness: dict         # (d+1)-chain with transported = boundary(witness) + cycle
@@ -329,7 +298,7 @@ def _split_chain(base: Complex, d: int, vec: dict) -> SplitResult:
     """Splitting body; also valid for chains rel boundary, because every
     parallel copy shares the boundary of the cell it copies."""
     if all(abs(c) <= 1 for c in vec.values()):
-        return SplitResult(base, 0, [], base, d, dict(vec), dict(vec), {})
+        return SplitResult(0, [], base, dict(vec), dict(vec), {})
     if d >= base.dim:
         raise DimensionError("splitting needs cycles below the top dimension")
     if d > 1:
@@ -369,7 +338,7 @@ def _split_chain(base: Complex, d: int, vec: dict) -> SplitResult:
     large = [list(Y.simplices[d][c]) for c in sorted(z_out) if abs(z_out[c]) > 1]
     if large:
         raise InvariantError("split left a large coefficient", {"simplices": large})
-    return SplitResult(base, 2, tower, Y, d, z2, z_out, b1)
+    return SplitResult(2, tower, Y, z2, z_out, b1)
 
 
 def _parallel_copy(base: Complex, tower, d: int, cell: int, rho: int):
@@ -403,7 +372,8 @@ def _local_homology_witness(base: Complex, tower, d: int, rho: int,
                             route, s2):
     """Solve boundary(h) = route - s2 inside the subdivided closed coface."""
     rhs = zlin.combine((1, -1), (route, s2))
-    local = _carrier_subcomplex(base, tower, d + 1, rho)
+    coface = subcomplex_from_simplices(base, [base.simplices[d + 1][rho]])
+    local = _carried_subcomplex(base, tower, coface)
     sub, incl = local.as_complex()
     sol = zlin.solve_integer([], _chain_to_subcomplex(incl, d, rhs),
                              fact=_snf_boundary(sub, d + 1))
@@ -413,38 +383,31 @@ def _local_homology_witness(base: Complex, tower, d: int, rho: int,
     return incl.push_chain(d + 1, sol)
 
 
-def _carried_cells(base: Complex, tower) -> dict:
-    """For `tower` = subdivision_tower(base, n): per base simplex (d, i),
-    the simplices of the top complex whose base carrier it is, as one
-    index list per dimension. The carrier maps of the levels are composed
-    once per tower and the result is cached on the base."""
-    key = ("carried_cells", len(tower))
+def _base_carriers(base: Complex, tower) -> list:
+    """For a nonempty `tower` = subdivision_tower(base, n): the base
+    carrier (d, i) of every simplex of the top complex, one list per
+    dimension. The carrier maps of the levels are composed once per tower
+    and cached on the base; the lists hold the carrier pairs of the first
+    subdivision, so they cost one reference per simplex."""
+    key = ("base_carriers", len(tower))
     if key not in base._cache:
-        carrier = [[(d, i) for i in range(base.n_simplices(d))]
-                   for d in range(base.dim + 1)]
-        for sd in tower:
+        carrier = tower[0].carrier
+        for sd in tower[1:]:
             carrier = [[carrier[cd][ci] for cd, ci in level]
                        for level in sd.carrier]
-        cells = {}
-        for d, level in enumerate(carrier):
-            for i, c in enumerate(level):
-                cells.setdefault(c, [[] for _ in carrier])[d].append(i)
-        base._cache[key] = cells
+        base._cache[key] = carrier
     return base._cache[key]
 
 
-def _carrier_subcomplex(base: Complex, tower, d: int, idx: int) -> Subcomplex:
-    """All simplices of the top of `tower` carried inside the closed
-    d-simplex `idx`: those whose base carrier is a face of it."""
-    cells = _carried_cells(base, tower)
-    top = tower[-1].complex if tower else base
-    included = [set() for _ in range(top.dim + 1)]
-    closed = subcomplex_from_simplices(base, [base.simplices[d][idx]])
-    for fd, faces in enumerate(closed.included):
-        for fi in faces:
-            for cd, ids in enumerate(cells[fd, fi]):
-                included[cd].update(ids)
-    return Subcomplex(top, included)
+def _carried_subcomplex(base: Complex, tower, K: Subcomplex) -> Subcomplex:
+    """The simplices of the top of `tower` whose base carrier lies in the
+    subcomplex K of the base; K itself for an empty tower."""
+    if not tower:
+        return K
+    inside = {(d, i) for d, level in enumerate(K.included) for i in level}
+    return Subcomplex(tower[-1].complex, [
+        compress(range(len(level)), map(inside.__contains__, level))
+        for level in _base_carriers(base, tower)])
 
 
 def normalize_cycle(base: Complex, d: int, vec: dict):
@@ -502,11 +465,10 @@ def bound_in_good_neighborhood(P: Pseudomanifold, base: Complex, tower,
         ambient = sr.complex
         w = sr.cycle
         zP = transport_chain(sr.tower, d, zP)
-    # neighborhood of the support of w (which contains |P|)
-    support = [ambient.simplices[k][i] for i in w]
-    support += [ambient.simplices[d][i] for i in zP]
-    K = subcomplex_from_simplices(ambient, support)
-    nb = good_neighborhood(ambient, K, d, max_subdiv)
+    # neighborhood of the support of w, which contains |P| since
+    # boundary(w) = zP
+    nb = good_neighborhood(ambient, chain_support(ambient, k, w), d,
+                           max_subdiv)
     y_local = nb.chain_to_neighborhood(k, transport_chain(nb.tower, k, w))
     z_local = nb.chain_to_neighborhood(d, transport_chain(nb.tower, d, zP))
     pairs, dim_left = _greedy_collapse(nb.complex)
@@ -562,8 +524,8 @@ def _greedy_collapse(cx: Complex):
 # ---------------------------------------------------------------------------
 # verification suite
 
-def verify_normalization(base: Complex, d: int, vec: dict,
-                         rng=None) -> list[CheckResult]:
+def verify_normalization(base: Complex, d: int,
+                         vec: dict) -> list[CheckResult]:
     """Normalization identity, pseudomanifold validity and support
     containment for one cycle."""
     results = []

@@ -17,6 +17,12 @@ d + 1 vertex columns (`zip(*level)`), and each check (lengths, strict
 increase, duplicates, face closure, images under a vertex map) is one
 pass of C-level `map` calls over whole columns. Only when a check fails
 does a per-simplex loop run, to name the first culprit in the message.
+
+Face closure is computed in one place, `_face_closure`, also by columns:
+the facets of the d-simplices taken join the (d-1)-simplices taken, a
+level at a time from the top down. `subcomplex_from_simplices`,
+`chain_support` and `closed_star_neighborhood` are that closure applied
+to the simplices they select.
 """
 from __future__ import annotations
 
@@ -257,8 +263,6 @@ class Subcomplex:
     def __init__(self, parent: Complex, included):
         self.parent = parent
         self.included = tuple(frozenset(level) for level in included)
-        while len(self.included) < len(parent.simplices):
-            self.included = self.included + (frozenset(),)
         for d in range(1, len(parent.simplices)):
             lower, index = self.included[d - 1], parent.index[d - 1]
             if all(lower.issuperset(map(index.__getitem__, faces))
@@ -277,9 +281,6 @@ class Subcomplex:
 
     def vertex_set(self):
         return frozenset(self.parent.simplices[0][i][0] for i in self.included[0])
-
-    def contains(self, d: int, idx: int) -> bool:
-        return d < len(self.included) and idx in self.included[d]
 
     def as_complex(self, name: str | None = None):
         """Standalone complex plus the inclusion map into the parent.
@@ -301,39 +302,43 @@ class Subcomplex:
         return sub, incl
 
 
-def subcomplex_from_simplices(parent: Complex, simplices) -> Subcomplex:
-    """Face closure of the given simplices inside the parent."""
-    included = [set() for _ in parent.simplices]
-    for s in simplices:
-        t = tuple(s)
-        for r in range(1, len(t) + 1):
-            for f in combinations(t, r):
-                included[r - 1].add(parent.index[r - 1][f])
-    return Subcomplex(parent, included)
-
-
-def chain_support(parent: Complex, j: int, vec: dict) -> Subcomplex:
-    """Face closure of the simplices of a sparse j-chain."""
-    return subcomplex_from_simplices(parent, [parent.simplices[j][i] for i in vec])
-
-
-def closed_star_neighborhood(parent: Complex, K: Subcomplex) -> Subcomplex:
-    """Closed star of K's vertex set: every simplex meeting it, plus faces.
-    The faces are closed downward a level at a time, by columns: the
-    facets of the d-simplices taken join the (d-1)-simplices taken."""
-    if K.parent is not parent:
-        raise MismatchError("subcomplex belongs to a different complex")
-    verts = K.vertex_set()
-    if not verts:
-        return Subcomplex(parent, [set() for _ in parent.simplices])
-    included = [set(compress(range(len(level)),
-                             map(not_, map(verts.isdisjoint, level))))
-                for level in parent.simplices]
-    for d in range(parent.dim, 0, -1):
+def _face_closure(parent: Complex, included) -> Subcomplex:
+    """The subcomplex of every face of the given simplices, one set of
+    indices per dimension of the parent. The faces are closed downward a
+    level at a time, by columns: the facets of the d-simplices taken join
+    the (d-1)-simplices taken."""
+    included = [set(level) for level in included]
+    for d in range(len(included) - 1, 0, -1):
         index = parent.index[d - 1]
         for faces in _facets(map(parent.simplices[d].__getitem__, included[d])):
             included[d - 1].update(map(index.__getitem__, faces))
     return Subcomplex(parent, included)
+
+
+def subcomplex_from_simplices(parent: Complex, simplices) -> Subcomplex:
+    """Face closure of the given simplices inside the parent."""
+    included = [set() for _ in parent.simplices]
+    for s in map(tuple, simplices):
+        included[len(s) - 1].add(parent.index[len(s) - 1][s])
+    return _face_closure(parent, included)
+
+
+def chain_support(parent: Complex, j: int, vec: dict) -> Subcomplex:
+    """Face closure of the simplices of a sparse j-chain."""
+    included = [set() for _ in parent.simplices]
+    included[j].update(vec)
+    return _face_closure(parent, included)
+
+
+def closed_star_neighborhood(parent: Complex, K: Subcomplex) -> Subcomplex:
+    """Closed star of K's vertex set: the face closure of every simplex
+    meeting it."""
+    if K.parent is not parent:
+        raise MismatchError("subcomplex belongs to a different complex")
+    verts = K.vertex_set()
+    return _face_closure(parent, [
+        compress(range(len(level)), map(not_, map(verts.isdisjoint, level)))
+        for level in parent.simplices])
 
 
 # ---------------------------------------------------------------------------

@@ -200,7 +200,6 @@ def test_criterion_6_geometry_suite():
     problems = []
     for name in CORPUS:
         X = corpus.load(name)
-        rng = random.Random(3)
         for d in range(X.dim):
             hom_d = homology(X, d)
             cycles = list(hom_d.gen_cycles)
@@ -212,7 +211,7 @@ def test_criterion_6_geometry_suite():
             for z in cycles:
                 if not z:
                     continue
-                res = verify_normalization(X, d, z, rng)
+                res = verify_normalization(X, d, z)
                 problems.extend((name, d, r.name) for r in res
                                 if r.status != "pass")
                 nb = good_neighborhood_of_cycle(X, d, z, d)

@@ -9,7 +9,7 @@ from sympy import Matrix
 
 from charrig.simplicial import (
     Complex, DuplicateError, FaceClosureError, MismatchError, ParseError,
-    SimplicialMap, Subcomplex, barycentric_subdivide,
+    SimplicialMap, Subcomplex, barycentric_subdivide, chain_support,
     closed_star_neighborhood, complex_from_maximal, parse_complex,
     subcomplex_from_simplices,
 )
@@ -488,3 +488,40 @@ def test_simplicial_maps_match_the_reference(case):
     assert phi.is_monotone() == all(
         vm[a] <= vm[b] for level in X.simplices for s in level
         for a, b in zip(s, s[1:]))
+
+
+# ---------------------------------------------------------------------------
+# face closure against a closure written with combinations
+
+def _closure_oracle(X, simplices):
+    """Every face of the given simplices, one index set per dimension,
+    found by deleting vertices in every way."""
+    out = [set() for _ in X.simplices]
+    for s in simplices:
+        for r in range(1, len(s) + 1):
+            for f in combinations(s, r):
+                out[r - 1].add(X.index[r - 1][f])
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(RANDOM_SPACES, st.data())
+def test_face_closures_match_the_oracle(X, data):
+    """subcomplex_from_simplices, chain_support and closed_star_neighborhood
+    are the face closure of the simplices they select: the given ones, the
+    support of a chain, and every simplex meeting K's vertex set."""
+    every = [s for level in X.simplices for s in level]
+    chosen = data.draw(st.lists(st.sampled_from(every), max_size=6))
+    K = subcomplex_from_simplices(X, chosen)
+    assert list(map(set, K.included)) == _closure_oracle(X, chosen)
+
+    j = data.draw(st.integers(0, X.dim))
+    c = data.draw(_chains(X, j))
+    support = chain_support(X, j, c)
+    assert list(map(set, support.included)) == \
+        _closure_oracle(X, [X.simplices[j][i] for i in c])
+
+    verts = K.vertex_set()
+    meeting = [s for s in every if verts.intersection(s)]
+    star = closed_star_neighborhood(X, K)
+    assert list(map(set, star.included)) == _closure_oracle(X, meeting)

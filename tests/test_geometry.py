@@ -3,6 +3,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from charrig import corpus
 from charrig.cochains import cohomology, homology
@@ -10,12 +11,15 @@ from charrig.geometry import (
     BoundResult, DimensionError, GeometryBudgetExceeded, NotNullHomologous,
     Pseudomanifold, bound_in_good_neighborhood, cohomology_vanishes_above,
     good_neighborhood, good_neighborhood_of_cycle, is_pseudomanifold,
-    normalize_cycle, resolve_cycle, split_cycle, verify_normalization,
+    _carried_subcomplex, normalize_cycle, resolve_cycle, split_cycle,
+    verify_normalization,
 )
 from charrig.simplicial import (
     SimplicialMap, complex_from_maximal, subcomplex_from_simplices,
+    subdivision_tower,
 )
 from conftest import boundary_oracle, cycle_basis
+from test_complex import RANDOM_SPACES
 
 
 def test_good_neighborhood_of_vertex_is_cone(corpus_complex):
@@ -166,7 +170,7 @@ def test_normalization_suite_on_corpus_cycles(corpus_complex):
         for z in cycles:
             if not z:
                 continue
-            results = verify_normalization(X, d, z, rng)
+            results = verify_normalization(X, d, z)
             bad = [(r.name, r.detail) for r in results if r.status != "pass"]
             assert not bad, (X.name, d, bad)
 
@@ -228,3 +232,56 @@ def test_neighborhoods_always_pass_direct_vanishing(cx):
             assert cohomology_vanishes_above(nb.complex, d)
             for j in range(d + 1, nb.complex.dim + 1):
                 assert cohomology(nb.complex, j, "Z").describe() == "0"
+
+
+def test_purity_refuses_a_simplex_off_the_top_cells():
+    """A triangle boundary or a tetrahedron boundary with an isolated
+    vertex is a cycle of +-1 cells, yet not pure: the closure of its top
+    cells misses the last vertex. Without that vertex it is a
+    pseudomanifold. On the 2-sphere only the purity test sees the vertex,
+    since it is no face of the codimension-one cells either."""
+    circle = 3, [(0, 1), (1, 2), (0, 2)], {0: 1, 1: -1, 2: 1}
+    sphere = 4, list(itertools.combinations(range(4), 3)), \
+        {0: -1, 1: 1, 2: -1, 3: 1}
+    for n, tops, fund in (circle, sphere):
+        for count, pure in ((n + 1, False), (n, True)):
+            c = complex_from_maximal("c", tops, count)
+            pm = Pseudomanifold(c, SimplicialMap(c, c, range(count)), fund)
+            assert is_pseudomanifold(pm) is pure, (n, count)
+
+
+def _transport_oracle(K, tower):
+    """The simplices of each subdivision in turn whose carrier one level
+    down was kept, one simplex at a time."""
+    included = [set(level) for level in K.included]
+    for sd in tower:
+        included = [{i for i, (cd, ci) in enumerate(level)
+                     if ci in included[cd]} for level in sd.carrier]
+    return included
+
+
+@settings(max_examples=30, deadline=None)
+@given(RANDOM_SPACES, st.data())
+def test_carried_subcomplex_matches_the_per_simplex_transport(X, data):
+    """The simplices of sd^n X (n <= 2) whose base carrier lies in a random
+    subcomplex K are those found by composing the carriers level by
+    level; for n = 0 they are K itself."""
+    every = [s for level in X.simplices for s in level]
+    K = subcomplex_from_simplices(
+        X, data.draw(st.lists(st.sampled_from(every), max_size=4)))
+    n = data.draw(st.integers(0, 2 if X.dim <= 2 else 1))
+    tower = subdivision_tower(X, n)
+    carried = _carried_subcomplex(X, tower, K)
+    assert carried.parent is (tower[-1].complex if tower else X)
+    assert list(map(set, carried.included)) == _transport_oracle(K, tower)
+
+
+def test_min_level_forces_a_subdivided_neighborhood(corpus_complex):
+    """A vertex star is good at level 0, so min_level=1 must be what makes
+    the neighborhood live one subdivision down."""
+    X = corpus_complex
+    K = subcomplex_from_simplices(X, [X.simplices[0][0]])
+    nb = good_neighborhood(X, K, 0, min_level=1)
+    assert nb.level >= 1 and len(nb.tower) == nb.level
+    assert nb.subcomplex.parent is nb.tower[-1].complex
+    assert cohomology_vanishes_above(nb.complex, 0)
