@@ -105,8 +105,8 @@ def good_neighborhood(base: Complex, K: Subcomplex, k: int,
     `max_subdiv` barycentric subdivisions whose integral cohomology
     vanishes above k; the vanishing is always checked directly.
 
-    `min_level` forces extra subdivisions first (used to produce a second,
-    finer neighborhood for independence tests)."""
+    `min_level` is the first level tried (used to produce a second, finer
+    neighborhood for independence tests)."""
     if K.is_empty():
         raise ValueError("cannot build a neighborhood of an empty subcomplex")
     cache_key = ("good_nb", tuple(tuple(sorted(lv)) for lv in K.included),
