@@ -298,17 +298,17 @@ def cup_class_qmodz(a: "CohomologyClass", u: "CohomologyClass") -> "CohomologyCl
 # The build is sparse from input to output. Each d_j is stored once, as
 # the cached coface rows of `Complex.boundary_rows(j)`: one ascending dict
 # per (j-1)-simplex. `_snf_boundary` factors those rows as they are, and
-# is the only place a boundary operator is factored, `geometry` included.
-# The transforms are sparse too (U and Vinv by rows, V and Uinv by
-# columns, see `zlin.SNFResult`): coordinates, periods, relation matrices
-# and solves read those rows and columns directly. Periods and coboundary
-# solves read V by rows (`SNFResult.V_rows`, built on the first of them),
-# so they cost the nonzeros of the cochain they are given, not one
-# pairing per column of V. Each transform is built on its first read: a
-# boundary factorization never builds Uinv, and builds U only when a
-# coboundary is solved. The relation matrix of H_j is dict rows, and its
-# presentation (`zlin.cokernel`) reads only U and Uinv, so its V and
-# Vinv are never built. The cycle basis is never made dense:
+# is the only place a boundary operator is factored, `geometry` included;
+# `homology` factors its relation matrix only when d_j != 0, since it is
+# d_{j+1} otherwise. The transforms are sparse too (U and Vinv by rows, V
+# and Uinv by columns, see `zlin.SNFResult`): coordinates, periods,
+# relation matrices and solves read those rows and columns directly.
+# Periods and coboundary solves read V by rows (`SNFResult.V_rows`, built
+# on the first of them), so they cost the nonzeros of the cochain they
+# are given, not one pairing per column of V. Each transform is built on
+# its first read, and a boundary factorization builds U only when a
+# coboundary is solved: a presentation (`zlin.cokernel`) caches no row
+# transform, also on d_{j+1}. The cycle basis is never made dense:
 # every reader walks the sparse columns V[rank:] of the factorization of
 # d_j. The coboundary reads the same coface rows of d_{j+1}: row i holds
 # the signed cofaces of simplex i.
@@ -424,17 +424,24 @@ class HomologyData:
 
 
 def homology(cx: Complex, j: int) -> HomologyData:
-    """H_j(cx; Z) with explicit generator cycles."""
+    """H_j(cx; Z) with explicit generator cycles, presented by the cycle
+    coordinates of the boundaries of the (j+1)-simplices. When d_j = 0
+    (j = 0, or above the top dimension) V and Vinv are the identity, so
+    these are the rows of d_{j+1}, whose cached factorization is read."""
     key = ("homology", j)
     if key not in cx._cache:
         fact = _snf_boundary(cx, j)
         K = fact.V[fact.rank:]
-        # relations: the cycle coordinates of each (j+1)-simplex's boundary,
-        # row t of Vinv past the rank carried to the (j+1)-simplices through
-        # the cofaces of each j-simplex
-        cofaces = cx.boundary_rows(j + 1)
-        Y = [zlin.combine(row, cofaces) for row in fact.Vinv[fact.rank:]]
-        fg = zlin.cokernel(Y, ncols=cx.n_simplices(j + 1))
+        if fact.rank:
+            # row t of Vinv past the rank carried to the (j+1)-simplices
+            # through the cofaces of each j-simplex
+            cofaces = cx.boundary_rows(j + 1)
+            rel = zlin.smith_normal_form(
+                [zlin.combine(row, cofaces) for row in fact.Vinv[fact.rank:]],
+                ncols=cx.n_simplices(j + 1))
+        else:
+            rel = _snf_boundary(cx, j + 1)
+        fg = zlin.cokernel(rel)
         gens = tuple(zlin.combine(fg.lift(e), K) for e in _units(fg.n_coords))
         cx._cache[key] = HomologyData(cx, j, fg, gens)
     return cx._cache[key]

@@ -3,10 +3,12 @@ normalization of integer cycles, and bounding inside good neighborhoods.
 
 Smooth deformations are replaced by their combinatorial shadows: parallel
 copies of an over-counted cell are routed through distinct sectors of the
-second barycentric subdivision inside the open star of the cell, and sheet
-separation at an over-crowded codimension-one face is an abstract regluing
-of the incident cells (the ambient images stay put, so the homology
-witnesses are exact and supported where they should be).
+second barycentric subdivision inside the open star of the cell, each with
+its homology witness written down (the part of the subdivided coface
+between the cell and its copy) and checked by the splitting identity, not
+solved for. Sheet separation at an over-crowded codimension-one face is an
+abstract regluing of the incident cells (the ambient images stay put, so
+the witnesses stay exact and supported where they should be).
 """
 from __future__ import annotations
 
@@ -18,8 +20,7 @@ from .cochains import _snf_boundary, homology
 from .report import CheckResult, InvariantError, check
 from .simplicial import (
     Complex, SimplicialMap, Subcomplex, _sort_sign, chain_support,
-    closed_star_neighborhood, complex_from_maximal,
-    subcomplex_from_simplices, subdivision_tower,
+    closed_star_neighborhood, complex_from_maximal, subdivision_tower,
 )
 
 
@@ -84,19 +85,15 @@ class GoodNeighborhood:
     inclusion: SimplicialMap
     k: int               # cohomology vanishes above this degree
 
-    def chain_to_neighborhood(self, j: int, vec):
-        """Reindex an ambient chain supported inside the neighborhood."""
-        return _chain_to_subcomplex(self.inclusion, j, vec)
-
-
-def _chain_to_subcomplex(incl: SimplicialMap, j: int, vec: dict) -> dict:
-    """Reindex a sparse ambient j-chain onto the source of the inclusion
-    `incl` of a subcomplex through its chain columns, keeping the sign; a
-    ValueError when the chain leaves the subcomplex."""
-    back = {t: (c, sign) for c, (t, sign) in enumerate(incl.chain_columns(j))}
-    if not vec.keys() <= back.keys():
-        raise ValueError("chain leaves the subcomplex")
-    return {back[i][0]: back[i][1] * coef for i, coef in vec.items()}
+    def chain_to_neighborhood(self, j: int, vec: dict) -> dict:
+        """Reindex a sparse ambient j-chain onto the neighborhood through
+        the chain columns of the inclusion, keeping the sign; a ValueError
+        when the chain leaves the neighborhood."""
+        back = {t: (c, sign) for c, (t, sign)
+                in enumerate(self.inclusion.chain_columns(j))}
+        if not vec.keys() <= back.keys():
+            raise ValueError("chain leaves the subcomplex")
+        return {back[i][0]: back[i][1] * coef for i, coef in vec.items()}
 
 
 def good_neighborhood(base: Complex, K: Subcomplex, k: int,
@@ -324,11 +321,10 @@ def _split_chain(base: Complex, d: int, vec: dict) -> SplitResult:
         zlin._axpy(z_out, s2, sign - coef)
         for copy_idx in range(n - 1):
             rho = slots[copy_idx]
-            route = _parallel_copy(base, tower, d, i, rho)
+            route, h = _parallel_copy(base, tower, d, i, rho)
             zlin._axpy(z_out, route, sign)
             # boundary(h) = route - s2, so the identity z2 = boundary(b1) + z'
             # wants -h per copy
-            h = _local_homology_witness(base, tower, d, rho, route, s2)
             zlin._axpy(b1, h, -sign)
     # exactness of the bookkeeping: transported = boundary(b1) + cycle
     bad = zlin.combine((1, -1, -1), (z2, Y.boundary_of_chain(d + 1, b1), z_out))
@@ -343,44 +339,43 @@ def _split_chain(base: Complex, d: int, vec: dict) -> SplitResult:
 
 def _parallel_copy(base: Complex, tower, d: int, cell: int, rho: int):
     """A +-1 copy of the subdivided d-cell routed through the sd^2 sector
-    of the coface rho, sharing exactly the cell's boundary."""
+    of the coface rho, sharing exactly the cell's boundary, and the
+    witness h with boundary(h) = copy - Sd^2(cell). The subdivided closed
+    coface is a (d+1)-disc with no (d+2)-simplices, so h is unique: -eps
+    times the part of Sd^2_#(rho) between the cell and its copy, eps the
+    sign of the cell in boundary(rho)."""
     sd1, sd2 = tower
-    Y = sd2.complex
+    Y, s1cx = sd2.complex, sd1.complex
+
+    def new2(*s1):  # the sd^2 vertex of an sd^1 simplex
+        return sd2.new_vertex(len(s1) - 1, s1cx.simplex_index(sorted(s1)))
+
     if d == 0:
         v = base.simplices[0][cell][0]
-        a, b = base.simplices[1][rho]
-        mid = sd1.new_vertex(1, rho)
-        quarter_edge = tuple(sorted((v, mid)))
-        q = sd2.new_vertex(1, sd1.complex.simplex_index(quarter_edge))
-        return {Y.simplex_index((q,)): 1}
-    # d == 1: route a -> c1 -> y -> c2 -> b inside the coface triangle
-    a, b = base.simplices[1][cell]
-    mid = sd1.new_vertex(1, cell)
-    beta = sd1.new_vertex(2, rho)
-    s1cx = sd1.complex
-    c1 = sd2.new_vertex(2, s1cx.simplex_index(tuple(sorted((a, mid, beta)))))
-    yv = sd2.new_vertex(1, s1cx.simplex_index(tuple(sorted((mid, beta)))))
-    c2 = sd2.new_vertex(2, s1cx.simplex_index(tuple(sorted((b, mid, beta)))))
-    out = {}
-    for (u, w) in ((a, c1), (c1, yv), (yv, c2), (c2, b)):
-        lo, hi = (u, w) if u < w else (w, u)
-        out[Y.simplex_index((lo, hi))] = 1 if lo == u else -1
-    return out
-
-
-def _local_homology_witness(base: Complex, tower, d: int, rho: int,
-                            route, s2):
-    """Solve boundary(h) = route - s2 inside the subdivided closed coface."""
-    rhs = zlin.combine((1, -1), (route, s2))
-    coface = subcomplex_from_simplices(base, [base.simplices[d + 1][rho]])
-    local = _carried_subcomplex(base, tower, coface)
-    sub, incl = local.as_complex()
-    sol = zlin.solve_integer([], _chain_to_subcomplex(incl, d, rhs),
-                             fact=_snf_boundary(sub, d + 1))
-    if sol is None:
-        raise InvariantError("no local witness inside a disk",
-                             {"coface": list(base.simplices[d + 1][rho])})
-    return incl.push_chain(d + 1, sol)
+        q = new2(v, sd1.new_vertex(1, rho))
+        route = {Y.simplex_index((q,)): 1}
+        between = [(v, q)]
+    else:
+        # route a -> c_a -> y -> c_b -> b inside the coface triangle; the
+        # part on the side of end e is the three sd^2 triangles between
+        # e -> q_e -> mid and e -> c_e -> y -> mid
+        a, b = base.simplices[1][cell]
+        mid = sd1.new_vertex(1, cell)
+        beta = sd1.new_vertex(2, rho)
+        yv = new2(mid, beta)
+        c = {e: new2(e, mid, beta) for e in (a, b)}
+        route = {}
+        for (u, w) in ((a, c[a]), (c[a], yv), (yv, c[b]), (c[b], b)):
+            lo, hi = (u, w) if u < w else (w, u)
+            route[Y.simplex_index((lo, hi))] = 1 if lo == u else -1
+        between = []
+        for e in (a, b):
+            q = new2(e, mid)
+            between += [(e, q, c[e]), (mid, q, c[e]), (mid, yv, c[e])]
+    sd_rho = transport_chain(tower, d + 1, {rho: 1})
+    eps = base.boundary_rows(d + 1)[cell][rho]
+    part = [Y.simplex_index(sorted(s)) for s in between]
+    return route, {t: -eps * sd_rho[t] for t in part}
 
 
 def _base_carriers(base: Complex, tower) -> list:
@@ -448,7 +443,7 @@ def bound_in_good_neighborhood(P: Pseudomanifold, base: Complex, tower,
         return NotNullHomologous(coords, hom.fg.describe())
     if base.dim < k:
         raise DimensionError("ambient dimension is below the bounding degree")
-    w = zlin.solve_integer([], zP, fact=_snf_boundary(ambient, k))
+    w = zlin.solve_integer(_snf_boundary(ambient, k), zP)
     if w is None:
         raise InvariantError("a null-homologous cycle does not bound",
                              {"cycle": [list(ambient.simplices[d][i])

@@ -13,11 +13,11 @@ four transforms are dicts, so an elementary operation costs the nonzeros
 it touches. The elimination updates the working matrix only and logs its
 operations; each transform is replayed from the log on first read, so a
 reader pays only for the transforms it reads. A group presentation
-(`cokernel`) reads only U and Uinv, so its V and Vinv are never built; a
-boundary factorization never builds Uinv, and builds U only once
-something solves against it. The cohomology layer presents only homology
-through `cokernel`, and reads integral cohomology from the factorization
-of the boundary operator itself.
+(`cokernel`) replays U and Uinv from the row log for the moment it takes
+to pick their rows and columns, and caches neither; so the presentation
+of H_0, which reads the factorization of the boundary operator d_1
+itself, leaves that factorization as it found it. A boundary
+factorization builds U only once something solves against it.
 
 Solves cost what their right side touches. A factorization indexes V by
 rows on first use (`SNFResult.V_rows`), so V^T b is summed over the
@@ -359,24 +359,21 @@ class FgAbelianGroup:
         return describe_group("Z", self.rank, self.torsion)
 
 
-def cokernel(a, fact: SNFResult | None = None,
-             ncols: int | None = None) -> FgAbelianGroup:
-    """Presentation of Z^m / im(a), m the number of rows of `a`.
-
-    Rows may be dense or dicts, as in `smith_normal_form`, with `ncols`
-    their column count. The presentation reads only U and Uinv, so the
-    factorization never builds V or Vinv.
-    """
-    m = len(a)
-    if fact is None:
-        fact = smith_normal_form(a, ncols=ncols)
+def cokernel(fact: SNFResult) -> FgAbelianGroup:
+    """Presentation of Z^m / im(A) from the factorization U A V = S of A,
+    m the number of rows. U and Uinv are replayed from the row log, only
+    the picked rows of U and columns of Uinv are kept, and neither is
+    cached on `fact`, which may be a shared boundary factorization."""
+    m = fact.shape[0]
     free_idx = list(range(fact.rank, m))
     tors_idx = [i for i in range(fact.rank) if fact.diag[i] > 1]
     torsion = tuple(fact.diag[i] for i in tors_idx)
     picked = free_idx + tors_idx
+    U = _replay(m, fact.row_log, False)
+    Uinv = _replay(m, fact.row_log, True)
     return FgAbelianGroup(len(free_idx), torsion,
-                          tuple(fact.Uinv[i] for i in picked),
-                          tuple(fact.U[i] for i in picked))
+                          tuple(Uinv[i] for i in picked),
+                          tuple(U[i] for i in picked))
 
 
 # ---------------------------------------------------------------------------
@@ -437,13 +434,9 @@ def solve_transposed(fact: SNFResult, b: dict, integral: bool):
     return combine(y, fact.U), e
 
 
-def solve_integer(a, b: dict, fact: SNFResult | None = None,
-                  ncols: int | None = None):
-    """One integer solution x of a @ x == b (sparse b and x, see `_solve`),
-    or None if unsolvable over Z. When `fact` is supplied, `a` is ignored
-    (pass [])."""
-    if fact is None:
-        fact = smith_normal_form(a, ncols=ncols)
+def solve_integer(fact: SNFResult, b: dict):
+    """One integer solution x of A x = b through the factorization of A
+    (sparse b and x, see `_solve`), or None if unsolvable over Z."""
     return _solve(fact, b, integral=True)
 
 

@@ -281,15 +281,53 @@ def test_caches_hold_no_dense_matrices():
 def test_inspect_builds_no_row_transform_of_a_boundary():
     """`inspect` on sd1(t2) reads V and Vinv of each cached boundary
     factorization but never solves against one, so none builds U or
-    Uinv."""
+    Uinv. H_0 and H_j above the top dimension are presented from the
+    factorization of d_{j+1}, which reaches d_{dim+3}, and the
+    presentation caches no row transform on it either."""
     X = barycentric_subdivide(load_complex(corpus.resolve("t2"))).complex
     cli.cmd_inspect(X, argparse.Namespace(seed=0, max_subdiv=2), 1)
     facts = {key[1]: v for key, v in X._cache.items()
              if key[0] == "snf_boundary"}
-    assert sorted(facts) == list(range(X.dim + 3))
+    assert sorted(facts) == list(range(X.dim + 4))
     built = {j: sorted({"U", "Uinv"} & set(f.__dict__))
              for j, f in facts.items()}
     assert built == {j: [] for j in facts}
+
+
+def _matrix_key(a, ncols):
+    """A factorization input as (columns, nonzero (column, value) pairs of
+    each row), the same for dict and dense rows."""
+    n = ncols if ncols is not None else (len(a[0]) if a else 0)
+    return n, tuple(tuple(sorted((j, x) for j, x in (
+        r.items() if isinstance(r, dict) else enumerate(r)) if x)) for r in a)
+
+
+@pytest.mark.parametrize("name", corpus.CORPUS_NAMES)
+def test_cold_inspect_factors_no_matrix_twice(name, monkeypatch):
+    """A cold `inspect` on a corpus complex and on its first subdivision
+    factors each nonempty matrix once: H_0 reads the factorization of d_1
+    rather than factoring d_1 again as its relation matrix. The one input
+    met more than once is the 0 x 0 matrix (d_j for j > dim + 1, and the
+    relation matrix of a degree with no cycles), whose factorization
+    records no operation."""
+    real = zlin.smith_normal_form
+    for sd in (0, 1):
+        seen = {}
+
+        def spy(a, ncols=None):
+            key = _matrix_key(a, ncols)
+            seen[key] = seen.get(key, 0) + 1
+            return real(a, ncols=ncols)
+
+        monkeypatch.setattr(zlin, "smith_normal_form", spy)
+        X = load_complex(corpus.resolve(name))
+        if sd:
+            X = barycentric_subdivide(X).complex
+        cli.cmd_inspect(X, argparse.Namespace(seed=0, max_subdiv=2), 1)
+        monkeypatch.setattr(zlin, "smith_normal_form", real)
+        repeated = [key for key, count in seen.items() if count > 1]
+        assert repeated in ([], [(0, ())]), (name, sd, repeated)
+        assert _matrix_key(X.boundary_rows(1), X.n_simplices(1)) in seen
 
 
 def test_timings_per_task_outside_the_hash():

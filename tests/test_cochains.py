@@ -443,28 +443,42 @@ def test_cycle_periods_pair_with_the_cycle_basis(read_complex):
         assert zlin.dense(got, len(dense)) == dense, (X.name, j)
 
 
-def _cokernel_calls(X, j):
-    """(rows, ncols) of each relation matrix that `homology` passes to
-    `zlin.cokernel` in degree j, built afresh."""
-    seen = []
-    real = zlin.cokernel
+def _presentation_calls(X, j):
+    """(fact, rows, ncols) for each factorization that `homology` hands
+    to `zlin.cokernel` in degree j, built afresh: a relation matrix that
+    `homology` factors itself, with its rows and column count, or the
+    cached factorization of d_{j+1}, with that operator's rows."""
+    made, seen = {}, []
+    real_snf, real_cokernel = zlin.smith_normal_form, zlin.cokernel
 
-    def spy(a, *args, **kw):
-        seen.append((a, kw["ncols"]))
-        return real(a, *args, **kw)
+    def snf(a, ncols=None):
+        fact = real_snf(a, ncols=ncols)
+        made[id(fact)] = (a, ncols)
+        return fact
+
+    def cokernel(fact):
+        seen.append(fact)
+        return real_cokernel(fact)
 
     X._cache.pop(("homology", j), None)
-    with mock.patch.object(zlin, "cokernel", spy):
+    with mock.patch.object(zlin, "smith_normal_form", snf), \
+            mock.patch.object(zlin, "cokernel", cokernel):
         homology(X, j)
-    return seen
+    out = []
+    for fact in seen:
+        if fact is X._cache.get(("snf_boundary", j + 1)):
+            out.append((fact, X.boundary_rows(j + 1), X.n_simplices(j + 1)))
+        else:
+            out.append((fact, *made[id(fact)]))
+    return out
 
 
 def _relation_matrices(X, j):
-    """The relation matrices of `_cokernel_calls`, their dict rows checked
-    to be ascending and free of zeros, then made dense over `ncols`
-    columns."""
+    """The relation matrices of `_presentation_calls`, their dict rows
+    checked to be ascending and free of zeros, then made dense over
+    `ncols` columns."""
     out = []
-    for a, ncols in _cokernel_calls(X, j):
+    for _, a, ncols in _presentation_calls(X, j):
         for r in a:
             assert list(r) == sorted(r) and all(r.values()), r
         out.append([zlin.dense(r, ncols) for r in a])
@@ -500,6 +514,29 @@ _FIXED_SPACES = list(corpus.CORPUS_NAMES) + [
 def test_relation_matrices_match_the_dense_formulas(X, data):
     j = data.draw(st.integers(0, X.dim + 1))
     assert _relation_matrices(X, j) == _dense_relation_matrices(X, j), j
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.sampled_from(_FIXED_SPACES).map(_fixed_space),
+                 random_complexes()), st.data())
+def test_homology_over_a_zero_boundary_reads_the_next_factorization(X, data):
+    """When d_j = 0 (j = 0, or above the top dimension), `homology(X, j)`
+    presents the very object `_snf_boundary(X, j + 1)` and factors
+    nothing, and the presentation equals the one from a fresh
+    factorization of the dense relation formula."""
+    j = data.draw(st.sampled_from([
+        j for j in range(X.dim + 3) if not _snf_boundary(X, j).rank]))
+    next_fact = _snf_boundary(X, j + 1)
+    X._cache.pop(("homology", j), None)
+    with mock.patch.object(zlin, "smith_normal_form",
+                           side_effect=AssertionError("factored")):
+        homology(X, j)
+    calls = _presentation_calls(X, j)
+    assert len(calls) == 1 and calls[0][0] is next_fact, j
+    [dense] = _dense_relation_matrices(X, j)
+    fresh = zlin.smith_normal_form(dense, ncols=X.n_simplices(j + 1))
+    assert homology(X, j).fg == zlin.cokernel(fresh), j
+    assert not {"U", "Uinv"} & set(next_fact.__dict__), j
 
 
 @settings(max_examples=40, deadline=None)
@@ -544,23 +581,25 @@ def _transforms(f):
 @given(st.one_of(st.sampled_from(_FIXED_SPACES).map(_fixed_space),
                  random_complexes()), st.data())
 def test_sparse_and_row_only_factorizations_match_the_dense_one(X, data):
-    """For d_j and the two relation matrices of degree j: dict rows and
-    dense rows give the same diag and the same four transforms. The
-    presentation that `zlin.cokernel` reads from a fresh factorization
-    is that of the full one, and reading it builds neither V nor Vinv;
-    read afterwards, they are those of the full factorization."""
+    """For d_j and the relation matrix of H_j: dict rows and dense rows
+    give the same diag and the same four transforms. The presentation
+    that `zlin.cokernel` reads from a fresh factorization is that of the
+    full one and of the factorization `homology` presents, and reading it
+    builds no transform; read afterwards, U and Uinv build neither V nor
+    Vinv, and all four are those of the full factorization."""
     j = data.draw(st.integers(0, X.dim + 1))
-    mats = [(X.boundary_rows(j), X.n_simplices(j))] + _cokernel_calls(X, j)
-    for rows, ncols in mats:
+    calls = _presentation_calls(X, j)
+    mats = [(None, X.boundary_rows(j), X.n_simplices(j))] + calls
+    for used, rows, ncols in mats:
         dense = [zlin.dense(r, ncols) for r in rows]
         full = zlin.smith_normal_form(dense, ncols=ncols)
         assert _transforms(zlin.smith_normal_form(rows, ncols=ncols)) == \
             _transforms(full), j
         row_only = zlin.smith_normal_form(rows, ncols=ncols)
-        if rows:
-            assert zlin.cokernel(rows, ncols=ncols) == \
-                zlin.cokernel(rows, fact=row_only) == \
-                zlin.cokernel(rows, fact=full), j
+        assert zlin.cokernel(row_only) == zlin.cokernel(full), j
+        if used is not None:
+            assert zlin.cokernel(used) == zlin.cokernel(full), j
+        assert not {"U", "Uinv", "V", "Vinv"} & set(row_only.__dict__), j
         assert (row_only.diag, row_only.U, row_only.Uinv) == \
             (full.diag, full.U, full.Uinv), j
         assert "V" not in row_only.__dict__, j

@@ -248,8 +248,10 @@ def test_verify_diagram_naturality(cx):
 
 def test_warm_rerun_factors_nothing(monkeypatch):
     """Every Smith factorization is cached: one per boundary operator of a
-    complex and one per group presentation (`zlin.cokernel`) of a
-    (complex, degree). A second pass over the same suites factors nothing."""
+    complex, and one per relation matrix of H_j with d_j != 0, which
+    `homology` factors once per (complex, degree) and presents with
+    `zlin.cokernel`; H_j with d_j = 0 reads the factorization of d_{j+1}.
+    A second pass over the same suites factors nothing."""
     from charrig import cli, corpus, zlin
     from charrig.cochains import check_exactness
     from charrig.simplicial import load_complex
@@ -272,9 +274,10 @@ def test_warm_rerun_factors_nothing(monkeypatch):
 
 def test_only_boundary_and_presentation_factorizations(monkeypatch):
     """A cold pass of the exactness, diagram and equivalence suites factors
-    only boundary operators and the presentations of homology: cocycles
-    with given periods come from the cycle basis, not from a factored
-    pairing, and H^j(Z) is read from the factorization of d_j."""
+    only boundary operators and the relation matrices of homology, and
+    presents groups only in `homology`: cocycles with given periods come
+    from the cycle basis, not from a factored pairing, and H^j(Z) is read
+    from the factorization of d_j."""
     from charrig import cli, corpus, zlin
     from charrig.characters import verify_equivalence
     from charrig.cochains import check_exactness
@@ -298,7 +301,7 @@ def test_only_boundary_and_presentation_factorizations(monkeypatch):
             check_exactness(X, k, random.Random(0))
             verify_diagram(X, k, random.Random(0), maps=maps)
             verify_equivalence(X, k, random.Random(0), maps=maps)
-    assert callers == {"smith_normal_form": {"_snf_boundary", "cokernel"},
+    assert callers == {"smith_normal_form": {"_snf_boundary", "homology"},
                        "cokernel": {"homology"}}, callers
 
 

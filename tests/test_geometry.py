@@ -3,16 +3,18 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from charrig import corpus
+from unittest import mock
+
+from charrig import corpus, geometry, zlin
 from charrig.cochains import cohomology, homology
 from charrig.geometry import (
     BoundResult, DimensionError, GeometryBudgetExceeded, NotNullHomologous,
     Pseudomanifold, bound_in_good_neighborhood, cohomology_vanishes_above,
     good_neighborhood, good_neighborhood_of_cycle, is_pseudomanifold,
     _carried_subcomplex, normalize_cycle, resolve_cycle, split_cycle,
-    verify_normalization,
+    transport_chain, verify_normalization,
 )
 from charrig.simplicial import (
     SimplicialMap, complex_from_maximal, subcomplex_from_simplices,
@@ -285,3 +287,61 @@ def test_min_level_forces_a_subdivided_neighborhood(corpus_complex):
     assert nb.level >= 1 and len(nb.tower) == nb.level
     assert nb.subcomplex.parent is nb.tower[-1].complex
     assert cohomology_vanishes_above(nb.complex, 0)
+
+
+def _disc_witness_oracle(base, tower, d, rho, route, s2):
+    """The solve that the written-down witness replaced: boundary(h) =
+    route - s2 inside the part of sd^2 carried by the closed coface rho,
+    through a fresh factorization of that disc's boundary operator; h
+    pushed back to the whole sd^2."""
+    rhs = zlin.combine((1, -1), (route, s2))
+    coface = subcomplex_from_simplices(base, [base.simplices[d + 1][rho]])
+    sub, incl = _carried_subcomplex(base, tower, coface).as_complex()
+    cols = incl.chain_columns(d)
+    assert rhs.keys() <= {t for t, _ in cols}
+    local = {c: sign * rhs[t] for c, (t, sign) in enumerate(cols) if t in rhs}
+    fact = zlin.smith_normal_form(sub.boundary_rows(d + 1),
+                                  ncols=sub.n_simplices(d + 1))
+    assert fact.rank == sub.n_simplices(d + 1)  # the disc has no (d+1)-cycle
+    sol = zlin.solve_integer(fact, local)
+    assert sol is not None
+    return incl.push_chain(d + 1, sol)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(st.sampled_from(corpus.CORPUS_NAMES).map(corpus.load),
+                 RANDOM_SPACES), st.data())
+def test_parallel_copy_witness_is_the_solve_in_the_carried_disc(X, data):
+    """Splitting a doubled 0-cycle (a vertex) or 1-cycle (a homology
+    generator or the boundary of a triangle) factors nothing, and each
+    witness h that `_parallel_copy` writes down is the unique solution of
+    boundary(h) = copy - Sd^2(cell) in the subdivided closed coface."""
+    d = data.draw(st.integers(0, 1))
+    assume(d < X.dim)
+    if d == 0:
+        cells = [i for i, row in enumerate(X.boundary_rows(1)) if row]
+        z = {data.draw(st.sampled_from(cells)): 1}
+    else:
+        z = data.draw(st.sampled_from(
+            list(homology(X, 1).gen_cycles)
+            + [X.boundary_of_chain(2, {t: 1}) for t in range(X.n_simplices(2))]))
+    vec = {i: 2 * c for i, c in z.items()}
+    calls = []
+    real = geometry._parallel_copy
+
+    def spy(*args):
+        out = real(*args)
+        calls.append((args, out))
+        return out
+
+    with mock.patch.object(geometry, "_parallel_copy", spy), \
+            mock.patch.object(zlin, "smith_normal_form",
+                              side_effect=AssertionError("factored")):
+        try:
+            split_cycle(X, d, vec)
+        except GeometryBudgetExceeded:
+            assume(False)
+    assert len(calls) == len(vec)
+    for (base, tower, dd, cell, rho), (route, h) in calls:
+        s2 = transport_chain(tower, dd, {cell: 1})
+        assert h == _disc_witness_oracle(base, tower, dd, rho, route, s2)

@@ -83,9 +83,9 @@ def key_orders(fact):
 @given(small_matrices())
 def test_dict_rows_and_row_only_factorization_match_dense_rows(a):
     """Ascending dict rows give the factorization of the dense rows, dict
-    key order included. A factorization read only for U and Uinv, as
-    `cokernel` reads it, builds neither V nor Vinv; read later, they are
-    those of the full factorization."""
+    key order included. A factorization read only for U and Uinv builds
+    neither V nor Vinv; read later, they are those of the full
+    factorization."""
     f = zlin.smith_normal_form(a)
     rows = [as_dict(r) for r in a]
     g = zlin.smith_normal_form(rows, ncols=len(a[0]))
@@ -230,7 +230,7 @@ def test_solve_integer_roundtrip(a, seed):
     n = len(a[0])
     x0 = [rng.randrange(-3, 4) for _ in range(n)]
     b = [int(v) for v in matvec(a, x0)]
-    x = zlin.solve_integer(a, as_dict(b))
+    x = zlin.solve_integer(zlin.smith_normal_form(a), as_dict(b))
     assert x is not None and all(x.values())
     assert matvec(a, zlin.dense(x, n)) == b
     # the rational solver on a rational right side a @ x0 / q
@@ -263,8 +263,8 @@ def test_solve_transposed_agrees_with_solving_the_transpose(a, seed):
     for b in (b0, [rng.randrange(-3, 4) for _ in range(len(at))]):
         for integral in (True, False):
             sol = zlin.solve_transposed(fact, as_dict(b), integral)
-            expected = zlin.solve_integer(at, as_dict(b)) if integral \
-                else zlin.solve_rational(at, as_dict(b))
+            expected = (zlin.solve_integer(zlin.smith_normal_form(at), as_dict(b))
+                        if integral else zlin.solve_rational(at, as_dict(b)))
             assert (sol is None) == (expected is None)
             if sol is not None:
                 x, e = zlin.dense(sol[0], len(a)), sol[1]
@@ -325,8 +325,9 @@ def test_row_index_and_sparse_solve_match_the_dense_formula(a, seed):
 
 
 def test_solve_integer_examples():
-    assert zlin.solve_integer([[2]], {0: 4}) == {0: 2}
-    assert zlin.solve_integer([[2]], {0: 3}) is None
+    f = zlin.smith_normal_form([[2]])
+    assert zlin.solve_integer(f, {0: 4}) == {0: 2}
+    assert zlin.solve_integer(f, {0: 3}) is None
 
 
 @settings(max_examples=30, deadline=None)
@@ -335,7 +336,7 @@ def test_solve_integer_examples():
 def test_solve_integer_unsolvable_confirmed_by_enumeration(a, braw):
     m = len(a)
     b = braw[:m]
-    x = zlin.solve_integer(a, as_dict(b))
+    x = zlin.solve_integer(zlin.smith_normal_form(a), as_dict(b))
     if x is not None:
         assert matvec(a, zlin.dense(x, len(a[0]))) == b
         return
@@ -377,10 +378,25 @@ def test_kernel_basis_spans_and_is_exact():
 
 
 def test_cokernel_examples():
-    g = zlin.cokernel([[2]])
+    g = zlin.cokernel(zlin.smith_normal_form([[2]]))
     assert (g.rank, g.torsion) == (0, (2,))
-    empty = zlin.cokernel([{}, {}, {}], ncols=0)
+    empty = zlin.cokernel(zlin.smith_normal_form([{}, {}, {}], ncols=0))
     assert (empty.rank, empty.torsion) == (3, ())
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_matrices())
+def test_cokernel_picks_rows_of_U_and_columns_of_Uinv_and_caches_none(a):
+    """`cokernel` keeps row i of U and column i of Uinv for each free
+    index past the rank, then each torsion index, replayed from the row
+    log; the factorization it reads builds no transform."""
+    f = zlin.smith_normal_form(a)
+    g = zlin.cokernel(f)
+    assert not {"U", "Uinv", "V", "Vinv"} & set(f.__dict__)
+    picked = [*range(f.rank, len(a)),
+              *(i for i in range(f.rank) if f.diag[i] > 1)]
+    assert g.gen_lift == tuple(f.Uinv[i] for i in picked)
+    assert g._proj_rows == tuple(f.U[i] for i in picked)
 
 
 def test_cokernel_order_matches_determinant_oracle():
@@ -389,7 +405,7 @@ def test_cokernel_order_matches_determinant_oracle():
         n = rng.randrange(1, 5)
         a = [[rng.randrange(-3, 4) for _ in range(n)] for _ in range(n)]
         det = Matrix(a).det()
-        g = zlin.cokernel(a)
+        g = zlin.cokernel(zlin.smith_normal_form(a))
         if det != 0:
             assert g.rank == 0 and prod(g.torsion) == abs(det)
         else:
@@ -401,7 +417,7 @@ def test_fg_group_projection_left_inverse():
     for _ in range(25):
         m, n = rng.randrange(1, 5), rng.randrange(0, 5)
         a = [[rng.randrange(-4, 5) for _ in range(n)] for _ in range(m)]
-        g = zlin.cokernel(a)
+        g = zlin.cokernel(zlin.smith_normal_form(a))
         for t in range(g.n_coords):
             e = [0] * g.n_coords
             e[t] = 1
@@ -427,7 +443,7 @@ def test_solve_rational():
 def test_shape_errors():
     """A right side with an index outside the rows of the matrix."""
     with pytest.raises(zlin.ShapeError):
-        zlin.solve_integer([[1, 2]], {0: 1, 1: 2})
+        zlin.solve_integer(zlin.smith_normal_form([[1, 2]]), {0: 1, 1: 2})
 
 
 def _sparse_vectors(length):
