@@ -3,8 +3,10 @@ subdivision and closed-star neighborhoods.
 
 Simplices are strictly increasing vertex tuples; the orientation is the
 given vertex order and the boundary operator uses the alternating-sign
-face convention, written once in `Complex.faces`. Simplex indexing within
-a dimension is lexicographic, so every derived object is reproducible.
+face convention: face i deletes vertex i and carries the sign (-1)^i, per
+simplex in `Complex.faces` and per face position over a whole level in
+`Complex.boundary_rows`. Simplex indexing within a dimension is
+lexicographic, so every derived object is reproducible.
 
 A j-chain is a sparse dict from j-simplex index to nonzero integer
 coefficient, with no zero stored. The chain operations
@@ -27,6 +29,7 @@ to the simplices they select.
 from __future__ import annotations
 
 import json
+from collections import deque
 from itertools import chain, combinations, compress, filterfalse, repeat
 from operator import add, eq, is_, itemgetter, le, lt, not_
 
@@ -138,13 +141,23 @@ class Complex:
         """The boundary operator C_j -> C_{j-1} as its n_{j-1} rows, one
         per (j-1)-simplex: a sparse dict from the indices of its cofaces
         to their signs, keys ascending; cached. The rows are empty for
-        j = dim + 1, and there are none for j <= 0."""
+        j = dim + 1, and there are none for j <= 0.
+
+        The rows are filled a face position at a time, by C-level lookups
+        over the whole level. The levels are sorted, so the cofaces of a
+        simplex that delete their vertex i precede those that delete
+        vertex i + 1, and each row's keys come out ascending."""
         key = ("boundary", j)
         if key not in self._cache:
             rows = [{} for _ in range(self.n_simplices(j - 1))]
-            for c in range(self.n_simplices(j)) if j >= 1 else ():
-                for r, sign in self.faces(j, c):
-                    rows[r][c] = sign
+            if 1 <= j <= self.dim:
+                lower = self.index[j - 1].__getitem__
+                # one int per coface, shared by the rows of its j + 1 faces
+                cofaces = list(range(self.n_simplices(j)))
+                for i, faces in enumerate(_facets(self.simplices[j])):
+                    deque(map(dict.__setitem__,
+                              map(rows.__getitem__, map(lower, faces)),
+                              cofaces, repeat((-1) ** i)), 0)
             self._cache[key] = rows
         return self._cache[key]
 

@@ -10,14 +10,17 @@ takes its rows as dense sequences or as dicts from column index to
 nonzero int (the boundary operators and the relation matrices of the
 homology presentations come as dicts), and the working matrix and the
 four transforms are dicts, so an elementary operation costs the nonzeros
-it touches. The elimination updates the working matrix only and logs its
+it touches. A column swap relabels two columns instead of moving their
+entries, and the pivot scan passes each empty row once, so the
+elimination costs the entries it changes, not the rows and columns of
+the matrix. The elimination updates the working matrix only and logs its
 operations; each transform is replayed from the log on first read, so a
 reader pays only for the transforms it reads. A group presentation
-(`cokernel`) replays U and Uinv from the row log for the moment it takes
-to pick their rows and columns, and caches neither; so the presentation
-of H_0, which reads the factorization of the boundary operator d_1
-itself, leaves that factorization as it found it. A boundary
-factorization builds U only once something solves against it.
+(`cokernel`) builds only the rows of U and columns of Uinv it picks, in
+one backward pass over the row log, and caches nothing; so the
+presentation of H_0, which reads the factorization of the boundary
+operator d_1 itself, leaves that factorization as it found it. A
+boundary factorization builds U only once something solves against it.
 
 Solves cost what their right side touches. A factorization indexes V by
 rows on first use (`SNFResult.V_rows`), so V^T b is summed over the
@@ -36,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from math import gcd, lcm
 
 
@@ -173,6 +177,22 @@ class SNFResult:
         return rows
 
 
+def _integer_rows(a) -> list:
+    """Working copies of the rows of `a` as dicts from column index to
+    nonzero int, without touching `a`. Each row is copied with `dict` and
+    the value types are checked in one C-level pass; only when some value
+    is not an int are the entries converted one by one, and a value that
+    is not integral is a ValueError."""
+    rows = [dict(r) if isinstance(r, dict) else dict(enumerate(r)) for r in a]
+    if set(map(type, chain.from_iterable(map(dict.values, rows)))) <= {int}:
+        return [r if 0 not in r.values() else {j: x for j, x in r.items() if x}
+                for r in rows]
+    ints = [{j: int(x) for j, x in r.items() if x} for r in rows]
+    if any(v != r[j] for row, r in zip(ints, rows) for j, v in row.items()):
+        raise ValueError("Smith normal form needs an integer matrix")
+    return ints
+
+
 def smith_normal_form(a, ncols: int | None = None) -> SNFResult:
     """Smith normal form over Z.
 
@@ -181,9 +201,10 @@ def smith_normal_form(a, ncols: int | None = None) -> SNFResult:
     deterministic and bounds coefficient growth.
 
     Each row of `a` is a dense sequence or a dict from column index to
-    value, in any key order. `ncols` gives the column count, which dict
-    rows and a 0-row matrix cannot express; without it, the length of the
-    first row.
+    value, in any key order; `a` itself is never changed. `ncols` gives
+    the column count, which dict rows and a 0-row matrix cannot express;
+    without it, the length of the first row. A matrix without rows
+    returns at once.
 
     Only the working matrix is updated; each operation is appended to the
     row or column log from which `SNFResult` builds the transforms. One
@@ -197,74 +218,96 @@ def smith_normal_form(a, ncols: int | None = None) -> SNFResult:
     99 % of the pivots of the boundary operators and presentations in the
     perfbench workloads are units, where eliminating units first pays
     most (Dumas, Saunders and Villard, J. Symb. Comp. 32, 2001).
+
+    The elimination costs the entries it changes. A column swap relabels
+    two columns and moves no entry: the rows keep their physical column
+    keys, `col` maps each logical column to its physical one and `pos`
+    inverts it, and the logs speak of logical columns. A row that is
+    empty stays empty (a row operation only changes rows holding column
+    t, the sweep adds into row t, and a swap brings only the nonempty
+    pivot row to t), so the pivot scan and the sweep pass each empty row
+    once: `nxt` links an empty row to the next row not known to be empty,
+    with path compression. A row operation updates the row and the
+    column sets in one pass over the pivot row.
     """
     m = len(a)
     n = ncols if ncols is not None else (len(a[0]) if m else 0)
-    # sparse working copy: per-row dict col -> value, plus per-column row sets
-    rows = [{j: int(x) for j, x in _entries(r) if x} for r in a]
-    if any(v != r[j] for row, r in zip(rows, a) for j, v in row.items()):
-        raise ValueError("Smith normal form needs an integer matrix")
-    col_rows = [set() for _ in range(n)]
+    if not m:
+        return SNFResult((0, n), (), 0, [], [])
+    rows = _integer_rows(a)
+    col_rows = [set() for _ in range(n)]  # physical column -> rows holding it
     for i, r in enumerate(rows):
         for j in r:
             col_rows[j].add(i)
+    col = list(range(n))  # logical column -> physical column
+    pos = list(range(n))  # physical column -> logical column
+    nxt = list(range(m + 1))  # rows i .. nxt[i] - 1 are empty; nxt[m] == m
     row_log, col_log = [], []
+
+    def skip(i):
+        # the first row at or after i not known to be empty, marking the
+        # empty rows passed and pointing the path walked at the result
+        j = i
+        while nxt[j] != j or (j < m and not rows[j]):
+            if nxt[j] == j:
+                nxt[j] = j + 1
+            j = nxt[j]
+        while i != j:
+            nxt[i], i = j, nxt[i]
+        return j
 
     def row_op(i, t, q):
         # row_i -= q * row_t
         ri = rows[i]
-        _axpy(ri, rows[t], -q)
-        for j in rows[t]:
-            if j in ri:
+        get = ri.get
+        for j, x in rows[t].items():
+            v = get(j)
+            if v is None:
+                ri[j] = -q * x
                 col_rows[j].add(i)
             else:
-                col_rows[j].discard(i)
+                v -= q * x
+                if v:
+                    ri[j] = v
+                else:
+                    del ri[j]
+                    col_rows[j].discard(i)
         row_log.append((i, t, q))
 
     def row_swap(i, t):
-        if i == t:
-            return
-        touched = set(rows[i]) | set(rows[t])
-        rows[i], rows[t] = rows[t], rows[i]
-        for j in touched:
-            for r in (i, t):
-                if j in rows[r]:
-                    col_rows[j].add(r)
-                else:
-                    col_rows[j].discard(r)
+        ri, rt = rows[i], rows[t]
+        for j in ri.keys() - rt.keys():
+            s = col_rows[j]
+            s.discard(i)
+            s.add(t)
+        for j in rt.keys() - ri.keys():
+            s = col_rows[j]
+            s.discard(t)
+            s.add(i)
+        rows[i], rows[t] = rt, ri
+        nxt[t] = t  # a scan may have passed position t while it was empty
         row_log.append((i, t, 0))
 
     def col_swap(j, t):
-        if j == t:
-            return
-        for i in col_rows[j] | col_rows[t]:
-            ri = rows[i]
-            vj, vt = ri.pop(j, None), ri.pop(t, None)
-            if vt is not None:
-                ri[j] = vt
-            if vj is not None:
-                ri[t] = vj
-        col_rows[j], col_rows[t] = col_rows[t], col_rows[j]
+        pj, pt = col[t], col[j]
+        col[j], col[t] = pj, pt
+        pos[pj], pos[pt] = j, t
         col_log.append((j, t, 0))
 
-    def row_negate(i):
-        ri = rows[i]
-        for j in ri:
-            ri[j] = -ri[j]
-        row_log.append((i, i, 0))
-
     def find_pivot(t):
-        best = None
-        for i in range(t, m):
-            for j, val in rows[i].items():
-                if j < t:
-                    continue
-                key = (abs(val), i, j)
-                if best is None or key < best:
-                    best = key
-            if best is not None and best[0] == 1:
-                break  # no later row beats a unit found in an earlier one
-        return None if best is None else (best[1], best[2])
+        # (|entry|, logical column) least in the first row holding the
+        # least |entry|; rows from t on hold no column left of t
+        best = bi = None
+        i = skip(t)
+        while i < m:
+            r = rows[i]
+            key = min(zip(map(abs, r.values()), map(pos.__getitem__, r)))
+            if best is None or key[0] < best[0]:
+                best, bi = key, i
+                if key[0] == 1:
+                    break  # no later row beats a unit found in an earlier one
+            i = skip(i + 1)
+        return None if bi is None else (bi, best[1])
 
     diag = []
     t = 0
@@ -273,27 +316,34 @@ def smith_normal_form(a, ncols: int | None = None) -> SNFResult:
         piv = find_pivot(t)
         if piv is None:
             break
-        row_swap(piv[0], t)
-        col_swap(piv[1], t)
-        if rows[t][t] < 0:
-            row_negate(t)
+        if piv[0] != t:
+            row_swap(piv[0], t)
+        if piv[1] != t:
+            col_swap(piv[1], t)
+        ct = col[t]
+        rt = rows[t]
+        if rt[ct] < 0:
+            for j in rt:
+                rt[j] = -rt[j]
+            row_log.append((t, t, 0))
         # p is the smallest |entry| of the active block, so no quotient
         # below is 0 (`_replay` would read a logged 0 as a swap). Each
         # `continue` picks a strictly smaller pivot, so the loop ends: a
         # cleared column or row may leave a remainder below p, and after
         # the sweep the next pass picks (t, t) again and leaves one in row t.
-        rt = rows[t]
-        p = rt[t]
-        for i in sorted(col_rows[t]):
+        p = rt[ct]
+        in_col = col_rows[ct]
+        for i in sorted(in_col):
             if i != t:
-                row_op(i, t, rows[i][t] // p)
-        if len(col_rows[t]) > 1:
+                row_op(i, t, rows[i][ct] // p)
+        if len(in_col) > 1:
             continue
         # column t holds only p, so a column operation touches row t alone
-        for j in sorted(rt):
-            if j != t:
+        for lj in sorted(map(pos.__getitem__, rt)):
+            if lj != t:
+                j = col[lj]
                 q, r = divmod(rt[j], p)
-                col_log.append((j, t, q))
+                col_log.append((lj, t, q))
                 if r:
                     rt[j] = r
                 else:
@@ -303,10 +353,11 @@ def smith_normal_form(a, ncols: int | None = None) -> SNFResult:
             continue
         if p > 1:
             # divisibility sweep: p must divide the rest of the block
-            bad = next((i for i in range(t + 1, m)
-                        if any(v % p for v in rows[i].values())), None)
-            if bad is not None:
-                row_op(t, bad, -1)  # row_t += row_bad
+            i = skip(t + 1)
+            while i < m and not any(v % p for v in rows[i].values()):
+                i = skip(i + 1)
+            if i < m:
+                row_op(t, i, -1)  # row_t += row_i
                 continue
         diag.append(p)
         t += 1
@@ -359,21 +410,55 @@ class FgAbelianGroup:
         return describe_group("Z", self.rank, self.torsion)
 
 
+def _add_line(lines: list, dst: int, src: int, c: int) -> None:
+    """lines[dst] += c * lines[src] on sparse lines, where None is zero."""
+    if lines[src]:
+        if lines[dst] is None:
+            lines[dst] = {}
+        _axpy(lines[dst], lines[src], c)
+
+
 def cokernel(fact: SNFResult) -> FgAbelianGroup:
     """Presentation of Z^m / im(A) from the factorization U A V = S of A,
-    m the number of rows. U and Uinv are replayed from the row log, only
-    the picked rows of U and columns of Uinv are kept, and neither is
-    cached on `fact`, which may be a shared boundary factorization."""
+    m the number of rows. Only the picked rows of U and columns of Uinv
+    are built, in one backward pass over the row log, with ascending
+    keys; nothing is cached on `fact`, which may be a shared boundary
+    factorization.
+
+    With U = E_K ... E_1, a picked row e_p^T U takes the operations from
+    the last: (i, t, q) sends entry t to entry t - q * entry i; and a
+    picked column Uinv e_p = E_1^-1 ... E_K^-1 e_p too: entry i goes to
+    entry i + q * entry t. A swap exchanges entries i and t of both, a
+    negation negates entry i. The picked vectors are held side by side,
+    by ambient line, so an operation costs the picked vectors that are
+    nonzero on the line it reads."""
     m = fact.shape[0]
     free_idx = list(range(fact.rank, m))
     tors_idx = [i for i in range(fact.rank) if fact.diag[i] > 1]
     torsion = tuple(fact.diag[i] for i in tors_idx)
     picked = free_idx + tors_idx
-    U = _replay(m, fact.row_log, False)
-    Uinv = _replay(m, fact.row_log, True)
-    return FgAbelianGroup(len(free_idx), torsion,
-                          tuple(Uinv[i] for i in picked),
-                          tuple(U[i] for i in picked))
+    # by ambient line x: {k: entry x of picked row k of U} and {k: entry
+    # x of picked column k of Uinv}; None (or {}) where every entry is 0
+    u, w = [None] * m, [None] * m
+    for k, x in enumerate(picked):
+        u[x], w[x] = {k: 1}, {k: 1}
+    for i, t, q in reversed(fact.row_log):
+        if q:
+            _add_line(u, t, i, -q)
+            _add_line(w, i, t, q)
+        elif i != t:
+            u[i], u[t] = u[t], u[i]
+            w[i], w[t] = w[t], w[i]
+        else:
+            for vec in (u[i], w[i]):
+                for k in vec or ():
+                    vec[k] = -vec[k]
+    proj, lift = [{} for _ in picked], [{} for _ in picked]
+    for lines, vecs in ((u, proj), (w, lift)):
+        for x, line in enumerate(lines):
+            for k, v in (line or {}).items():
+                vecs[k][x] = v
+    return FgAbelianGroup(len(free_idx), torsion, tuple(lift), tuple(proj))
 
 
 # ---------------------------------------------------------------------------

@@ -415,7 +415,8 @@ def test_out_of_range_indices_raise_shape_errors(X, data):
 @given(RANDOM_SPACES)
 def test_boundary_rows_are_the_oracle_and_the_only_stored_boundary(X):
     """After `inspect`, boundary_rows(j) is the oracle boundary in every
-    degree -1..dim+2, as ascending sparse rows that store no zero, and no
+    degree -1..dim+2, as ascending sparse rows that store no zero, holding
+    exactly the (face, sign) pairs that `faces` gives each simplex, and no
     other form of the boundary (a per-degree face table) is cached."""
     cli.cmd_inspect(X, argparse.Namespace(seed=0, max_subdiv=2), 1)
     assert not [key for key in X._cache
@@ -425,6 +426,10 @@ def test_boundary_rows_are_the_oracle_and_the_only_stored_boundary(X):
         assert all(list(r) == sorted(r) and all(r.values()) for r in rows), j
         assert [zlin.dense(r, X.n_simplices(j)) for r in rows] == \
             boundary_oracle(X, j), j
+        entries = {(r, c): sign for r, row in enumerate(rows)
+                   for c, sign in row.items()}
+        assert entries == {(r, c): sign for c in range(X.n_simplices(j))
+                           for r, sign in (X.faces(j, c) if j >= 1 else ())}, j
 
 
 @st.composite

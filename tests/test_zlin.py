@@ -4,11 +4,13 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from sympy import Matrix, eye
 from sympy.matrices.normalforms import invariant_factors
 
-from charrig import zlin
+from charrig import corpus, zlin
+from charrig.simplicial import barycentric_subdivide
+from conftest import CORPUS
 
 
 def matvec(a, x):
@@ -353,6 +355,149 @@ def test_solve_integer_unsolvable_confirmed_by_enumeration(a, braw):
     assert not solvable
 
 
+def plain_smith_logs(a, n):
+    """The elimination restated plainly, as an oracle for its logs: column
+    swaps move the entries, and each pivot scan walks every row from t
+    on, empty ones included. Returns (diag, row_log, col_log)."""
+    m = len(a)
+    rows = [{j: x for j, x in (r.items() if isinstance(r, dict)
+                                else enumerate(r)) if x} for r in a]
+    row_log, col_log = [], []
+
+    def add(i, t, q):  # row_i -= q * row_t
+        for j, x in rows[t].items():
+            v = rows[i].get(j, 0) - q * x
+            if v:
+                rows[i][j] = v
+            else:
+                del rows[i][j]
+        row_log.append((i, t, q))
+
+    diag, t = [], 0
+    while t < min(m, n):
+        entries = [(abs(v), i, j) for i in range(t, m) for j, v in rows[i].items()]
+        if not entries:
+            break
+        _, i, j = min(entries)
+        if i != t:
+            rows[i], rows[t] = rows[t], rows[i]
+            row_log.append((i, t, 0))
+        if j != t:
+            for r in rows:
+                vj, vt = r.pop(j, None), r.pop(t, None)
+                if vt is not None:
+                    r[j] = vt
+                if vj is not None:
+                    r[t] = vj
+            col_log.append((j, t, 0))
+        rt = rows[t]
+        if rt[t] < 0:
+            for k in rt:
+                rt[k] = -rt[k]
+            row_log.append((t, t, 0))
+        p = rt[t]
+        below = [i for i in range(m) if i != t and t in rows[i]]
+        for i in below:
+            add(i, t, rows[i][t] // p)
+        if any(t in rows[i] for i in below):
+            continue
+        for k in sorted(rt):
+            if k != t:
+                q, r = divmod(rt[k], p)
+                col_log.append((k, t, q))
+                if r:
+                    rt[k] = r
+                else:
+                    del rt[k]
+        if len(rt) > 1:
+            continue
+        bad = [i for i in range(t + 1, m) if any(v % p for v in rows[i].values())]
+        if bad:
+            add(t, bad[0], -1)
+            continue
+        diag.append(p)
+        t += 1
+    return tuple(diag) + (0,) * (min(m, n) - len(diag)), row_log, col_log
+
+
+@st.composite
+def matrices_with_zero_rows(draw):
+    """A small or a unit matrix with all-zero rows put in anywhere: a scan
+    meets them before and after pivot rows of every size."""
+    a = draw(st.one_of(small_matrices(), unit_matrices_with_one_larger_entry()))
+    for _ in range(draw(st.integers(0, 4))):
+        a.insert(draw(st.integers(0, len(a))), [0] * len(a[0]))
+    return a
+
+
+def assert_logs_are_the_plain_ones(rows, n):
+    f = zlin.smith_normal_form(rows, ncols=n)
+    assert (f.diag, f.row_log, f.col_log) == plain_smith_logs(rows, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices_with_zero_rows(), st.booleans(),
+       st.randoms(use_true_random=False))
+@example([[0, 0], [2, 3]], False, random.Random(0))
+@example([[0, 0, 0], [0, 4, 6], [0, 0, 0], [6, 0, 9]], True, random.Random(0))
+def test_elimination_logs_match_the_plain_elimination(a, as_dicts, rnd):
+    """Relabelled column swaps, skipped empty rows and one-pass row
+    operations log what the plain elimination logs, for dense rows and
+    for dict rows with their keys shuffled. In the examples the pivot row
+    is swapped into a row that the scan found empty, and a remainder
+    sends the elimination back to the scan from there."""
+    rows = a
+    if as_dicts:
+        rows = [dict(rnd.sample(list(r.items()), len(r)))
+                for r in map(as_dict, a)]
+    assert_logs_are_the_plain_ones(rows, len(a[0]))
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_boundary_logs_match_the_plain_elimination(name):
+    """Every boundary operator of sd^0, sd^1 and sd^2 of each corpus
+    complex."""
+    X = corpus.load(name)
+    for _ in range(3):
+        for j in range(X.dim + 2):
+            assert_logs_are_the_plain_ones(X.boundary_rows(j), X.n_simplices(j))
+        X = barycentric_subdivide(X).complex
+
+
+def test_rows_are_read_as_integers_and_left_unchanged():
+    """Values that are not integral are refused; integral Fractions,
+    floats and bools factor as the ints they equal, into ints; explicit
+    zeros are dropped; no input row is changed, the cached boundary rows
+    included; a matrix without rows has an empty factorization."""
+    for bad in ([[Fraction(1, 2)]], [[1, 0.5]], [{0: 2, 1: Fraction(3, 2)}]):
+        with pytest.raises(ValueError):
+            zlin.smith_normal_form(bad, ncols=len(bad[0]))
+    mixed = [[Fraction(4, 2), True], [0, 6.0], [0, Fraction(-3)]]
+    f = zlin.smith_normal_form(mixed)
+    g = zlin.smith_normal_form([[2, 1], [0, 6], [0, -3]])
+    assert (f.diag, f.row_log, f.col_log) == (g.diag, g.row_log, g.col_log)
+    assert all(type(x) is int for x in f.diag)
+    assert all(type(x) is int for vecs in (f.U, f.V) for v in vecs
+               for x in v.values())
+    zeros = [{1: 0, 0: 2}, {0: 0, 1: 0}, {1: 3, 0: 0}]
+    snapshot = [list(r.items()) for r in zeros]
+    h = zlin.smith_normal_form(zeros, ncols=2)
+    k = zlin.smith_normal_form([{0: 2}, {}, {1: 3}], ncols=2)
+    assert (h.diag, h.row_log, h.col_log) == (k.diag, k.row_log, k.col_log)
+    assert [list(r.items()) for r in zeros] == snapshot
+    X = corpus.load("klein")
+    for j in range(X.dim + 2):
+        rows = X.boundary_rows(j)
+        snapshot = [list(r.items()) for r in rows]
+        zlin.cokernel(zlin.smith_normal_form(rows, ncols=X.n_simplices(j)))
+        assert X.boundary_rows(j) is rows
+        assert [list(r.items()) for r in rows] == snapshot
+    empty = zlin.smith_normal_form([], ncols=3)
+    assert (empty.shape, empty.diag, empty.rank) == ((0, 3), (), 0)
+    assert (empty.row_log, empty.col_log) == ([], [])
+    assert empty.V == [{0: 1}, {1: 1}, {2: 1}]
+
+
 def kernel_basis(a):
     """The columns of V past the rank, made dense: the kernel basis the
     library reads (as the cycle basis of a boundary operator)."""
@@ -384,12 +529,15 @@ def test_cokernel_examples():
     assert (empty.rank, empty.torsion) == (3, ())
 
 
-@settings(max_examples=60, deadline=None)
-@given(small_matrices())
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(small_matrices(), matrices_with_zero_rows()))
+@example([[1, -1, 0, 0], [0, 0, 0, 0], [1, 1, 0, 0], [0, 0, 2, 0],
+          [0, 0, 0, 3]])  # the divisibility sweep adds a row into row 3
 def test_cokernel_picks_rows_of_U_and_columns_of_Uinv_and_caches_none(a):
     """`cokernel` keeps row i of U and column i of Uinv for each free
-    index past the rank, then each torsion index, replayed from the row
-    log; the factorization it reads builds no transform."""
+    index past the rank, then each torsion index, with ascending keys,
+    built from the row log (sweeps and zero rows included); the
+    factorization it reads builds no transform."""
     f = zlin.smith_normal_form(a)
     g = zlin.cokernel(f)
     assert not {"U", "Uinv", "V", "Vinv"} & set(f.__dict__)
@@ -397,6 +545,7 @@ def test_cokernel_picks_rows_of_U_and_columns_of_Uinv_and_caches_none(a):
               *(i for i in range(f.rank) if f.diag[i] > 1)]
     assert g.gen_lift == tuple(f.Uinv[i] for i in picked)
     assert g._proj_rows == tuple(f.U[i] for i in picked)
+    assert all(list(v) == sorted(v) for v in g.gen_lift + g._proj_rows)
 
 
 def test_cokernel_order_matches_determinant_oracle():
