@@ -287,31 +287,25 @@ def cup_class_qmodz(a: "CohomologyClass", u: "CohomologyClass") -> "CohomologyCl
 #
 # One Smith factorization U d_j V = S per boundary operator d_j: C_j ->
 # C_{j-1}, cached per complex, serves both sides. Chain side in degree j:
-# the j-cycles are the columns of V past the rank, and the rows of Vinv
-# past the rank give a cycle's coordinates. Cochain side, by transposition:
-# delta^{j-1} = d_j^T, so the j-coboundaries are the x with w = V^T x in
-# d_i Z below the rank and 0 past it, and H^j(Z) is read from the same
-# factorization (`ZCohomology`); delta^j x = b is solved through that of
-# d_{j+1} as S^T y = V^T b, x = U^T y. A cocycle with prescribed periods
-# takes them on the cycle basis and vanishes on the rest of the
-# Smith-adapted basis (`cochain_on_cycle_basis`).
+# the cycle lines (`zlin.CycleLines`) hold the cycle basis, the columns of
+# V past the rank, and the rows of Vinv that give a cycle's coordinates.
+# Cochain side, by transposition: delta^{j-1} = d_j^T, so the
+# j-coboundaries are the x with w = V^T x in d_i Z below the rank and 0
+# past it, and H^j(Z) is read from the same cycle lines (`ZCohomology`);
+# delta^j x = b is solved through the factorization of d_{j+1} as
+# S^T y = V^T b, x = U^T y. A cocycle with prescribed periods takes them
+# on the cycle basis and vanishes on the rest of the Smith-adapted basis
+# (`cochain_on_cycle_basis`).
 # The build is sparse from input to output. Each d_j is stored once, as
-# the cached coface rows of `Complex.boundary_rows(j)`: one ascending dict
-# per (j-1)-simplex. `_snf_boundary` factors those rows as they are, and
-# is the only place a boundary operator is factored, `geometry` included;
-# `homology` factors its relation matrix only when d_j != 0, since it is
-# d_{j+1} otherwise. The transforms are sparse too (U and Vinv by rows, V
-# and Uinv by columns, see `zlin.SNFResult`): coordinates, periods,
-# relation matrices and solves read those rows and columns directly.
-# Periods and coboundary solves read V by rows (`SNFResult.V_rows`, built
-# on the first of them), so they cost the nonzeros of the cochain they
-# are given, not one pairing per column of V. Each transform is built on
-# its first read, and a boundary factorization builds U only when a
-# coboundary is solved: a presentation (`zlin.cokernel`) caches no row
-# transform, also on d_{j+1}. The cycle basis is never made dense:
-# every reader walks the sparse columns V[rank:] of the factorization of
-# d_j. The coboundary reads the same coface rows of d_{j+1}: row i holds
-# the signed cofaces of simplex i.
+# the cached coface rows of `Complex.boundary_rows(j)`, one ascending dict
+# per (j-1)-simplex, which the coboundary reads too. `_snf_boundary`
+# factors those rows as they are, and is the only place a boundary
+# operator is factored; `homology` factors its relation matrix only when
+# d_j != 0, since it is d_{j+1} otherwise. Every reader of the cycle basis
+# reads the cycle lines, so its convention lives in `zlin` alone; periods
+# read them by line, so they cost the nonzeros of the cochain given. Only
+# a coboundary solve builds U and V by rows, and a presentation
+# (`zlin.cokernel`) caches nothing, also on d_{j+1}.
 
 
 def _snf_boundary(cx: Complex, j: int) -> zlin.SNFResult:
@@ -332,19 +326,18 @@ def n_cycles(cx: Complex, j: int) -> int:
 
 def cycle_periods(x: Cochain) -> dict:
     """The pairings of the numerators of a j-cochain with the cycle basis,
-    the columns of V past the rank, summed over the rows of V where the
-    cochain is nonzero: a sparse dict {t: p_t} free of zeros."""
+    summed over the lines of the basis where the cochain is nonzero
+    (`zlin.CycleLines.by_line`): a sparse dict {t: p_t} free of zeros."""
     cx, j = x.cx, x.degree
     if not 0 <= j <= cx.dim:
         return {}
-    fact = _snf_boundary(cx, j)
-    r = fact.rank
-    rows = fact.V_rows
+    lines = _snf_boundary(cx, j).cycles
+    nc, by_line = len(lines.basis), lines.by_line
     out = {}
     for i, xi in x.num.items():
-        for t, v in rows[i].items():
-            if t >= r:
-                out[t - r] = out.get(t - r, 0) + xi * v
+        for t, v in by_line[i].items():
+            if t < nc:
+                out[t] = out.get(t, 0) + xi * v
     return {t: p for t, p in out.items() if p}
 
 
@@ -353,8 +346,7 @@ def cycle_coords(cx: Complex, j: int, vec: dict) -> dict:
     basis (NotACycle otherwise)."""
     if not cx.is_cycle(j, vec):
         raise NotACycle("chain has nonzero boundary")
-    fact = _snf_boundary(cx, j)
-    return {t: c for t, row in enumerate(fact.Vinv[fact.rank:])
+    return {t: c for t, row in enumerate(_snf_boundary(cx, j).cycles.coords)
             if (c := zlin.vec_dot(row, vec))}
 
 
@@ -362,25 +354,20 @@ def cochain_on_cycle_basis(cx: Complex, j: int, num, ring: str,
                            den: int = 1) -> Cochain:
     """The j-cochain with the values num[t] / den on the cycle basis that
     vanishes on the rest of the Smith-adapted basis of C_j: the sum of
-    num[t] times row rank + t of Vinv, over den. `num` is a sparse dict
-    {t: num[t]} over the cycle basis."""
-    fact = _snf_boundary(cx, j)
-    return _cochain(cx, ring, j, zlin.combine(num, fact.Vinv[fact.rank:]), den)
-
-
-def _torsion_indices(fact: zlin.SNFResult) -> range:
-    """The i with d_i > 1 below the rank: d_i | d_{i+1}, so after the 1s."""
-    return range(fact.diag.count(1), fact.rank)
+    num[t] times the coordinate row t of the cycle basis, over den. `num`
+    is a sparse dict {t: num[t]} over the cycle basis."""
+    coords = _snf_boundary(cx, j).cycles.coords
+    return _cochain(cx, ring, j, zlin.combine(num, coords), den)
 
 
 def cocycle_coords(cx: Complex, j: int, num: dict) -> list:
     """Unreduced coordinates in H^j(Z) of a j-cocycle with numerators num:
     its periods on the free homology generators, then its pairing with
-    column i of V for each torsion index i of d_j (see `ZCohomology`)."""
-    fact = _snf_boundary(cx, j)
+    the torsion columns of the cycle lines of d_j (see `ZCohomology`)."""
     hom = homology(cx, j)
     return ([zlin.vec_dot(z, num) for z in hom.gen_cycles[:hom.rank]]
-            + [zlin.vec_dot(fact.V[i], num) for i in _torsion_indices(fact)])
+            + [zlin.vec_dot(col, num)
+               for col in _snf_boundary(cx, j).cycles.torsion_cols])
 
 
 def solve_coboundary(cx: Complex, j: int, b: Cochain, integral: bool):
@@ -426,23 +413,25 @@ class HomologyData:
 def homology(cx: Complex, j: int) -> HomologyData:
     """H_j(cx; Z) with explicit generator cycles, presented by the cycle
     coordinates of the boundaries of the (j+1)-simplices. When d_j = 0
-    (j = 0, or above the top dimension) V and Vinv are the identity, so
-    these are the rows of d_{j+1}, whose cached factorization is read."""
+    (j = 0, or above the top dimension) the cycle basis is the standard
+    one, so these are the rows of d_{j+1}, whose cached factorization is
+    read."""
     key = ("homology", j)
     if key not in cx._cache:
         fact = _snf_boundary(cx, j)
-        K = fact.V[fact.rank:]
+        lines = fact.cycles
         if fact.rank:
-            # row t of Vinv past the rank carried to the (j+1)-simplices
-            # through the cofaces of each j-simplex
+            # each coordinate row of the cycle basis carried to the
+            # (j+1)-simplices through the cofaces of each j-simplex
             cofaces = cx.boundary_rows(j + 1)
             rel = zlin.smith_normal_form(
-                [zlin.combine(row, cofaces) for row in fact.Vinv[fact.rank:]],
+                [zlin.combine(row, cofaces) for row in lines.coords],
                 ncols=cx.n_simplices(j + 1))
         else:
             rel = _snf_boundary(cx, j + 1)
         fg = zlin.cokernel(rel)
-        gens = tuple(zlin.combine(fg.lift(e), K) for e in _units(fg.n_coords))
+        gens = tuple(zlin.combine(fg.lift(e), lines.basis)
+                     for e in _units(fg.n_coords))
         cx._cache[key] = HomologyData(cx, j, fg, gens)
     return cx._cache[key]
 
@@ -475,8 +464,9 @@ class ZCohomology:
     U d_j V = S, read from that cached factorization and from `homology`.
 
     Free generator t has period 1 on free homology generator t and 0 on
-    the others. Torsion generator i is row i of Vinv: the cochain with
-    w = V^T x = e_i, a cocycle since d_i times it is a coboundary.
+    the others. Torsion generator i is row i of Vinv (a torsion row of
+    the cycle lines): the cochain with w = V^T x = e_i, a cocycle since
+    d_i times it is a coboundary.
     """
 
     ring = RING_Z
@@ -484,15 +474,14 @@ class ZCohomology:
     def __init__(self, cx: Complex, j: int):
         self.cx = cx
         self.degree = j
-        fact = _snf_boundary(cx, j)
+        lines = _snf_boundary(cx, j).cycles
         hom = homology(cx, j)
-        tors = _torsion_indices(fact)
         self.rank = hom.rank
-        self.torsion = tuple(fact.diag[i] for i in tors)
-        self.n_coords = self.rank + len(tors)
+        self.torsion = lines.torsion
+        self.n_coords = self.rank + len(self.torsion)
         self.gen_cochains = (
             *(hom.cochain_with_periods(e, RING_Z) for e in _units(self.rank)),
-            *(_cochain(cx, RING_Z, j, fact.Vinv[i]) for i in tors))
+            *(_cochain(cx, RING_Z, j, row) for row in lines.torsion_rows))
 
     def make(self, coords) -> CohomologyClass:
         if len(coords) != self.n_coords:

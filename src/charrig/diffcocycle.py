@@ -79,7 +79,8 @@ class DiffClass:
                          self.omega + other.omega)
 
     def __sub__(self, other: "DiffClass") -> "DiffClass":
-        return self + (-other)
+        return DiffClass(self.c - other.c, self.h - other.h,
+                         self.omega - other.omega)
 
     def __neg__(self) -> "DiffClass":
         return DiffClass(-self.c, -self.h, -self.omega)

@@ -473,13 +473,12 @@ def bound_in_good_neighborhood(P: Pseudomanifold, base: Complex, tower,
 def _normalize_top_chain(cx: Complex, k: int, w: dict) -> None:
     """Shift the sparse chain w in place by top-cycle multiples so its
     coefficients land in {-1, 1}: w - t F, then w + t F, for each
-    cycle-basis column F (the sparse columns of V past the rank) and each
+    cycle-basis column F (`zlin.CycleLines.basis`) and each
     nonzero value t of w, keeping the first shift that succeeds; w is left
     as it was when none does."""
     if all(abs(c) <= 1 for c in w.values()):
         return
-    fact = _snf_boundary(cx, k)
-    for F in fact.V[fact.rank:]:
+    for F in _snf_boundary(cx, k).cycles.basis:
         for t in sorted(set(w.values())):
             for s in (-t, t):
                 zlin._axpy(w, F, s)

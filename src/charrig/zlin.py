@@ -2,31 +2,22 @@
 
 Everything here works with arbitrary-precision Python ints and Fractions;
 no floating point is used anywhere. The central routine is a Smith normal
-form with unimodular transforms (and their inverses), from which integer
-solvability, cokernels and finitely generated abelian group presentations
-are derived; a kernel basis is the columns of V past the rank, read
-sparse where it is needed. The factorization is sparse throughout: it
-takes its rows as dense sequences or as dicts from column index to
-nonzero int (the boundary operators and the relation matrices of the
-homology presentations come as dicts), and the working matrix and the
-four transforms are dicts, so an elementary operation costs the nonzeros
-it touches. A column swap relabels two columns instead of moving their
-entries, and the pivot scan passes each empty row once, so the
-elimination costs the entries it changes, not the rows and columns of
-the matrix. The elimination updates the working matrix only and logs its
-operations; each transform is replayed from the log on first read, so a
-reader pays only for the transforms it reads. A group presentation
-(`cokernel`) builds only the rows of U and columns of Uinv it picks, in
-one backward pass over the row log, and caches nothing; so the
-presentation of H_0, which reads the factorization of the boundary
-operator d_1 itself, leaves that factorization as it found it. A
-boundary factorization builds U only once something solves against it.
-
-Solves cost what their right side touches. A factorization indexes V by
-rows on first use (`SNFResult.V_rows`), so V^T b is summed over the
-nonzero entries of b only; the division by the diagonal and the final
-combination run over the nonzero coordinates, as sparse dicts. A
-factorization that is never solved against never builds the index.
+form U A V = S, from which integer solvability, cokernels and finitely
+generated abelian group presentations are derived. It is sparse
+throughout: it takes its rows as dense sequences or as dicts from column
+index to nonzero int, and the working matrix and every transform are
+dicts, so an elementary operation costs the nonzeros it touches. A column
+swap relabels two columns instead of moving their entries, and the pivot
+scan passes each empty row once, so the elimination costs the entries it
+changes. It updates the working matrix only and logs its operations;
+what is read of the transforms is built from the logs on first read: U
+by rows, V by rows and the cycle lines (`CycleLines`), the last two each
+in one backward pass over the column log. A group presentation
+(`cokernel`) builds the rows of U and columns of Uinv it picks in the
+same pass over the row log and caches nothing, so the presentation of
+H_0, which reads the factorization of d_1 itself, leaves it as it found
+it. A boundary factorization builds U and V_rows only for a solve, which
+then costs what its right side touches.
 
 Chains, cochain numerators, solve vectors and cycle coordinates are one
 format: a dict from index to nonzero int (or Fraction). Every pairing goes
@@ -93,29 +84,19 @@ def _axpy(dst: dict, src: dict, q: int) -> None:
             dst.pop(j, None)
 
 
-def _sparse_identity(n: int) -> list:
-    return [{i: 1} for i in range(n)]
-
-
 # ---------------------------------------------------------------------------
 # Smith normal form
 
-def _replay(n: int, log: list, inverse: bool) -> list:
-    """A transform as sparse vectors, replayed from the identity on Z^n.
+def _replay(n: int, log: list) -> list:
+    """U by rows, replayed forward from the identity on Z^n.
 
     Each log entry (i, t, q) is one elementary operation on the working
     matrix: with q != 0, line i -= q * line t; with q == 0 and i != t, a
-    swap of lines i and t; with q == 0 and i == t, a negation of line i.
-    The transform (U by rows, V by columns) applies the operation itself,
-    its inverse (Uinv by columns, Vinv by rows) the inverse operation on
-    the other side, which is vec_t += q * vec_i."""
-    vecs = _sparse_identity(n)
+    swap of lines i and t; with q == 0 and i == t, a negation of line i."""
+    vecs = [{i: 1} for i in range(n)]
     for i, t, q in log:
         if q:
-            if inverse:
-                _axpy(vecs[t], vecs[i], q)
-            else:
-                _axpy(vecs[i], vecs[t], -q)
+            _axpy(vecs[i], vecs[t], -q)
         elif i != t:
             vecs[i], vecs[t] = vecs[t], vecs[i]
         else:
@@ -125,26 +106,90 @@ def _replay(n: int, log: list, inverse: bool) -> list:
     return vecs
 
 
+def _add_line(lines: list, dst: int, src: int, c: int) -> None:
+    """lines[dst] += c * lines[src] on sparse lines, where None is zero. A
+    dict keeps the table it grew to, so a line left shorter than the one
+    added to it is copied to a compact dict."""
+    if s := lines[src]:
+        if (d := lines[dst]) is None:
+            d = lines[dst] = {}
+        _axpy(d, s, c)
+        if len(d) < len(s):
+            lines[dst] = dict(d)
+
+
+def _picked_lines(n: int, log: list, picked, inverse: bool):
+    """The picked lines of U (rows, from the row log) or V (columns, from
+    the column log) and, with `inverse`, of Uinv (columns) or Vinv (rows),
+    in one backward pass over the log, held by ambient line: lines[x] =
+    {k: entry x of picked line k}, None (or {}) when 0. From the last
+    operation to the first, (i, t, q) sends entry t of a picked line to
+    t - q * entry i, and entry i of an inverse one to i + q * entry t; a
+    swap exchanges entries i and t, a negation negates entry i. So an
+    operation costs the picked lines nonzero where it reads."""
+    fwd, inv = [None] * n, [None] * n
+    for k, x in enumerate(picked):
+        fwd[x], inv[x] = {k: 1}, ({k: 1} if inverse else None)
+    for i, t, q in reversed(log):
+        if q:
+            _add_line(fwd, t, i, -q)
+            _add_line(inv, i, t, q)
+        elif i != t:
+            fwd[i], fwd[t] = fwd[t], fwd[i]
+            inv[i], inv[t] = inv[t], inv[i]
+        else:
+            for vec in (fwd[i], inv[i]):
+                for k in vec or ():
+                    vec[k] = -vec[k]
+    return fwd, inv
+
+
+def _compact(lines: list) -> list:
+    """The lines of a backward pass, in place, as dicts with ascending
+    keys, {} for None."""
+    for x, line in enumerate(lines):
+        lines[x] = dict(sorted(line.items())) if line else {}
+    return lines
+
+
+def _transpose(lines: list, k: int) -> tuple:
+    """The k vectors held by index in `lines` (lines[x] = {p: entry x of
+    vector p}, None when 0), as compact sparse dicts with ascending keys."""
+    vecs = tuple({} for _ in range(k))
+    for x, line in enumerate(lines):
+        for p, v in (line or {}).items():
+            vecs[p][x] = v
+    return vecs
+
+
+@dataclass(frozen=True)
+class CycleLines:
+    """The lines of U A V = S that read ker A (r the rank, n the columns):
+    `basis` is columns r .. n - 1 of V, a Z-basis of ker A (the cycle
+    basis when A is a boundary operator), and coords[t] . z, row r + t of
+    Vinv, is coordinate t of z in it. `torsion` is the d_i > 1, with
+    column i of V and row i of Vinv for each in `torsion_cols` and
+    `torsion_rows`. by_line[x] = {k: entry x of column k} for the basis,
+    then the torsion columns. Every dict is read-only."""
+    basis: tuple
+    coords: tuple
+    by_line: list
+    torsion: tuple
+    torsion_cols: tuple
+    torsion_rows: tuple
+
+
 @dataclass(frozen=True)
 class SNFResult:
     """U @ A @ V == S with U, V unimodular.
 
     S is diagonal with nonnegative entries d_0 | d_1 | ... (zeros trailing);
     only the diagonal is stored. The elimination records its row and
-    column operations in two logs (see `_replay`), and U, Uinv, V and Vinv
-    are each built from them on first read and kept: a reader pays only
-    for the transforms it reads, and an inverse costs one pass over its
-    log, not another elimination.
-
-    Each transform is a list of sparse vectors, dicts from index to nonzero
-    int: U and Vinv by rows (U[i] is row i), V and Uinv by columns (V[j] is
-    column j). The dicts are shared with every reader of a cached
-    factorization and are read-only.
-
-    `V_rows` is V by rows, V_rows[i] a dict ascending in the column
-    index: built on first read and kept, it costs as much memory as V
-    again, and lets a solve or a period reading visit only the rows of V
-    where its input is nonzero.
+    column operations in two logs (see `_replay`), and three views are
+    each built from them on first read and kept: `U` by rows, replayed
+    forward; V by rows (`V_rows`) and the `CycleLines` (`cycles`), each
+    in one backward pass over the column log. Every vector is a dict from
+    index to nonzero int, shared with every reader and read-only.
     """
     shape: tuple[int, int]
     diag: tuple[int, ...]
@@ -154,27 +199,24 @@ class SNFResult:
 
     @cached_property
     def U(self) -> list:
-        return _replay(self.shape[0], self.row_log, False)
-
-    @cached_property
-    def Uinv(self) -> list:
-        return _replay(self.shape[0], self.row_log, True)
-
-    @cached_property
-    def V(self) -> list:
-        return _replay(self.shape[1], self.col_log, False)
-
-    @cached_property
-    def Vinv(self) -> list:
-        return _replay(self.shape[1], self.col_log, True)
+        return _replay(self.shape[0], self.row_log)
 
     @cached_property
     def V_rows(self) -> list:
-        rows = [{} for _ in range(self.shape[1])]
-        for j, col in enumerate(self.V):
-            for i, x in col.items():
-                rows[i][j] = x
-        return rows
+        n = self.shape[1]
+        return _compact(_picked_lines(n, self.col_log, range(n), False)[0])
+
+    @cached_property
+    def cycles(self) -> CycleLines:
+        r, n = self.rank, self.shape[1]
+        tors = [i for i in range(r) if self.diag[i] > 1]
+        picked = [*range(r, n), *tors]
+        fwd, inv = _picked_lines(n, self.col_log, picked, True)
+        by_line = _compact(fwd)
+        cols, rows = (_transpose(v, len(picked)) for v in (by_line, inv))
+        return CycleLines(cols[:n - r], rows[:n - r], by_line,
+                          tuple(self.diag[i] for i in tors),
+                          cols[n - r:], rows[n - r:])
 
 
 def _integer_rows(a) -> list:
@@ -410,55 +452,19 @@ class FgAbelianGroup:
         return describe_group("Z", self.rank, self.torsion)
 
 
-def _add_line(lines: list, dst: int, src: int, c: int) -> None:
-    """lines[dst] += c * lines[src] on sparse lines, where None is zero."""
-    if lines[src]:
-        if lines[dst] is None:
-            lines[dst] = {}
-        _axpy(lines[dst], lines[src], c)
-
-
 def cokernel(fact: SNFResult) -> FgAbelianGroup:
     """Presentation of Z^m / im(A) from the factorization U A V = S of A,
-    m the number of rows. Only the picked rows of U and columns of Uinv
-    are built, in one backward pass over the row log, with ascending
-    keys; nothing is cached on `fact`, which may be a shared boundary
-    factorization.
-
-    With U = E_K ... E_1, a picked row e_p^T U takes the operations from
-    the last: (i, t, q) sends entry t to entry t - q * entry i; and a
-    picked column Uinv e_p = E_1^-1 ... E_K^-1 e_p too: entry i goes to
-    entry i + q * entry t. A swap exchanges entries i and t of both, a
-    negation negates entry i. The picked vectors are held side by side,
-    by ambient line, so an operation costs the picked vectors that are
-    nonzero on the line it reads."""
-    m = fact.shape[0]
-    free_idx = list(range(fact.rank, m))
-    tors_idx = [i for i in range(fact.rank) if fact.diag[i] > 1]
-    torsion = tuple(fact.diag[i] for i in tors_idx)
-    picked = free_idx + tors_idx
-    # by ambient line x: {k: entry x of picked row k of U} and {k: entry
-    # x of picked column k of Uinv}; None (or {}) where every entry is 0
-    u, w = [None] * m, [None] * m
-    for k, x in enumerate(picked):
-        u[x], w[x] = {k: 1}, {k: 1}
-    for i, t, q in reversed(fact.row_log):
-        if q:
-            _add_line(u, t, i, -q)
-            _add_line(w, i, t, q)
-        elif i != t:
-            u[i], u[t] = u[t], u[i]
-            w[i], w[t] = w[t], w[i]
-        else:
-            for vec in (u[i], w[i]):
-                for k in vec or ():
-                    vec[k] = -vec[k]
-    proj, lift = [{} for _ in picked], [{} for _ in picked]
-    for lines, vecs in ((u, proj), (w, lift)):
-        for x, line in enumerate(lines):
-            for k, v in (line or {}).items():
-                vecs[k][x] = v
-    return FgAbelianGroup(len(free_idx), torsion, tuple(lift), tuple(proj))
+    m the number of rows: row i of U and column i of Uinv for each free
+    index i past the rank, then each torsion index, built in one
+    backward pass over the row log (`_picked_lines`) with ascending keys.
+    Nothing is cached on `fact`, which may be a shared boundary
+    factorization."""
+    m, r = fact.shape[0], fact.rank
+    tors_idx = [i for i in range(r) if fact.diag[i] > 1]
+    picked = [*range(r, m), *tors_idx]
+    u, w = (_transpose(v, len(picked))
+            for v in _picked_lines(m, fact.row_log, picked, True))
+    return FgAbelianGroup(m - r, tuple(fact.diag[i] for i in tors_idx), w, u)
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +501,7 @@ def _solve(fact: SNFResult, b: dict, integral: bool):
     if sol is None:
         return None
     y, e = sol
-    x = combine(y, fact.V)
+    x = {i: v for i, row in enumerate(fact.V_rows) if (v := vec_dot(row, y))}
     return x if integral else {i: Fraction(v, e * q) for i, v in x.items()}
 
 

@@ -29,11 +29,45 @@ def corpus_complex(request):
 
 
 def cycle_basis(X, j):
-    """The Z-basis of the j-cycles that the library reads, the sparse
-    columns of V past the rank of the cached factorization of boundary_j
-    (shared with the cache, read-only); empty outside 0..dim."""
-    fact = _snf_boundary(X, j)
-    return tuple(fact.V[fact.rank:])
+    """The Z-basis of the j-cycles that the library reads, the basis of
+    the cycle lines of the cached factorization of boundary_j (columns
+    of V past the rank, shared with the cache, read-only); empty outside
+    0..dim."""
+    return _snf_boundary(X, j).cycles.basis
+
+
+def replay(n, log, inverse):
+    """A transform of a Smith factorization replayed forward from the
+    identity on Z^n, restated plainly as the reference for the views the
+    library builds backward: U by rows from the row log and V by columns
+    from the column log, or with `inverse` Uinv by columns and Vinv by
+    rows. A log entry (i, t, q) is line i -= q * line t (q != 0), a swap
+    of lines i and t (q == 0, i != t) or a negation of line i (i == t);
+    the inverse applies line t += q * line i, the inverse operation on
+    the other side."""
+    vecs = [{i: 1} for i in range(n)]
+    for i, t, q in log:
+        if q:
+            dst, src, c = (t, i, q) if inverse else (i, t, -q)
+            for k, x in vecs[src].items():
+                v = vecs[dst].get(k, 0) + c * x
+                if v:
+                    vecs[dst][k] = v
+                else:
+                    del vecs[dst][k]
+        elif i != t:
+            vecs[i], vecs[t] = vecs[t], vecs[i]
+        else:
+            vecs[i] = {k: -x for k, x in vecs[i].items()}
+    return vecs
+
+
+def transforms(fact):
+    """U, V, Uinv and Vinv of a factorization replayed by `replay`, as
+    lists of sparse vectors: U and Vinv by rows, V and Uinv by columns."""
+    (m, n), rows, cols = fact.shape, fact.row_log, fact.col_log
+    return (replay(m, rows, False), replay(n, cols, False),
+            replay(m, rows, True), replay(n, cols, True))
 
 
 def boundary_oracle(X, j):

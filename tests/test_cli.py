@@ -279,19 +279,20 @@ def test_caches_hold_no_dense_matrices():
 
 
 def test_inspect_builds_no_row_transform_of_a_boundary():
-    """`inspect` on sd1(t2) reads V and Vinv of each cached boundary
+    """`inspect` on sd1(t2) reads the cycle lines of each cached boundary
     factorization but never solves against one, so none builds U or
-    Uinv. H_0 and H_j above the top dimension are presented from the
+    V_rows. H_0 and H_j above the top dimension are presented from the
     factorization of d_{j+1}, which reaches d_{dim+3}, and the
-    presentation caches no row transform on it either."""
+    presentation caches nothing on it either: only the d_j of a group
+    H_j that `inspect` reads build their cycle lines."""
     X = barycentric_subdivide(load_complex(corpus.resolve("t2"))).complex
     cli.cmd_inspect(X, argparse.Namespace(seed=0, max_subdiv=2), 1)
     facts = {key[1]: v for key, v in X._cache.items()
              if key[0] == "snf_boundary"}
     assert sorted(facts) == list(range(X.dim + 4))
-    built = {j: sorted({"U", "Uinv"} & set(f.__dict__))
+    built = {j: sorted({"U", "V_rows", "cycles"} & set(f.__dict__))
              for j, f in facts.items()}
-    assert built == {j: [] for j in facts}
+    assert built == {j: ["cycles"] if j <= X.dim + 2 else [] for j in facts}
 
 
 def _matrix_key(a, ncols):

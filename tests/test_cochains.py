@@ -22,7 +22,7 @@ from charrig.cochains import (
 from charrig.simplicial import (
     barycentric_subdivide, complex_from_maximal, load_complex,
 )
-from conftest import boundary_oracle, cycle_basis
+from conftest import boundary_oracle, cycle_basis, transforms
 
 
 def oracle_cohomology(X, j):
@@ -390,12 +390,13 @@ def _coboundary_matrix(X, j):
 
 def _cocycle_rows(X, j):
     """A Z-basis of the j-cocycles read from the factorization of d_j,
-    made dense: the rows of Vinv below the rank, then the free generators
-    of H^j(Z)."""
+    made dense: the rows of the replayed Vinv below the rank, then the
+    free generators of H^j(Z)."""
     fact = _snf_boundary(X, j)
     g = cohomology(X, j, "Z")
+    Vinv = transforms(fact)[3]
     return ([[row.get(i, 0) for i in range(X.n_simplices(j))]
-             for row in fact.Vinv[:fact.rank]]
+             for row in Vinv[:fact.rank]]
             + [list(c.values) for c in g.gen_cochains[:g.rank]])
 
 
@@ -488,12 +489,12 @@ def _relation_matrices(X, j):
 def _dense_relation_matrices(X, j):
     """The same matrix by the dense formula: the cycle coordinates of the
     boundary of every (j+1)-simplex, one sum over its faces for each row
-    of Vinv past the rank."""
+    of the replayed Vinv past the rank."""
     fv = _snf_boundary(X, j)
     faces = list(zip(*boundary_oracle(X, j + 1)))
     return [[[sum(s * row.get(i, 0) for i, s in enumerate(col))
               for col in faces]
-             for row in fv.Vinv[fv.rank:]]]
+             for row in transforms(fv)[3][fv.rank:]]]
 
 
 @functools.lru_cache(maxsize=None)
@@ -536,7 +537,7 @@ def test_homology_over_a_zero_boundary_reads_the_next_factorization(X, data):
     [dense] = _dense_relation_matrices(X, j)
     fresh = zlin.smith_normal_form(dense, ncols=X.n_simplices(j + 1))
     assert homology(X, j).fg == zlin.cokernel(fresh), j
-    assert not {"U", "Uinv"} & set(next_fact.__dict__), j
+    assert not {"U", "V_rows"} & set(next_fact.__dict__), j
 
 
 @settings(max_examples=40, deadline=None)
@@ -573,8 +574,10 @@ def test_integral_classes_round_trip_through_their_representatives(X, seed):
                 [int(s == t) for s in range(len(hom.gen_cycles))], (j, t)
 
 
-def _transforms(f):
-    return f.diag, f.U, f.V, f.Uinv, f.Vinv
+def _views(f):
+    c = f.cycles
+    return (f.diag, f.U, f.V_rows, c.basis, c.coords, c.by_line, c.torsion,
+            c.torsion_cols, c.torsion_rows)
 
 
 @settings(max_examples=40, deadline=None)
@@ -582,29 +585,27 @@ def _transforms(f):
                  random_complexes()), st.data())
 def test_sparse_and_row_only_factorizations_match_the_dense_one(X, data):
     """For d_j and the relation matrix of H_j: dict rows and dense rows
-    give the same diag and the same four transforms. The presentation
-    that `zlin.cokernel` reads from a fresh factorization is that of the
-    full one and of the factorization `homology` presents, and reading it
-    builds no transform; read afterwards, U and Uinv build neither V nor
-    Vinv, and all four are those of the full factorization."""
+    give the same diag, U, V_rows and cycle lines. The presentation that
+    `zlin.cokernel` reads from a fresh factorization is that of the full
+    one and of the factorization `homology` presents, and reading it
+    builds no view; read afterwards, U builds neither V_rows nor the
+    cycle lines, and every view is that of the full factorization."""
     j = data.draw(st.integers(0, X.dim + 1))
     calls = _presentation_calls(X, j)
     mats = [(None, X.boundary_rows(j), X.n_simplices(j))] + calls
     for used, rows, ncols in mats:
         dense = [zlin.dense(r, ncols) for r in rows]
         full = zlin.smith_normal_form(dense, ncols=ncols)
-        assert _transforms(zlin.smith_normal_form(rows, ncols=ncols)) == \
-            _transforms(full), j
+        assert _views(zlin.smith_normal_form(rows, ncols=ncols)) == \
+            _views(full), j
         row_only = zlin.smith_normal_form(rows, ncols=ncols)
         assert zlin.cokernel(row_only) == zlin.cokernel(full), j
         if used is not None:
             assert zlin.cokernel(used) == zlin.cokernel(full), j
-        assert not {"U", "Uinv", "V", "Vinv"} & set(row_only.__dict__), j
-        assert (row_only.diag, row_only.U, row_only.Uinv) == \
-            (full.diag, full.U, full.Uinv), j
-        assert "V" not in row_only.__dict__, j
-        assert "Vinv" not in row_only.__dict__, j
-        assert _transforms(row_only) == _transforms(full), j
+        assert not {"U", "V_rows", "cycles"} & set(row_only.__dict__), j
+        assert (row_only.diag, row_only.U) == (full.diag, full.U), j
+        assert not {"V_rows", "cycles"} & set(row_only.__dict__), j
+        assert _views(row_only) == _views(full), j
 
 
 @settings(max_examples=40, deadline=None)

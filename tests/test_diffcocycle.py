@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from charrig import diffcocycle
 from charrig.cochains import (
     Cochain, QuotientForm, basis_cochain, bockstein, coboundary, cohomology,
     is_integral_form, zero_cochain, _units,
@@ -109,6 +110,27 @@ def test_class_equal_under_coboundary_shifts(cx):
             assert (x.c - y.c).values == coboundary(wb).values
             assert (x.h - y.h).values == \
                 (coboundary(ws) - wb.to_q()).values
+
+
+def test_difference_is_validated_once(cx, monkeypatch):
+    """x - y is built as one class, the componentwise difference: its
+    validation takes the two coboundaries of c and h, where x + (-y)
+    validates -y first and takes four."""
+    X = cx("t2")
+    xs = sample_classes(X, 2, random.Random(1), count=3)
+    calls = []
+    real = diffcocycle._coboundary_num
+    monkeypatch.setattr(diffcocycle, "_coboundary_num",
+                        lambda x: calls.append(x) or real(x))
+    for x in xs:
+        for y in xs:
+            calls.clear()
+            d = x - y
+            assert len(calls) == 2
+            s = x + (-y)
+            assert [(v.num, v.den) for v in (d.c, d.h, d.omega)] == \
+                [(v.num, v.den) for v in (s.c, s.h, s.omega)]
+            assert class_equal(d + y, x)
 
 
 def test_distinct_holonomies_are_distinct_classes(cx):

@@ -10,7 +10,7 @@ from sympy.matrices.normalforms import invariant_factors
 
 from charrig import corpus, zlin
 from charrig.simplicial import barycentric_subdivide
-from conftest import CORPUS
+from conftest import CORPUS, transforms
 
 
 def matvec(a, x):
@@ -21,16 +21,57 @@ def matvec(a, x):
 
 
 def dense(fact):
-    """U, V, Uinv and Vinv of a factorization as dense lists of rows; U and
-    Vinv are stored by rows, V and Uinv by columns."""
+    """U, V, Uinv and Vinv of a factorization, replayed by the reference
+    `conftest.replay`, as dense lists of rows."""
     m, n = fact.shape
+    U, V, Uinv, Vinv = transforms(fact)
 
     def rows(vecs, k):
         return [[v.get(c, 0) for c in range(k)] for v in vecs]
 
     def cols(vecs, k):
         return [list(r) for r in zip(*rows(vecs, k))]
-    return rows(fact.U, m), cols(fact.V, n), cols(fact.Uinv, m), rows(fact.Vinv, n)
+    return rows(U, m), cols(V, n), cols(Uinv, m), rows(Vinv, n)
+
+
+VIEWS = ("U", "V_rows", "cycles")
+
+
+def views(fact):
+    """What a factorization builds from its logs: U, V by rows and the
+    cycle lines, each as a list of sparse vectors."""
+    c = fact.cycles
+    return [fact.U, fact.V_rows, c.basis, c.coords, c.by_line,
+            c.torsion_cols, c.torsion_rows]
+
+
+def assert_views_match_the_replay(f):
+    """U is the replayed U; V_rows is the replayed V by rows; the cycle
+    lines are columns rank.. of V and rows rank.. of Vinv, then column
+    and row i of each for each torsion index i, and `by_line` holds
+    those columns by rows. All but U have ascending keys, and no vector
+    holds a zero."""
+    m, n = f.shape
+    r = f.rank
+    U, V, Uinv, Vinv = transforms(f)
+    tors = [i for i in range(r) if f.diag[i] > 1]
+    assert f.U == U
+    assert f.V_rows == [{j: col[i] for j, col in enumerate(V) if i in col}
+                        for i in range(n)]
+    c = f.cycles
+    assert (c.basis, c.coords) == (tuple(V[r:]), tuple(Vinv[r:]))
+    assert c.torsion == tuple(f.diag[i] for i in tors)
+    assert c.torsion_cols == tuple(V[i] for i in tors)
+    assert c.torsion_rows == tuple(Vinv[i] for i in tors)
+    picked = c.basis + c.torsion_cols
+    assert list(c.by_line) == [
+        {k: col[i] for k, col in enumerate(picked) if i in col}
+        for i in range(n)]
+    lists = (f.V_rows, c.basis, c.coords, c.by_line, c.torsion_cols,
+             c.torsion_rows)
+    assert all(list(v) == sorted(v) for vecs in lists for v in vecs)
+    assert all(x != 0 for vecs in (f.U, *lists)
+               for vec in vecs for x in vec.values())
 
 
 def as_dict(v):
@@ -60,8 +101,7 @@ def test_snf_transforms_and_divisibility(a):
     assert Matrix(Vinv) * Matrix(V) == eye(n)
     assert abs(Matrix(U).det()) == 1
     assert abs(Matrix(V).det()) == 1
-    assert all(x != 0 for vecs in (f.U, f.V, f.Uinv, f.Vinv)
-               for vec in vecs for x in vec.values())
+    assert_views_match_the_replay(f)
     nz = [d for d in f.diag if d]
     assert all(d > 0 for d in nz)
     assert all(nz[i + 1] % nz[i] == 0 for i in range(len(nz) - 1))
@@ -76,41 +116,40 @@ def test_snf_matches_independent_oracle(a):
 
 
 def key_orders(fact):
-    """The four transforms with the key order of every dict."""
-    return [[list(vec) for vec in vecs]
-            for vecs in (fact.U, fact.V, fact.Uinv, fact.Vinv)]
+    """The views with the key order of every dict."""
+    return [[list(vec) for vec in vecs] for vecs in views(fact)]
 
 
 @settings(max_examples=60, deadline=None)
 @given(small_matrices())
 def test_dict_rows_and_row_only_factorization_match_dense_rows(a):
     """Ascending dict rows give the factorization of the dense rows, dict
-    key order included. A factorization read only for U and Uinv builds
-    neither V nor Vinv; read later, they are those of the full
+    key order included. A factorization read only for U builds neither
+    V_rows nor the cycle lines; read later, they are those of the full
     factorization."""
     f = zlin.smith_normal_form(a)
     rows = [as_dict(r) for r in a]
     g = zlin.smith_normal_form(rows, ncols=len(a[0]))
-    assert (g.diag, g.U, g.V, g.Uinv, g.Vinv) == (f.diag, f.U, f.V, f.Uinv, f.Vinv)
+    assert (g.diag, views(g)) == (f.diag, views(f))
     assert key_orders(g) == key_orders(f)
     h = zlin.smith_normal_form(rows, ncols=len(a[0]))
-    assert (h.diag, h.U, h.Uinv) == (f.diag, f.U, f.Uinv)
-    assert "V" not in h.__dict__ and "Vinv" not in h.__dict__
-    assert (h.V, h.Vinv) == (f.V, f.Vinv)
+    assert (h.diag, h.U) == (f.diag, f.U)
+    assert "V_rows" not in h.__dict__ and "cycles" not in h.__dict__
+    assert views(h) == views(f)
 
 
 @settings(max_examples=60, deadline=None)
 @given(small_matrices(), st.randoms(use_true_random=False))
 def test_dict_row_key_order_does_not_change_the_factorization(a, rnd):
     """Dict rows with their keys shuffled give the factorization of the
-    ascending ones: the same diagonal, both logs and all four transforms,
-    dict key order included."""
+    ascending ones: the same diagonal, both logs and every view, dict key
+    order included."""
     rows = [as_dict(r) for r in a]
     shuffled = [dict(rnd.sample(list(r.items()), len(r))) for r in rows]
     f = zlin.smith_normal_form(rows, ncols=len(a[0]))
     g = zlin.smith_normal_form(shuffled, ncols=len(a[0]))
     assert (g.diag, g.row_log, g.col_log) == (f.diag, f.row_log, f.col_log)
-    assert (g.U, g.V, g.Uinv, g.Vinv) == (f.U, f.V, f.Uinv, f.Vinv)
+    assert views(g) == views(f)
     assert key_orders(g) == key_orders(f)
 
 
@@ -134,20 +173,22 @@ def unit_matrices_with_one_larger_entry(max_dim=7):
         .flatmap(place).map(build)
 
 
-TRANSFORM_ORDERS = [("U", "Uinv", "V", "Vinv"), ("V", "Vinv", "U", "Uinv"),
-                    ("Vinv", "U", "V", "Uinv"), ("Uinv", "Vinv", "V", "U")]
+TRANSFORM_ORDERS = [("U", "V_rows", "cycles"), ("V_rows", "cycles", "U"),
+                    ("cycles", "U", "V_rows"), ("cycles", "V_rows", "U")]
 
 
 def check_transforms_in_order(a, order, dict_rows):
-    """Read the transforms of a fresh factorization in `order`; sympy checks
-    U a V = S, U Uinv = I and Vinv V = I, and each read builds exactly
-    the transform read."""
+    """Read the views of a fresh factorization in `order`, each read
+    building exactly the view read, and check them against the replayed
+    transforms, on which sympy checks U a V = S, U Uinv = I and
+    Vinv V = I."""
     m, n = len(a), len(a[0])
     rows = [as_dict(r) for r in a] if dict_rows else a
     f = zlin.smith_normal_form(rows, ncols=n)
     for k, name in enumerate(order):
         getattr(f, name)
         assert set(order[:k + 1]) == {x for x in order if x in f.__dict__}
+    assert_views_match_the_replay(f)
     U, V, Uinv, Vinv = dense(f)
     S = Matrix.zeros(m, n)
     for i, d in enumerate(f.diag):
@@ -183,14 +224,21 @@ def test_unit_and_euclid_pivots_in_one_factorization(order):
 
 
 def test_snf_examples():
+    """Transforms pinned through the reference replay, with the views
+    read from them."""
     f = zlin.smith_normal_form([[2]])
-    assert f.diag == (2,) and f.U == [{0: 1}] and f.V == [{0: 1}]
+    assert f.diag == (2,) and transforms(f)[:2] == ([{0: 1}], [{0: 1}])
+    assert f.cycles.torsion == (2,) and f.cycles.torsion_rows == ({0: 1},)
     z = zlin.smith_normal_form([[0, 0], [0, 0]])
     assert z.diag == (0, 0)
-    assert z.U == z.V == z.Uinv == z.Vinv == [{0: 1}, {1: 1}]
+    assert all(vecs == [{0: 1}, {1: 1}] for vecs in transforms(z))
+    assert z.cycles.basis == z.cycles.coords == ({0: 1}, {1: 1})
     # swapping the two columns of [[0, 1]] brings the pivot to (0, 0)
     s = zlin.smith_normal_form([[0, 1]])
-    assert s.diag == (1,) and s.V == [{1: 1}, {0: 1}] and s.Vinv == s.V
+    _, V, _, Vinv = transforms(s)
+    assert s.diag == (1,) and V == [{1: 1}, {0: 1}] and Vinv == V
+    assert s.cycles.basis == s.cycles.coords == ({0: 1},)
+    assert s.V_rows == [{1: 1}, {0: 1}]
 
 
 def test_snf_pivot_examples():
@@ -199,15 +247,22 @@ def test_snf_pivot_examples():
     # row 0 holds only non-units; the first unit, (1, 1), is the pivot
     f = zlin.smith_normal_form([[2, 3], [4, 1]])
     assert f.diag == (1, 10)
-    assert f.U == [{1: 1}, {0: -1, 1: 3}] and f.V == [{1: 1}, {0: 1, 1: -4}]
-    assert f.Uinv == [{0: 3, 1: 1}, {0: -1}] and f.Vinv == [{0: 4, 1: 1}, {0: 1}]
+    U, V, Uinv, Vinv = transforms(f)
+    assert U == [{1: 1}, {0: -1, 1: 3}] and V == [{1: 1}, {0: 1, 1: -4}]
+    assert Uinv == [{0: 3, 1: 1}, {0: -1}] and Vinv == [{0: 4, 1: 1}, {0: 1}]
+    assert f.cycles.torsion_cols == ({0: 1, 1: -4},)
+    assert f.cycles.torsion_rows == ({0: 1},)
     # no unit in the active block: the whole block is scanned for the 2
     g = zlin.smith_normal_form([[2, 4], [6, 3]])
     assert g.diag == (1, 18)
-    assert g.U == [{0: -2, 1: 1}, {0: -21, 1: 10}]
-    assert g.V == [{0: 3, 1: 1}, {0: -5, 1: -2}]
-    assert g.Uinv == [{0: 10, 1: 21}, {0: -1, 1: -2}]
-    assert g.Vinv == [{0: 2, 1: -5}, {0: 1, 1: -3}]
+    U, V, Uinv, Vinv = transforms(g)
+    assert U == [{0: -2, 1: 1}, {0: -21, 1: 10}]
+    assert V == [{0: 3, 1: 1}, {0: -5, 1: -2}]
+    assert Uinv == [{0: 10, 1: 21}, {0: -1, 1: -2}]
+    assert Vinv == [{0: 2, 1: -5}, {0: 1, 1: -3}]
+    assert g.V_rows == [{0: 3, 1: -5}, {0: 1, 1: -2}]
+    for fact in (f, g):
+        assert_views_match_the_replay(fact)
     # a remainder left in column 0, in row 0, and in row 0 after column 0
     # is cleared: each sends the elimination back to the pivot choice
     for a, diag in (([[2], [3]], (1,)), ([[2, 3]], (1,)),
@@ -221,8 +276,8 @@ def test_snf_is_deterministic():
     a = [[rng.randrange(-5, 6) for _ in range(5)] for _ in range(4)]
     f1 = zlin.smith_normal_form(a)
     f2 = zlin.smith_normal_form([row[:] for row in a])
-    assert (f1.U, f1.V, f1.Uinv, f1.Vinv, f1.diag) \
-        == (f2.U, f2.V, f2.Uinv, f2.Vinv, f2.diag)
+    assert (views(f1), f1.diag) == (views(f2), f2.diag)
+    assert key_orders(f1) == key_orders(f2)
 
 
 @settings(max_examples=50, deadline=None)
@@ -281,7 +336,8 @@ def _dense_solve_transposed(fact, b, integral):
     whole diagonal, and x = U^T y over every row of U."""
     m, _ = fact.shape
     r = fact.rank
-    w = [sum(b[i] * x for i, x in col.items()) for col in fact.V]
+    U, V, _, _ = transforms(fact)
+    w = [sum(b[i] * x for i, x in col.items()) for col in V]
     if any(w[r:]):
         return None
     pairs = list(zip(w, fact.diag[:r]))
@@ -293,7 +349,7 @@ def _dense_solve_transposed(fact, b, integral):
         e = lcm(*(d // gcd(wt, d) for wt, d in pairs))
         y = [wt * e // d for wt, d in pairs]
     x = [0] * m
-    for yt, row in zip(y, fact.U):
+    for yt, row in zip(y, U):
         for i, u in row.items():
             x[i] += yt * u
     return x, e
@@ -302,10 +358,11 @@ def _dense_solve_transposed(fact, b, integral):
 @settings(max_examples=60, deadline=None)
 @given(small_matrices(), st.integers(0, 10**6))
 def test_row_index_and_sparse_solve_match_the_dense_formula(a, seed):
-    """V_rows is exactly the transpose of V, with ascending columns and no
-    zeros, and the sparse solve returns the same (x, e), or None, as the
-    dense formula, over Z and over Q, for a solvable right side, a random
-    one and one with a single nonzero entry."""
+    """V_rows is exactly the transpose of the replayed V, with ascending
+    columns and no zeros, and the sparse solve returns the same (x, e),
+    or None, as the dense formula over the replayed U and V, over Z and
+    over Q, for a solvable right side, a random one and one with a
+    single nonzero entry."""
     fact = zlin.smith_normal_form(a)
     m, n = fact.shape
     _, V, _, _ = dense(fact)
@@ -464,6 +521,27 @@ def test_boundary_logs_match_the_plain_elimination(name):
         X = barycentric_subdivide(X).complex
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(matrices_with_zero_rows(), unit_matrices_with_one_larger_entry()))
+@example([[2, 0, 0], [0, 6, 0], [0, 0, 0]])  # two torsion lines and a cycle
+def test_views_match_the_replayed_transforms(a):
+    """U, V_rows and the cycle lines equal what the plain forward replay
+    builds, zero rows and non-unit pivots included."""
+    assert_views_match_the_replay(zlin.smith_normal_form(a))
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_boundary_views_match_the_replayed_transforms(name):
+    """Every boundary operator of sd^0, sd^1 and sd^2 of each corpus
+    complex."""
+    X = corpus.load(name)
+    for _ in range(3):
+        for j in range(X.dim + 2):
+            assert_views_match_the_replay(zlin.smith_normal_form(
+                X.boundary_rows(j), ncols=X.n_simplices(j)))
+        X = barycentric_subdivide(X).complex
+
+
 def test_rows_are_read_as_integers_and_left_unchanged():
     """Values that are not integral are refused; integral Fractions,
     floats and bools factor as the ints they equal, into ints; explicit
@@ -477,7 +555,7 @@ def test_rows_are_read_as_integers_and_left_unchanged():
     g = zlin.smith_normal_form([[2, 1], [0, 6], [0, -3]])
     assert (f.diag, f.row_log, f.col_log) == (g.diag, g.row_log, g.col_log)
     assert all(type(x) is int for x in f.diag)
-    assert all(type(x) is int for vecs in (f.U, f.V) for v in vecs
+    assert all(type(x) is int for vecs in views(f) for v in vecs
                for x in v.values())
     zeros = [{1: 0, 0: 2}, {0: 0, 1: 0}, {1: 3, 0: 0}]
     snapshot = [list(r.items()) for r in zeros]
@@ -495,14 +573,15 @@ def test_rows_are_read_as_integers_and_left_unchanged():
     empty = zlin.smith_normal_form([], ncols=3)
     assert (empty.shape, empty.diag, empty.rank) == ((0, 3), (), 0)
     assert (empty.row_log, empty.col_log) == ([], [])
-    assert empty.V == [{0: 1}, {1: 1}, {2: 1}]
+    assert empty.V_rows == [{0: 1}, {1: 1}, {2: 1}]
+    assert empty.cycles.basis == empty.cycles.coords == ({0: 1}, {1: 1}, {2: 1})
 
 
 def kernel_basis(a):
-    """The columns of V past the rank, made dense: the kernel basis the
+    """The basis of the cycle lines, made dense: the kernel basis the
     library reads (as the cycle basis of a boundary operator)."""
     f = zlin.smith_normal_form(a)
-    return [[col.get(i, 0) for i in range(f.shape[1])] for col in f.V[f.rank:]]
+    return [[col.get(i, 0) for i in range(f.shape[1])] for col in f.cycles.basis]
 
 
 def test_kernel_basis_examples():
@@ -537,14 +616,15 @@ def test_cokernel_picks_rows_of_U_and_columns_of_Uinv_and_caches_none(a):
     """`cokernel` keeps row i of U and column i of Uinv for each free
     index past the rank, then each torsion index, with ascending keys,
     built from the row log (sweeps and zero rows included); the
-    factorization it reads builds no transform."""
+    factorization it reads builds no view."""
     f = zlin.smith_normal_form(a)
     g = zlin.cokernel(f)
-    assert not {"U", "Uinv", "V", "Vinv"} & set(f.__dict__)
+    assert not set(VIEWS) & set(f.__dict__)
+    U, _, Uinv, _ = transforms(f)
     picked = [*range(f.rank, len(a)),
               *(i for i in range(f.rank) if f.diag[i] > 1)]
-    assert g.gen_lift == tuple(f.Uinv[i] for i in picked)
-    assert g._proj_rows == tuple(f.U[i] for i in picked)
+    assert g.gen_lift == tuple(Uinv[i] for i in picked)
+    assert g._proj_rows == tuple(U[i] for i in picked)
     assert all(list(v) == sorted(v) for v in g.gen_lift + g._proj_rows)
 
 
