@@ -9,6 +9,7 @@ after another in a fixed order.
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 import time
@@ -165,11 +166,17 @@ def cmd_pseudo(cx: Complex, args, jobs: int) -> Report:
         rep.extend([check("pseudo.input_is_cycle", False, "nonzero boundary")])
         return rep
 
+    @functools.cache
+    def normalized():
+        # one normalization for both tasks; one that raised is not kept,
+        # so bounding raises it again and fails as the surgery did
+        return normalize_cycle(cx, d, vec)
+
     def surgery():
-        return verify_normalization(cx, d, vec)
+        return verify_normalization(*normalized())
 
     def bounding():
-        sr, pm = normalize_cycle(cx, d, vec)
+        sr, pm = normalized()
         out = bound_in_good_neighborhood(pm, cx, sr.tower,
                                          max_subdiv=args.max_subdiv)
         if isinstance(out, NotNullHomologous):

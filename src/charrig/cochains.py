@@ -293,7 +293,8 @@ def cup_class_qmodz(a: "CohomologyClass", u: "CohomologyClass") -> "CohomologyCl
 # j-coboundaries are the x with w = V^T x in d_i Z below the rank and 0
 # past it, and H^j(Z) is read from the same cycle lines (`ZCohomology`);
 # delta^j x = b is solved through the factorization of d_{j+1} as
-# S^T y = V^T b, x = U^T y. A cocycle with prescribed periods takes them
+# S^T y = V^T b, x = U^T y, which reads only the rows of U below the rank
+# (`zlin.solve_transposed`). A cocycle with prescribed periods takes them
 # on the cycle basis and vanishes on the rest of the Smith-adapted basis
 # (`cochain_on_cycle_basis`).
 # The build is sparse from input to output. Each d_j is stored once, as
@@ -304,8 +305,10 @@ def cup_class_qmodz(a: "CohomologyClass", u: "CohomologyClass") -> "CohomologyCl
 # d_j != 0, since it is d_{j+1} otherwise. Every reader of the cycle basis
 # reads the cycle lines, so its convention lives in `zlin` alone; periods
 # read them by line, so they cost the nonzeros of the cochain given. Only
-# a coboundary solve builds U and V by rows, and a presentation
-# (`zlin.cokernel`) caches nothing, also on d_{j+1}.
+# a coboundary solve builds U (rows below the rank) and V by rows. A
+# presentation (`zlin.cokernel`) reads the cycle lines of the transposed
+# factorization `SNFResult.T`, which is built afresh on each read, so it
+# caches nothing, also on d_{j+1}.
 
 
 def _snf_boundary(cx: Complex, j: int) -> zlin.SNFResult:

@@ -518,12 +518,12 @@ def _greedy_collapse(cx: Complex):
 # ---------------------------------------------------------------------------
 # verification suite
 
-def verify_normalization(base: Complex, d: int,
-                         vec: dict) -> list[CheckResult]:
+def verify_normalization(sr: SplitResult,
+                         pm: Pseudomanifold) -> list[CheckResult]:
     """Normalization identity, pseudomanifold validity and support
-    containment for one cycle."""
+    containment for one cycle, given what `normalize_cycle` made of it."""
     results = []
-    sr, pm = normalize_cycle(base, d, vec)
+    d = pm.dim
     Y = sr.complex
     ok_pm = is_pseudomanifold(pm)
     results.append(check("surgery.is_pseudomanifold", ok_pm,

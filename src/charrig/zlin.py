@@ -10,14 +10,18 @@ dicts, so an elementary operation costs the nonzeros it touches. A column
 swap relabels two columns instead of moving their entries, and the pivot
 scan passes each empty row once, so the elimination costs the entries it
 changes. It updates the working matrix only and logs its operations;
-what is read of the transforms is built from the logs on first read: U
-by rows, V by rows and the cycle lines (`CycleLines`), the last two each
-in one backward pass over the column log. A group presentation
-(`cokernel`) builds the rows of U and columns of Uinv it picks in the
-same pass over the row log and caches nothing, so the presentation of
-H_0, which reads the factorization of d_1 itself, leaves it as it found
-it. A boundary factorization builds U and V_rows only for a solve, which
-then costs what its right side touches.
+`_picked_lines`, the one reader of the logs, builds what is read of the
+transforms on first read, each view in one backward pass: rows 0 ..
+rank - 1 of U (all that a solve reads) from the row log, and V by rows
+and the cycle lines (`CycleLines`) from the column log. The
+factorization of A^T is the same diagonal with the logs exchanged
+(`SNFResult.T`, built afresh on each read, so nothing it builds is
+kept): a group presentation (`cokernel`) is its cycle lines, and a solve
+of A x = b is the transposed solve through it (`solve_transposed`). So
+the presentation of H_0, which reads the factorization of d_1 itself,
+leaves it as it found it, and a boundary factorization builds U and
+V_rows only for a coboundary solve, which then costs what its right
+side touches.
 
 Chains, cochain numerators, solve vectors and cycle coordinates are one
 format: a dict from index to nonzero int (or Fraction). Every pairing goes
@@ -87,25 +91,6 @@ def _axpy(dst: dict, src: dict, q: int) -> None:
 # ---------------------------------------------------------------------------
 # Smith normal form
 
-def _replay(n: int, log: list) -> list:
-    """U by rows, replayed forward from the identity on Z^n.
-
-    Each log entry (i, t, q) is one elementary operation on the working
-    matrix: with q != 0, line i -= q * line t; with q == 0 and i != t, a
-    swap of lines i and t; with q == 0 and i == t, a negation of line i."""
-    vecs = [{i: 1} for i in range(n)]
-    for i, t, q in log:
-        if q:
-            _axpy(vecs[i], vecs[t], -q)
-        elif i != t:
-            vecs[i], vecs[t] = vecs[t], vecs[i]
-        else:
-            vec = vecs[i]
-            for j in vec:
-                vec[j] = -vec[j]
-    return vecs
-
-
 def _add_line(lines: list, dst: int, src: int, c: int) -> None:
     """lines[dst] += c * lines[src] on sparse lines, where None is zero. A
     dict keeps the table it grew to, so a line left shorter than the one
@@ -122,11 +107,15 @@ def _picked_lines(n: int, log: list, picked, inverse: bool):
     """The picked lines of U (rows, from the row log) or V (columns, from
     the column log) and, with `inverse`, of Uinv (columns) or Vinv (rows),
     in one backward pass over the log, held by ambient line: lines[x] =
-    {k: entry x of picked line k}, None (or {}) when 0. From the last
-    operation to the first, (i, t, q) sends entry t of a picked line to
-    t - q * entry i, and entry i of an inverse one to i + q * entry t; a
-    swap exchanges entries i and t, a negation negates entry i. So an
-    operation costs the picked lines nonzero where it reads."""
+    {k: entry x of picked line k}, None (or {}) when 0. This is the only
+    reader of a log. Each entry (i, t, q) is one elementary operation on
+    the working matrix: with q != 0, line i -= q * line t; with q == 0
+    and i != t, a swap of lines i and t; with q == 0 and i == t, a
+    negation of line i. From the last operation to the first, (i, t, q)
+    sends entry t of a picked line to t - q * entry i, and entry i of an
+    inverse one to i + q * entry t; a swap exchanges entries i and t, a
+    negation negates entry i. So an operation costs the picked lines
+    nonzero where it reads."""
     fwd, inv = [None] * n, [None] * n
     for k, x in enumerate(picked):
         fwd[x], inv[x] = {k: 1}, ({k: 1} if inverse else None)
@@ -185,11 +174,13 @@ class SNFResult:
 
     S is diagonal with nonnegative entries d_0 | d_1 | ... (zeros trailing);
     only the diagonal is stored. The elimination records its row and
-    column operations in two logs (see `_replay`), and three views are
-    each built from them on first read and kept: `U` by rows, replayed
-    forward; V by rows (`V_rows`) and the `CycleLines` (`cycles`), each
-    in one backward pass over the column log. Every vector is a dict from
-    index to nonzero int, shared with every reader and read-only.
+    column operations in two logs (see `_picked_lines`), and three views
+    are each built from them on first read and kept, each in one backward
+    pass: rows 0 .. rank - 1 of `U` over the row log; V by rows (`V_rows`)
+    and the `CycleLines` (`cycles`) over the column log. `T` is the
+    factorization V^T A^T U^T = S^T of A^T, built afresh on each read.
+    Every vector is a dict from index to nonzero int, shared with every
+    reader and read-only.
     """
     shape: tuple[int, int]
     diag: tuple[int, ...]
@@ -197,9 +188,16 @@ class SNFResult:
     row_log: list
     col_log: list
 
+    @property
+    def T(self) -> SNFResult:
+        return SNFResult(self.shape[::-1], self.diag, self.rank,
+                         self.col_log, self.row_log)
+
     @cached_property
-    def U(self) -> list:
-        return _replay(self.shape[0], self.row_log)
+    def U(self) -> tuple:
+        r = self.rank
+        return _transpose(
+            _picked_lines(self.shape[0], self.row_log, range(r), False)[0], r)
 
     @cached_property
     def V_rows(self) -> list:
@@ -208,15 +206,23 @@ class SNFResult:
 
     @cached_property
     def cycles(self) -> CycleLines:
-        r, n = self.rank, self.shape[1]
-        tors = [i for i in range(r) if self.diag[i] > 1]
-        picked = [*range(r, n), *tors]
-        fwd, inv = _picked_lines(n, self.col_log, picked, True)
-        by_line = _compact(fwd)
-        cols, rows = (_transpose(v, len(picked)) for v in (by_line, inv))
-        return CycleLines(cols[:n - r], rows[:n - r], by_line,
-                          tuple(self.diag[i] for i in tors),
-                          cols[n - r:], rows[n - r:])
+        torsion, fwd, cols, rows = _cycle_lines(self)
+        k = self.shape[1] - self.rank
+        return CycleLines(cols[:k], rows[:k], _compact(fwd), torsion,
+                          cols[k:], rows[k:])
+
+
+def _cycle_lines(fact: SNFResult):
+    """The torsion, the pass over the column log that picks columns rank
+    .. n - 1 of V and then each torsion column, held by line (`cycles`
+    compacts it into `by_line`), and as vectors the picked columns of V
+    and the matching rows of Vinv."""
+    r, n = fact.rank, fact.shape[1]
+    tors = [i for i in range(r) if fact.diag[i] > 1]
+    picked = [*range(r, n), *tors]
+    fwd, inv = _picked_lines(n, fact.col_log, picked, True)
+    cols, rows = (_transpose(v, len(picked)) for v in (fwd, inv))
+    return tuple(fact.diag[i] for i in tors), fwd, cols, rows
 
 
 def _integer_rows(a) -> list:
@@ -369,7 +375,7 @@ def smith_normal_form(a, ncols: int | None = None) -> SNFResult:
                 rt[j] = -rt[j]
             row_log.append((t, t, 0))
         # p is the smallest |entry| of the active block, so no quotient
-        # below is 0 (`_replay` would read a logged 0 as a swap). Each
+        # below is 0 (`_picked_lines` would read a logged 0 as a swap). Each
         # `continue` picks a strictly smaller pivot, so the loop ends: a
         # cleared column or row may leave a remainder below p, and after
         # the sweep the next pass picks (t, t) again and leaves one in row t.
@@ -455,16 +461,12 @@ class FgAbelianGroup:
 def cokernel(fact: SNFResult) -> FgAbelianGroup:
     """Presentation of Z^m / im(A) from the factorization U A V = S of A,
     m the number of rows: row i of U and column i of Uinv for each free
-    index i past the rank, then each torsion index, built in one
-    backward pass over the row log (`_picked_lines`) with ascending keys.
-    Nothing is cached on `fact`, which may be a shared boundary
-    factorization."""
-    m, r = fact.shape[0], fact.rank
-    tors_idx = [i for i in range(r) if fact.diag[i] > 1]
-    picked = [*range(r, m), *tors_idx]
-    u, w = (_transpose(v, len(picked))
-            for v in _picked_lines(m, fact.row_log, picked, True))
-    return FgAbelianGroup(m - r, tuple(fact.diag[i] for i in tors_idx), w, u)
+    index i past the rank, then each torsion index. These are the cycle
+    lines of the transpose (`SNFResult.T`), whose V is U^T, so rows past
+    the rank of U span ker A^T, the forms that vanish on im(A). Nothing
+    is cached on `fact`, which may be a shared boundary factorization."""
+    torsion, _, cols, rows = _cycle_lines(fact.T)
+    return FgAbelianGroup(fact.shape[0] - fact.rank, torsion, rows, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -486,25 +488,6 @@ def _divide_by_diag(fact: SNFResult, c: dict, integral: bool):
     return {t: ct * e // diag[t] for t, ct in c.items()}, e
 
 
-def _solve(fact: SNFResult, b: dict, integral: bool):
-    """x with A x = b through U A V = S: S y = U b, x = V y, for sparse b
-    and x; b may hold Fractions, and a rational x comes back as Fractions.
-    An index of b outside the rows of A is a ShapeError."""
-    m = fact.shape[0]
-    if b and (min(b) < 0 or max(b) >= m):
-        raise ShapeError(f"rhs index outside the {m} rows")
-    q = lcm(*(v.denominator for v in b.values()))
-    if integral and q != 1:
-        return None
-    ub = ((t, int(vec_dot(row, b) * q)) for t, row in enumerate(fact.U))
-    sol = _divide_by_diag(fact, {t: ct for t, ct in ub if ct}, integral)
-    if sol is None:
-        return None
-    y, e = sol
-    x = {i: v for i, row in enumerate(fact.V_rows) if (v := vec_dot(row, y))}
-    return x if integral else {i: Fraction(v, e * q) for i, v in x.items()}
-
-
 def solve_transposed(fact: SNFResult, b: dict, integral: bool):
     """Integers x and e > 0 with A^T x = e b, for an integer vector b given
     as a sparse dict {i: b_i} over the columns of A, from the factorization
@@ -512,7 +495,11 @@ def solve_transposed(fact: SNFResult, b: dict, integral: bool):
     x = U^T y. x is a sparse dict free of zeros; e = 1 when `integral`;
     None when there is no solution (over Z when `integral`, else over Q).
     V^T b is summed over the rows of V where b is nonzero, and x over the
-    rows of U where y is nonzero."""
+    rows of U where y is nonzero, all below the rank. An index of b
+    outside the columns of A is a ShapeError."""
+    n = fact.shape[1]
+    if b and (min(b) < 0 or max(b) >= n):
+        raise ShapeError(f"right-side index outside 0..{n - 1}")
     rows = fact.V_rows
     w = {}
     for i, bi in b.items():
@@ -527,14 +514,24 @@ def solve_transposed(fact: SNFResult, b: dict, integral: bool):
 
 def solve_integer(fact: SNFResult, b: dict):
     """One integer solution x of A x = b through the factorization of A
-    (sparse b and x, see `_solve`), or None if unsolvable over Z."""
-    return _solve(fact, b, integral=True)
+    (sparse b and x), the transposed solve through `fact.T`, or None if
+    unsolvable over Z, as when b is not integral (U b is then not)."""
+    sol = solve_transposed(fact.T, b, True)
+    return None if sol is None else sol[0]
 
 
 def solve_rational_with_fact(fact: SNFResult, b: dict):
     """Rational solution of A x = b through an existing Smith factorization
-    of the integer matrix A (sparse b and x), or None when inconsistent."""
-    return _solve(fact, b, integral=False)
+    of the integer matrix A (sparse b and x), or None when inconsistent:
+    x' with A x' = e q b through `fact.T`, q the lcm of the denominators
+    of b, and x = x' / (e q)."""
+    q = lcm(*(v.denominator for v in b.values()))
+    sol = solve_transposed(fact.T, {i: int(v * q) for i, v in b.items()},
+                           False)
+    if sol is None:
+        return None
+    x, e = sol
+    return {i: Fraction(v, e * q) for i, v in x.items()}
 
 
 def solve_rational(a, b: dict, ncols: int | None = None):

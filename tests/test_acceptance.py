@@ -211,7 +211,7 @@ def test_criterion_6_geometry_suite():
             for z in cycles:
                 if not z:
                     continue
-                res = verify_normalization(X, d, z)
+                res = verify_normalization(*normalize_cycle(X, d, z))
                 problems.extend((name, d, r.name) for r in res
                                 if r.status != "pass")
                 nb = good_neighborhood_of_cycle(X, d, z, d)

@@ -10,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from charrig import cli, corpus, zlin
+from charrig import cli, corpus, geometry, zlin
 from charrig.cochains import basis_cochain, cohomology
+from charrig.report import InvariantError
 from charrig.simplicial import barycentric_subdivide, load_complex
 
 
@@ -189,6 +190,35 @@ def test_surgery_invariant_failure_is_a_failed_check(monkeypatch, capsys,
         assert bad["detail"] == "a null-homologous cycle does not bound"
         assert len(bad["witness"]["cycle"]) == 3  # the equator's edges
     assert by_name["surgery.is_pseudomanifold"]["status"] == "pass"
+
+
+def test_pseudo_normalizes_the_cycle_once(monkeypatch, capsys):
+    """The surgery and bounding tasks read one normalization."""
+    real, calls = cli.normalize_cycle, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli, "normalize_cycle", counted)
+    monkeypatch.setattr(geometry, "normalize_cycle", counted)
+    assert cli.main(["pseudo", "s2", "--cycle", "s2_equator"]) == 0
+    assert len(calls) == 1
+
+
+def test_failed_normalization_fails_surgery_and_bounding_alike(monkeypatch,
+                                                               capsys):
+    """A normalization that raises fails both tasks with its witness."""
+    def broken(*args):
+        raise InvariantError("cannot split", {"cell": [0, 1]})
+
+    monkeypatch.setattr(cli, "normalize_cycle", broken)
+    assert cli.main(["pseudo", "s2", "--cycle", "s2_equator"]) == 1
+    checks = parse_report(capsys.readouterr().out)["checks"]
+    assert [(c["name"], c["status"], c["detail"], c["witness"])
+            for c in checks] == [
+        (f"pseudo.{task}", "fail", "cannot split", {"cell": [0, 1]})
+        for task in ("surgery", "bounding")]
 
 
 @pytest.mark.parametrize("argv", [

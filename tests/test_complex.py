@@ -395,8 +395,8 @@ def test_last_vertex_push_inverts_subdivide_chain(X, data):
 @settings(max_examples=25, deadline=None)
 @given(RANDOM_SPACES, st.data())
 def test_out_of_range_indices_raise_shape_errors(X, data):
-    """pair refuses a chain index outside the simplices, and the integer
-    and rational solves a right-side index outside the rows."""
+    """pair refuses a chain index outside the simplices, and the integer,
+    rational and transposed solves a right-side index outside the rows."""
     j = data.draw(st.integers(0, X.dim))
     n = X.n_simplices(j)
     x = basis_cochain(X, "Q", j, 0)
@@ -409,6 +409,9 @@ def test_out_of_range_indices_raise_shape_errors(X, data):
         zlin.solve_integer(zlin.smith_normal_form(rows, ncols=ncols), {bad: 1})
     with pytest.raises(zlin.ShapeError):
         zlin.solve_rational(rows, {bad: 1}, ncols=ncols)
+    with pytest.raises(zlin.ShapeError):
+        zlin.solve_transposed(zlin.smith_normal_form(rows, ncols=ncols).T,
+                              {bad: 1}, True)
 
 
 @settings(max_examples=30, deadline=None)

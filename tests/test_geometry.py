@@ -147,7 +147,7 @@ def test_split_zero_cycle_multiplicity_three(cx):
     assert all(abs(c) <= 1 for c in sr.cycle.values())
     assert sum(1 for c in sr.cycle.values() if c == 1) == 3
     assert sum(1 for c in sr.cycle.values() if c == -1) == 3
-    results = verify_normalization(s2, 0, z)
+    results = verify_normalization(*normalize_cycle(s2, 0, z))
     assert all(r.status == "pass" for r in results)
 
 
@@ -172,7 +172,7 @@ def test_normalization_suite_on_corpus_cycles(corpus_complex):
         for z in cycles:
             if not z:
                 continue
-            results = verify_normalization(X, d, z)
+            results = verify_normalization(*normalize_cycle(X, d, z))
             bad = [(r.name, r.detail) for r in results if r.status != "pass"]
             assert not bad, (X.name, d, bad)
 

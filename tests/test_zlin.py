@@ -46,16 +46,16 @@ def views(fact):
 
 
 def assert_views_match_the_replay(f):
-    """U is the replayed U; V_rows is the replayed V by rows; the cycle
-    lines are columns rank.. of V and rows rank.. of Vinv, then column
-    and row i of each for each torsion index i, and `by_line` holds
-    those columns by rows. All but U have ascending keys, and no vector
-    holds a zero."""
+    """U is rows ..rank of the replayed U; V_rows is the replayed V by
+    rows; the cycle lines are columns rank.. of V and rows rank.. of
+    Vinv, then column and row i of each for each torsion index i, and
+    `by_line` holds those columns by rows. Every view has ascending
+    keys, and no vector holds a zero."""
     m, n = f.shape
     r = f.rank
     U, V, Uinv, Vinv = transforms(f)
     tors = [i for i in range(r) if f.diag[i] > 1]
-    assert f.U == U
+    assert f.U == tuple(U[:r])
     assert f.V_rows == [{j: col[i] for j, col in enumerate(V) if i in col}
                         for i in range(n)]
     c = f.cycles
@@ -67,11 +67,10 @@ def assert_views_match_the_replay(f):
     assert list(c.by_line) == [
         {k: col[i] for k, col in enumerate(picked) if i in col}
         for i in range(n)]
-    lists = (f.V_rows, c.basis, c.coords, c.by_line, c.torsion_cols,
+    lists = (f.U, f.V_rows, c.basis, c.coords, c.by_line, c.torsion_cols,
              c.torsion_rows)
     assert all(list(v) == sorted(v) for vecs in lists for v in vecs)
-    assert all(x != 0 for vecs in (f.U, *lists)
-               for vec in vecs for x in vec.values())
+    assert all(x != 0 for vecs in lists for vec in vecs for x in vec.values())
 
 
 def as_dict(v):
@@ -105,6 +104,26 @@ def test_snf_transforms_and_divisibility(a):
     nz = [d for d in f.diag if d]
     assert all(d > 0 for d in nz)
     assert all(nz[i + 1] % nz[i] == 0 for i in range(len(nz) - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_matrices())
+def test_transpose_factors_the_transposed_matrix(a):
+    """`T` is the factorization of A^T: the same diagonal, and the
+    reference replay of its exchanged logs gives U_T A^T V_T == S^T. Its
+    views match that replay, and reading them caches nothing on the
+    factorization it transposes."""
+    f = zlin.smith_normal_form(a)
+    t = f.T
+    m, n = f.shape
+    assert (t.shape, t.diag, t.rank) == ((n, m), f.diag, f.rank)
+    U, V, _, _ = dense(t)
+    S = Matrix.zeros(n, m)
+    for i, d in enumerate(t.diag):
+        S[i, i] = d
+    assert Matrix(U) * Matrix(a).T * Matrix(V) == S
+    assert_views_match_the_replay(t)
+    assert not set(VIEWS) & set(f.__dict__)
 
 
 @settings(max_examples=40, deadline=None)
@@ -525,8 +544,8 @@ def test_boundary_logs_match_the_plain_elimination(name):
 @given(st.one_of(matrices_with_zero_rows(), unit_matrices_with_one_larger_entry()))
 @example([[2, 0, 0], [0, 6, 0], [0, 0, 0]])  # two torsion lines and a cycle
 def test_views_match_the_replayed_transforms(a):
-    """U, V_rows and the cycle lines equal what the plain forward replay
-    builds, zero rows and non-unit pivots included."""
+    """U (below the rank), V_rows and the cycle lines equal what the
+    plain forward replay builds, zero rows and non-unit pivots included."""
     assert_views_match_the_replay(zlin.smith_normal_form(a))
 
 
